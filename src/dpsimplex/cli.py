@@ -37,6 +37,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -45,7 +46,6 @@ import os
 import struct
 import sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,8 +89,6 @@ CSV_COLUMNS = [
     "inner_error_bound", "samples_used", "steps_run", "vertex_draws",
     "wall_time_ms", "seed", "plan_json",
 ]
-
-ALGORITHMS = ("smd_vertex", "smd_bias_reduced", "boosted", "dp_sco", "nonprivate_smd")
 
 PAYOFF_MAGIC = b"DPXM"
 
@@ -210,7 +208,7 @@ def _build_synth_problem(problem: dict, base_dir: str) -> SynthDataProblem:
 # trial execution
 
 
-@dataclass
+@dataclasses.dataclass
 class RunRecord:
     trial: int
     n: int
@@ -236,128 +234,141 @@ class RunRecord:
         ]
 
 
-def _plan_from_overrides(cfg: dict, algorithm: str, n: int, L0: float):
-    ov = cfg["overrides"]
-    eps, delta = float(cfg["epsilon"]), float(cfg["delta"])
-    mode = cfg.get("mode", "quadratic")
+@dataclasses.dataclass(frozen=True)
+class _Trial:
+    """What a runner needs of one (n, trial) cell of the grid."""
+
+    cfg: dict
+    algorithm: str
+    n: int
+    eps: float
+    delta: float
+    mode: str
+    stream: RngStream
+
+
+def _plan(t: _Trial, L0: float, planner):
+    """The planned schedule, or the config's overrides enforced as a plan.
+
+    Overrides name the schedule fields of the algorithm's plan class; the
+    budget, mode, ``L0`` and ``n`` come from the trial, the batch size is
+    ``n // T``, and ``C`` and ``ell`` are optional.
+    """
+    if not t.cfg.get("overrides"):
+        return planner()
+    ov = t.cfg["overrides"]
+    plan_cls = ALGORITHMS[t.algorithm][1]
+    fixed = {"mode": t.mode, "epsilon": t.eps, "delta": t.delta, "L0": L0, "n": t.n}
+    defaults = {"C": L0**2, "ell": 1.0}
+    fields = {}
     try:
-        if algorithm == "smd_vertex":
-            T = int(ov["T"])
-            plan = SsmdPlan(
-                T=T, tau=float(ov["tau"]), K=int(ov["K"]), B_batch=max(1, n // T),
-                mode=mode, epsilon=eps, delta=delta, L0=L0, n=n,
-            )
-        elif algorithm == "smd_bias_reduced":
-            plan = BrPlan(
-                U=float(ov["U"]), M=int(ov["M"]), alpha=float(ov["alpha"]),
-                tau=float(ov["tau"]), C=float(ov.get("C", L0**2)),
-                epsilon=eps, delta=delta, L0=L0, n=n, ell=float(ov.get("ell", 1.0)),
-            )
-        elif algorithm == "dp_sco":
-            T = int(ov["T"])
-            plan = ScoPlan(
-                T=T, tau=float(ov["tau"]), K=int(ov["K"]), q=int(ov["q"]),
-                B_batch=max(1, n // T), mode=mode, epsilon=eps, delta=delta, L0=L0, n=n,
-            )
-        else:
-            raise ConfigError(f"overrides are not supported for algorithm {algorithm!r}")
+        for f in dataclasses.fields(plan_cls):
+            if f.name in fixed:
+                fields[f.name] = fixed[f.name]
+            elif f.name == "B_batch":
+                fields[f.name] = max(1, t.n // fields["T"])
+            else:
+                value = ov.get(f.name, defaults[f.name]) if f.name in defaults else ov[f.name]
+                fields[f.name] = int(value) if f.type == "int" else float(value)
     except KeyError as exc:
-        raise ConfigError(f"overrides for {algorithm} are missing {exc}") from exc
+        raise ConfigError(f"overrides for {t.algorithm} are missing {exc}") from exc
+    plan = plan_cls(**fields)
     plan.validate()  # explicit parameters are enforced, never trusted
     return plan
 
 
+def _plan_json(plan) -> str:
+    return json.dumps(dataclasses.asdict(plan), sort_keys=True)
+
+
+def _run_smd_vertex(t: _Trial, game: MatrixGame):
+    obj = game.objective()
+    plan = _plan(t, obj.L0, lambda: plan_vertex_smd(
+        t.n, t.eps, t.delta, obj.L0, obj.L1, obj.L2, game.ell, t.mode))
+    data = game.sample_dataset(t.n, t.stream.child("data"))
+    return solve_smd_vertex(obj, data, plan, t.stream.child("solve")), _plan_json(plan)
+
+
+def _run_bias_reduced(t: _Trial, game: MatrixGame):
+    obj = game.objective()
+    plan = _plan(t, obj.L0, lambda: plan_bias_reduced(
+        t.n, t.eps, t.delta, obj.L0, obj.L1, obj.L2, game.ell))
+    data = game.sample_dataset(t.n, t.stream.child("data"))
+    sol, _trace = solve_smd_bias_reduced(obj, data, plan, t.stream.child("solve"))
+    return sol, _plan_json(plan)
+
+
+def _run_boosted(t: _Trial, game: MatrixGame):
+    boost = t.cfg.get("boosting") or {}
+    if "I" in boost and "J" in boost:
+        I, J = int(boost["I"]), int(boost["J"])
+    else:
+        I, J = boosting_shape(float(boost.get("beta", 0.05)))
+    data = game.sample_dataset(t.n, t.stream.child("data"))
+    sol = solve_boosted(game.objective(), data, I, J, PrivacyParams(t.eps, t.delta),
+                        t.stream.child("solve"), ell=game.ell)
+    return sol, json.dumps({"I": I, "J": J}, sort_keys=True)
+
+
+def _run_nonprivate(t: _Trial, game: MatrixGame):
+    ov = t.cfg.get("overrides") or {}
+    T = int(ov.get("T", 10_000))
+    tau = float(ov.get("tau", math.sqrt(game.ell / T) / game.objective().L0))
+    sol = solve_smd_nonprivate(game.population(), T, tau, game.d_x, game.d_y)
+    return sol, json.dumps({"T": T, "tau": tau}, sort_keys=True)
+
+
+def _run_dp_sco(t: _Trial, obj: SeparableQuadratic):
+    plan = _plan(t, obj.L0, lambda: plan_anytime_sco(
+        t.n, t.eps, t.delta, obj.L0, obj.L1, obj.L2, math.log(obj.dim), t.mode))
+    data = obj.sample_dataset(t.n, t.stream.child("data"))
+    return solve_dp_sco(obj, data, plan, t.stream.child("solve")), _plan_json(plan)
+
+
+# name -> (problem kind, plan class or None, runner). A runner returns the
+# solution and the plan JSON echoed in the CSV row; rows of algorithms with a
+# plan class are re-validated against that class before they are written.
+ALGORITHMS = {
+    "smd_vertex": ("matrix_game", SsmdPlan, _run_smd_vertex),
+    "smd_bias_reduced": ("matrix_game", BrPlan, _run_bias_reduced),
+    "boosted": ("matrix_game", None, _run_boosted),
+    "dp_sco": ("quadratic_sco", ScoPlan, _run_dp_sco),
+    "nonprivate_smd": ("matrix_game", None, _run_nonprivate),
+}
+
+
 def _run_trial(cfg: dict, base_dir: str, n: int, trial: int) -> RunRecord:
     algorithm = _require(cfg, "algorithm")
+    if algorithm not in ALGORITHMS:
+        raise ConfigError(f"unknown algorithm {algorithm!r}; choose from {tuple(ALGORITHMS)}")
+    kind, _, runner = ALGORITHMS[algorithm]
     mode = cfg.get("mode", "quadratic")
     eps, delta = float(_require(cfg, "epsilon")), float(_require(cfg, "delta"))
     master_seed = int(_require(cfg, "master_seed"))
     problem = _require(cfg, "problem")
-    kind = _require(problem, "kind")
+    if _require(problem, "kind") != kind:
+        raise ConfigError(f"algorithm {algorithm} needs a {kind} problem, got {problem['kind']!r}")
     stream = RngStream(master_seed).child("trial", n, trial)
+    t = _Trial(cfg, algorithm, n, eps, delta, mode, stream)
     started = time.perf_counter()
 
-    if algorithm == "dp_sco":
-        if kind != "quadratic_sco":
-            raise ConfigError(f"algorithm dp_sco needs a quadratic_sco problem, got {kind!r}")
+    if kind == "quadratic_sco":
         obj = _build_quadratic(problem)
-        plan = (
-            _plan_from_overrides(cfg, algorithm, n, obj.L0)
-            if cfg.get("overrides")
-            else plan_anytime_sco(n, eps, delta, obj.L0, obj.L1, obj.L2, math.log(obj.dim), mode)
-        )
-        data = obj.sample_dataset(n, stream.child("data"))
-        sol = solve_dp_sco(obj, data, plan, stream.child("solve"))
+        sol, plan_echo = runner(t, obj)
         risk = obj.population_value(sol.w_hat.coords) - obj.population_value(obj.a)
-        record = RunRecord(
-            trial=trial, n=n, algorithm=algorithm, mode=mode,
-            metric="excess_risk", metric_value=float(risk), inner_error_bound=0.0,
-            samples_used=sol.samples_used, steps_run=plan.T,
-            vertex_draws=plan.K * sol.refresh_count,
-            wall_time_ms=(time.perf_counter() - started) * 1e3,
-            seed=stream.stream_id, plan_json=_plan_json(plan),
-        )
-        return record
-
-    if kind != "matrix_game":
-        raise ConfigError(f"algorithm {algorithm} needs a matrix_game problem, got {kind!r}")
-    game = _build_game(problem, master_seed, base_dir)
-    obj = game.objective()
-
-    if algorithm == "nonprivate_smd":
-        ov = cfg.get("overrides") or {}
-        T = int(ov.get("T", 10_000))
-        tau = float(ov.get("tau", math.sqrt(game.ell / T) / obj.L0))
-        sol = solve_smd_nonprivate(game.population(), T, tau, game.d_x, game.d_y)
-        plan_echo = json.dumps({"T": T, "tau": tau}, sort_keys=True)
-        steps, draws, samples = T, 0, 0
-    elif algorithm == "smd_vertex":
-        plan = (
-            _plan_from_overrides(cfg, algorithm, n, obj.L0)
-            if cfg.get("overrides")
-            else plan_vertex_smd(n, eps, delta, obj.L0, obj.L1, obj.L2, game.ell, mode)
-        )
-        data = game.sample_dataset(n, stream.child("data"))
-        sol = solve_smd_vertex(obj, data, plan, stream.child("solve"))
-        plan_echo = _plan_json(plan)
-        steps, draws, samples = sol.steps_run, sol.vertex_draws, sol.samples_used
-    elif algorithm == "smd_bias_reduced":
-        plan = (
-            _plan_from_overrides(cfg, algorithm, n, obj.L0)
-            if cfg.get("overrides")
-            else plan_bias_reduced(n, eps, delta, obj.L0, obj.L1, obj.L2, game.ell)
-        )
-        data = game.sample_dataset(n, stream.child("data"))
-        sol, _trace = solve_smd_bias_reduced(obj, data, plan, stream.child("solve"))
-        plan_echo = _plan_json(plan)
-        steps, draws, samples = sol.steps_run, sol.vertex_draws, sol.samples_used
-    elif algorithm == "boosted":
-        boost = cfg.get("boosting") or {}
-        if "I" in boost and "J" in boost:
-            I, J = int(boost["I"]), int(boost["J"])
-        else:
-            I, J = boosting_shape(float(boost.get("beta", 0.05)))
-        privacy = PrivacyParams(eps, delta)
-        data = game.sample_dataset(n, stream.child("data"))
-        sol = solve_boosted(obj, data, I, J, privacy, stream.child("solve"), ell=game.ell)
-        plan_echo = json.dumps({"I": I, "J": J}, sort_keys=True)
-        steps, draws, samples = sol.steps_run, sol.vertex_draws, sol.samples_used
+        metric, value, error_bound = "excess_risk", float(risk), 0.0
     else:
-        raise ConfigError(f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}")
-
-    gap = exact_gap_bilinear(game.payoff, sol.x, sol.y)
+        game = _build_game(problem, master_seed, base_dir)
+        sol, plan_echo = runner(t, game)
+        gap = exact_gap_bilinear(game.payoff, sol.x, sol.y)
+        metric, value, error_bound = "gap", gap.gap_estimate, gap.inner_error_bound
     return RunRecord(
         trial=trial, n=n, algorithm=algorithm, mode=mode,
-        metric="gap", metric_value=gap.gap_estimate,
-        inner_error_bound=gap.inner_error_bound,
-        samples_used=samples, steps_run=steps, vertex_draws=draws,
+        metric=metric, metric_value=value, inner_error_bound=error_bound,
+        samples_used=sol.samples_used, steps_run=sol.steps_run, vertex_draws=sol.vertex_draws,
         wall_time_ms=(time.perf_counter() - started) * 1e3,
         seed=stream.stream_id, plan_json=plan_echo,
     )
-
-
-def _plan_json(plan) -> str:
-    return json.dumps(plan.as_dict(), sort_keys=True)
 
 
 def _revalidate_plan(record: RunRecord) -> None:
@@ -365,16 +376,12 @@ def _revalidate_plan(record: RunRecord) -> None:
 
     Rows are re-validated at write time so a row can never reach disk with a
     schedule that violates its own preconditions, whatever path produced it.
+    The non-private baseline and the boosted meta-schedule carry no step-size
+    precondition of their own.
     """
-    fields = json.loads(record.plan_json)
-    if record.algorithm == "smd_vertex":
-        SsmdPlan(**fields).validate()
-    elif record.algorithm == "smd_bias_reduced":
-        BrPlan(**fields).validate()
-    elif record.algorithm == "dp_sco":
-        ScoPlan(**fields).validate()
-    # the non-private baseline and the boosted meta-schedule carry no
-    # step-size precondition of their own
+    plan_cls = ALGORITHMS[record.algorithm][1]
+    if plan_cls is not None:
+        plan_cls(**json.loads(record.plan_json)).validate()
 
 
 def _run_trial_task(args: tuple) -> tuple:
@@ -480,7 +487,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         "max_query_error": report.max_query_error,
         "query_errors": [float(e) for e in report.query_errors],
         "samples_used": report.samples_used,
-        "plan": report.plan.as_dict(),
+        "plan": dataclasses.asdict(report.plan),
     }
     with open(args.out + ".report.json", "w") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)

@@ -12,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DatasetError
+from .errors import DatasetError, OracleError
 from .rng import RngStream
 from .simplex import SimplexPoint, sample_vertex_indices
 
@@ -227,9 +227,10 @@ def bias_reduced_gradient(
     ) - obj.batch_grad_y(x_first, y_first, batch)
 
     cap = tg.C_M * 2 * half * obj.L0 + obj.L0
-    assert np.abs(gx).max() <= cap * (1 + 1e-9) and np.abs(gy).max() <= cap * (1 + 1e-9), (
-        "estimator exceeded its Lipschitz envelope; objective constants are wrong"
-    )
+    if np.abs(gx).max() > cap * (1 + 1e-9) or np.abs(gy).max() > cap * (1 + 1e-9):
+        raise OracleError(
+            "estimator exceeded its Lipschitz envelope; objective constants are wrong"
+        )
     return SaddleGradient(gx, gy)
 
 

@@ -167,13 +167,6 @@ class SsmdPlan:
         if self.tau > cap * _REL_TOL:
             raise BudgetError(f"step size {self.tau} exceeds privacy cap {cap}")
 
-    def as_dict(self) -> dict:
-        return {
-            "T": self.T, "tau": self.tau, "K": self.K, "B_batch": self.B_batch,
-            "mode": self.mode, "epsilon": self.epsilon, "delta": self.delta,
-            "L0": self.L0, "n": self.n,
-        }
-
 
 @dataclass(frozen=True)
 class BrPlan:
@@ -213,13 +206,6 @@ class BrPlan:
         if self.U > sample_cap * _REL_TOL:
             raise BudgetError(f"stopping weight {self.U} exceeds sample cap {sample_cap}")
 
-    def as_dict(self) -> dict:
-        return {
-            "U": self.U, "M": self.M, "alpha": self.alpha, "tau": self.tau, "C": self.C,
-            "epsilon": self.epsilon, "delta": self.delta, "L0": self.L0, "n": self.n,
-            "ell": self.ell,
-        }
-
 
 @dataclass(frozen=True)
 class ScoPlan:
@@ -252,13 +238,6 @@ class ScoPlan:
             raise BudgetError(
                 f"step size {self.tau} exceeds cached-iterate drift cap {drift_cap}"
             )
-
-    def as_dict(self) -> dict:
-        return {
-            "T": self.T, "tau": self.tau, "K": self.K, "q": self.q, "B_batch": self.B_batch,
-            "mode": self.mode, "epsilon": self.epsilon, "delta": self.delta,
-            "L0": self.L0, "n": self.n,
-        }
 
 
 # --------------------------------------------------------------------------

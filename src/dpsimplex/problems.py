@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import OracleError
 from .oracles import Dataset, PerSampleObjective, PopulationObjective, batch_gradient
@@ -275,8 +274,9 @@ def smoothed_max_bilinear(A: np.ndarray, x: np.ndarray, lam: float) -> float:
     """
     if lam <= 0:
         raise ValueError("smoothing parameter must be positive")
-    scores = np.asarray(A, dtype=np.float64).T @ np.asarray(x, dtype=np.float64)
-    return float(lam * logsumexp(scores / lam))
+    scores = (np.asarray(A, dtype=np.float64).T @ np.asarray(x, dtype=np.float64)) / lam
+    top = scores.max()
+    return float(lam * (top + np.log(np.exp(scores - top).sum())))
 
 
 # --------------------------------------------------------------------------

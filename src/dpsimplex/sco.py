@@ -69,6 +69,8 @@ class ScoSolution:
     samples_used: int
     refresh_count: int
     trace: ScoTrace | None = None
+    steps_run: int = 0
+    vertex_draws: int = 0  # K per refresh; 0 for a run with exact iterates
 
 
 def solve_dp_sco(
@@ -104,8 +106,10 @@ def solve_dp_sco(
         x_t = to_point(xw)
         w_next = running_average(w, x_t, t)
         if w is not None:
+            # the cached-surrogate privacy cap relies on the 2/t drift bound
             drift = float(np.abs(w_next.coords - w.coords).sum())
-            assert drift <= 2.0 / t + 1e-12, f"average moved {drift} > 2/{t}"
+            if drift > 2.0 / t + 1e-12:
+                raise BudgetError(f"average moved {drift} > 2/{t}")
         w = w_next
         refreshed = t <= plan.q or t % plan.q == 0
         if refreshed:
@@ -137,6 +141,8 @@ def solve_dp_sco(
         samples_used=plan.T * plan.B_batch,
         refresh_count=refreshes,
         trace=trace,
+        steps_run=plan.T,
+        vertex_draws=0 if exact_iterates else plan.K * refreshes,
     )
 
 

@@ -62,6 +62,41 @@ class BrRunTrace:
     stop_step: int
 
 
+def _saddle_descent(
+    d_x: int, d_y: int, tau: float, schedule, step
+) -> tuple[SimplexPoint, SimplexPoint, int]:
+    """Entropic mirror descent on both blocks; the loop every saddle solver runs.
+
+    ``schedule`` yields one item per step and ending it ends the run.
+    ``step(item, x_t, y_t)`` returns ``(x_out, y_out, g_x, g_y)``: the step's
+    output coordinates for each block (a one-hot vertex or the dense iterate)
+    and the saddle gradient both blocks descend along. Returns the averaged
+    outputs and the number of steps; a run of zero steps raises
+    :class:`~dpsimplex.errors.BudgetError`.
+    """
+    xw = LogWeights.uniform(d_x)
+    yw = LogWeights.uniform(d_y)
+    x_acc = np.zeros(d_x)
+    y_acc = np.zeros(d_y)
+    steps = 0
+    for item in schedule:
+        x_out, y_out, g_x, g_y = step(item, to_point(xw), to_point(yw))
+        x_acc += x_out
+        y_acc += y_out
+        xw = mwu_step(xw, -g_x, tau)
+        yw = mwu_step(yw, -g_y, tau)
+        steps += 1
+    if steps == 0:
+        raise BudgetError("schedule too short to execute a single step")
+    return SimplexPoint(x_acc / steps), SimplexPoint(y_acc / steps), steps
+
+
+def _one_hot(dim: int, index: int) -> np.ndarray:
+    e = np.zeros(dim)
+    e[index] = 1.0
+    return e
+
+
 def solve_smd_vertex(
     obj: PerSampleObjective,
     dataset: Dataset,
@@ -90,44 +125,35 @@ def solve_smd_vertex(
         raise BudgetError(
             f"plan needs {plan.T * plan.B_batch} fresh samples, dataset has {dataset.remaining}"
         )
-    xw = LogWeights.uniform(obj.d_x)
-    yw = LogWeights.uniform(obj.d_y)
-    x_acc = np.zeros(obj.d_x)
-    y_acc = np.zeros(obj.d_y)
-    draws = 0
     x_indices: list[int] = []
-    for _ in range(plan.T):
-        x_t = to_point(xw)
-        y_t = to_point(yw)
-        if exact_iterates:
-            x_hat, y_hat = x_t, y_t
-            x_acc += x_t.coords
-            y_acc += y_t.coords
-        else:
-            x_hat = sparsify(x_t, plan.K, rng)
-            y_hat = sparsify(y_t, plan.K, rng)
-            xi = sample_vertex(x_t, rng)
-            yi = sample_vertex(y_t, rng)
-            x_acc[xi] += 1.0
-            y_acc[yi] += 1.0
-            draws += 2 * plan.K + 2
-            if keep_x_draws:
-                x_indices.append(xi)
-        batch = dataset.take(plan.B_batch)
-        g = batch_gradient(obj, x_hat, y_hat, batch)
-        xw = mwu_step(xw, -g.g_x, plan.tau)
-        yw = mwu_step(yw, -g.g_y, plan.tau)
 
+    def exact_step(_, x_t, y_t):
+        g = batch_gradient(obj, x_t, y_t, dataset.take(plan.B_batch))
+        return x_t.coords, y_t.coords, g.g_x, g.g_y
+
+    def sampled_step(_, x_t, y_t):
+        x_hat = sparsify(x_t, plan.K, rng)
+        y_hat = sparsify(y_t, plan.K, rng)
+        xi = sample_vertex(x_t, rng)
+        yi = sample_vertex(y_t, rng)
+        if keep_x_draws:
+            x_indices.append(xi)
+        g = batch_gradient(obj, x_hat, y_hat, dataset.take(plan.B_batch))
+        return _one_hot(obj.d_x, xi), _one_hot(obj.d_y, yi), g.g_x, g.g_y
+
+    x, y, steps = _saddle_descent(
+        obj.d_x, obj.d_y, plan.tau, range(plan.T), exact_step if exact_iterates else sampled_step
+    )
     if not exact_iterates:
         cap = max_step_vertex_smd(plan.B_batch, plan.epsilon, plan.delta, obj.L0, plan.T, plan.K)
         if plan.tau > cap * (1 + 1e-9):
             raise BudgetError("realized schedule violates the step-size privacy cap")
     return SaddleSolution(
-        x=SimplexPoint(x_acc / plan.T),
-        y=SimplexPoint(y_acc / plan.T),
-        samples_used=plan.T * plan.B_batch,
-        steps_run=plan.T,
-        vertex_draws=draws,
+        x=x,
+        y=y,
+        samples_used=steps * plan.B_batch,
+        steps_run=steps,
+        vertex_draws=0 if exact_iterates else steps * (2 * plan.K + 2),
         x_vertex_indices=np.array(x_indices, dtype=np.int64) if keep_x_draws else None,
     )
 
@@ -146,45 +172,42 @@ def solve_smd_bias_reduced(
     plan.validate()
     tg = TruncGeom(0.5, plan.M)
     threshold = plan.U - 2.0**plan.M
-    xw = LogWeights.uniform(obj.d_x)
-    yw = LogWeights.uniform(obj.d_y)
-    x_acc = np.zeros(obj.d_x)
-    y_acc = np.zeros(obj.d_y)
     levels: list[int] = []
-    weight = 0
-    samples = 0
-    draws = 0
-    while True:
-        N = sample_trunc_geom(tg, rng)
-        if weight + 2**N > threshold:
-            break
-        weight += 2**N
-        levels.append(N)
-        x_t = to_point(xw)
-        y_t = to_point(yw)
+
+    def schedule():
+        weight = 0
+        while True:
+            N = sample_trunc_geom(tg, rng)
+            if weight + 2**N > threshold:
+                return
+            weight += 2**N
+            levels.append(N)
+            yield N
+
+    def step(N, x_t, y_t):
         xi = sample_vertex(x_t, rng)
         yi = sample_vertex(y_t, rng)
-        x_acc[xi] += 1.0
-        y_acc[yi] += 1.0
-        batch = dataset.take(max(1, math.ceil(2**N / plan.alpha)))
-        samples += batch.size
+        batch = dataset.take(_batch_size(N, plan.alpha))
         g = bias_reduced_gradient(obj, x_t, y_t, N, batch, tg, rng)
-        draws += 4 * 2**N + 2  # 2^(N+1) pairs for the estimator plus the output pair
-        xw = mwu_step(xw, -g.g_x, plan.tau)
-        yw = mwu_step(yw, -g.g_y, plan.tau)
+        return _one_hot(obj.d_x, xi), _one_hot(obj.d_y, yi), g.g_x, g.g_y
 
-    steps = len(levels)
-    if steps == 0:
-        raise BudgetError("stopping weight too small to execute a single step")
+    x, y, steps = _saddle_descent(obj.d_x, obj.d_y, plan.tau, schedule(), step)
+    weight = sum(2**N for N in levels)
     _audit_bias_reduced(plan, weight, steps)
     sol = SaddleSolution(
-        x=SimplexPoint(x_acc / steps),
-        y=SimplexPoint(y_acc / steps),
-        samples_used=samples,
+        x=x,
+        y=y,
+        samples_used=sum(_batch_size(N, plan.alpha) for N in levels),
         steps_run=steps,
-        vertex_draws=draws,
+        # 2^(N+1) pairs for the estimator plus the output pair, per step
+        vertex_draws=4 * weight + 2 * steps,
     )
     return sol, BrRunTrace(N_sequence=tuple(levels), total_weight=weight, stop_step=steps)
+
+
+def _batch_size(N: int, alpha: float) -> int:
+    """Fresh samples a bias-reduced step at level N consumes."""
+    return max(1, math.ceil(2**N / alpha))
 
 
 def _audit_bias_reduced(plan: BrPlan, weight: int, steps: int) -> None:
@@ -211,35 +234,18 @@ def solve_smd_nonprivate(
         raise ValueError(f"need T >= 1, got {T}")
     if not (tau > 0):
         raise ValueError(f"need tau > 0, got {tau}")
-    xw = LogWeights.uniform(d_x)
-    yw = LogWeights.uniform(d_y)
-    x_acc = np.zeros(d_x)
-    y_acc = np.zeros(d_y)
-    for _ in range(T):
-        x_t = to_point(xw)
-        y_t = to_point(yw)
-        x_acc += x_t.coords
-        y_acc += y_t.coords
+
+    def step(_, x_t, y_t):
         gx = pop.grad_x(x_t.coords, y_t.coords)
         gy = -pop.grad_y(x_t.coords, y_t.coords)
-        xw = mwu_step(xw, -gx, tau)
-        yw = mwu_step(yw, -gy, tau)
-    return SaddleSolution(
-        x=SimplexPoint(x_acc / T),
-        y=SimplexPoint(y_acc / T),
-        samples_used=0,
-        steps_run=T,
-        vertex_draws=0,
-    )
+        return x_t.coords, y_t.coords, gx, gy
+
+    x, y, steps = _saddle_descent(d_x, d_y, tau, range(T), step)
+    return SaddleSolution(x=x, y=y, samples_used=0, steps_run=steps, vertex_draws=0)
 
 
 # --------------------------------------------------------------------------
 # boosted selection
-
-
-def empirical_value(obj: PerSampleObjective, x: np.ndarray, y: np.ndarray, batch) -> float:
-    """Batch-mean objective value at a fixed pair."""
-    return obj.batch_value(x, y, batch)
 
 
 def score_candidate_pairs(
@@ -256,8 +262,8 @@ def score_candidate_pairs(
     """
     scores = np.empty(len(pairs))
     for i, (x_i, y_i) in enumerate(pairs):
-        best_y = max(empirical_value(obj, x_i, yy, holdout) for yy in y_table[i])
-        best_x = max(-empirical_value(obj, xx, y_i, holdout) for xx in x_table[i])
+        best_y = max(obj.batch_value(x_i, yy, holdout) for yy in y_table[i])
+        best_x = max(-obj.batch_value(xx, y_i, holdout) for xx in x_table[i])
         scores[i] = best_y + best_x
     return scores
 
@@ -290,6 +296,7 @@ def solve_boosted(
     by its empirical gap surrogate. The returned pair is selected by the
     exponential mechanism; all shards are disjoint, so the whole procedure
     stays within the per-shard (eps, delta) budget by parallel composition.
+    The returned counts cover the candidate runs and the inner convex solves.
 
     For a requested failure probability beta, choose ``I = ceil(log2(4/beta))``
     and ``J = ceil(log2(8 I / beta))`` (see :func:`boosting_shape`).
@@ -353,6 +360,8 @@ def solve_boosted(
             x_table[i].append(sx.w_hat.coords)
             y_table[i].append(sy.w_hat.coords)
             samples += sx.samples_used + sy.samples_used
+            steps += sx.steps_run + sy.steps_run
+            draws += sx.vertex_draws + sy.vertex_draws
 
     scores = score_candidate_pairs(obj, parts[3], pairs, x_table, y_table)
     winner = select_pair(scores, obj.B, quarter, privacy.epsilon, rng.child("select"))

@@ -20,7 +20,7 @@ Test functions and their constants on the simplex (gradients w.r.t. the
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -52,16 +52,7 @@ class SuiteReport:
     details: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "measured": self.measured,
-            "bound": self.bound,
-            "slack": self.slack,
-            "passed": self.passed,
-            "reps": self.reps,
-            "warning": self.warning,
-            "details": self.details,
-        }
+        return asdict(self)
 
 
 # ---- test functions (vectorized over rows) --------------------------------
@@ -73,10 +64,6 @@ def _quad_value(p):
 
 def _quad_grad(p):
     return 2.0 * p
-
-
-def _cubic_value(p):
-    return np.sum(p**3, axis=-1)
 
 
 def _cubic_grad(p):

@@ -1,5 +1,10 @@
+import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -153,6 +158,63 @@ def test_run_boosted_smoke(tmp_path):
     )
     out = tmp_path / "b.csv"
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+
+
+def test_run_bias_reduced_planned_and_overridden(tmp_path):
+    cfg = tmp_path / "br.json"
+    out = tmp_path / "br.csv"
+
+    def only_row():
+        with open(out, newline="") as fh:
+            (row,) = list(csv.DictReader(fh))
+        return row, json.loads(row["plan_json"])
+
+    write_config(cfg, algorithm="smd_bias_reduced", n_grid=[100_000], trials=1)
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    row, plan = only_row()
+    assert row["algorithm"] == "smd_bias_reduced" and row["metric"] == "gap"
+    assert int(row["steps_run"]) > 0
+    assert sorted(plan) == ["C", "L0", "M", "U", "alpha", "delta", "ell", "epsilon", "n", "tau"]
+
+    overrides = {"U": 6.0, "M": 1, "alpha": 0.5, "tau": 1e-3}
+    write_config(cfg, algorithm="smd_bias_reduced", n_grid=[5000], trials=1,
+                 overrides=overrides)
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    row, plan = only_row()
+    assert {k: plan[k] for k in overrides} == overrides
+    assert plan["ell"] == 1.0 and plan["n"] == 5000
+
+
+def test_run_rejects_unknown_algorithm(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, algorithm="bogus")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == EXIT_CONFIG
+
+
+def test_run_rejects_wrong_problem_kind(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, algorithm="dp_sco", mode="second_order")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == EXIT_CONFIG
+    quadratic = {"kind": "quadratic_sco", "weights": [1.0, 1.0], "target": [0.5, 0.5],
+                 "noise": [0.1, 0.1]}
+    write_config(cfg, problem=quadratic)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "y.csv")]) == EXIT_CONFIG
+
+
+def test_run_rejects_bias_reduced_overrides_missing_u(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, algorithm="smd_bias_reduced", n_grid=[5000], trials=1,
+                 overrides={"M": 1, "alpha": 0.5, "tau": 1e-3})
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == EXIT_CONFIG
+
+
+def test_cli_import_leaves_scipy_out():
+    code = "import sys, dpsimplex.cli; print('scipy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert done.stdout.strip() == "False"
 
 
 def test_quickstart_config_under_a_minute(tmp_path):

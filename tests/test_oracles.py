@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dpsimplex.errors import DatasetError
+from dpsimplex.errors import DatasetError, OracleError
 from dpsimplex.oracles import (
     Dataset,
     TruncGeom,
@@ -145,6 +145,16 @@ def test_batch_gradient_rejects_empty(game):
 
 
 # ---- bias-reduced gradient -------------------------------------------------------
+
+
+def test_bias_reduced_envelope_violation_raises_oracle_error():
+    # an objective that understates L0 breaks the estimator's envelope; the
+    # check is an explicit raise, so it also holds under ``python -O``
+    obj = BilinearObjective(np.array([[1.0, 2.0], [3.0, 4.0]]), np.zeros((2, 2)))
+    obj.L0 = 1e-3
+    x, y = point(0.5, 0.5), point(0.5, 0.5)
+    with pytest.raises(OracleError):
+        bias_reduced_gradient(obj, x, y, 0, np.array([1.0]), TruncGeom(0.5, 0), RngStream(3))
 
 
 def test_bias_reduced_level_zero_collapses(game):

@@ -8,6 +8,7 @@ from dpsimplex.oracles import Dataset
 from dpsimplex.privacy import ScoPlan, plan_anytime_sco
 from dpsimplex.problems import SeparableQuadratic
 from dpsimplex.rng import RngStream
+from dpsimplex.simplex import SimplexPoint
 from dpsimplex.sco import (
     FrozenXObjective,
     FrozenYObjective,
@@ -94,6 +95,30 @@ def test_average_drift_assertion_is_active(quad):
     w = sol.trace.w_points
     for t in range(1, w.shape[0]):
         assert np.abs(w[t] - w[t - 1]).sum() <= 2.0 / (t + 1) + 1e-12
+
+
+def test_average_drift_violation_raises_budget_error(quad, monkeypatch):
+    # a running average that hops between vertices breaks the 2/t drift bound
+    # the cached-surrogate privacy cap relies on; the run must refuse
+    import dpsimplex.sco as sco
+
+    monkeypatch.setattr(sco, "running_average",
+                        lambda w_prev, x_t, t: SimplexPoint.vertex(x_t.dim, t % 2))
+    n = 800
+    plan = manual_plan(quad, n, T=25, q=5, K=2)
+    with pytest.raises(BudgetError):
+        solve_dp_sco(quad, quad.sample_dataset(n, RngStream(106)), plan, RngStream(107))
+
+
+def test_solution_reports_steps_and_vertex_draws(quad):
+    n = 800
+    plan = manual_plan(quad, n, T=25, q=5, K=2)
+    sol = solve_dp_sco(quad, quad.sample_dataset(n, RngStream(106)), plan, RngStream(107))
+    assert sol.steps_run == plan.T
+    assert sol.vertex_draws == plan.K * sol.refresh_count
+    exact = solve_dp_sco(quad, quad.sample_dataset(n, RngStream(106)), plan, RngStream(107),
+                         exact_iterates=True)
+    assert exact.steps_run == plan.T and exact.vertex_draws == 0
 
 
 def test_solver_rejects_short_dataset(quad):

@@ -10,10 +10,12 @@ from dpsimplex.privacy import (
     PrivacyParams,
     SsmdPlan,
     max_step_vertex_smd,
+    plan_anytime_sco,
     plan_bias_reduced,
 )
 from dpsimplex.problems import BilinearObjective, MatrixGame, exact_gap_bilinear
 from dpsimplex.rng import RngStream
+from dpsimplex.sco import FrozenXObjective, FrozenYObjective, solve_dp_sco
 from dpsimplex.solvers import (
     boosting_shape,
     score_candidate_pairs,
@@ -232,6 +234,36 @@ def test_boosted_single_candidate_equals_bias_reduced_run():
     assert np.array_equal(sol.x.coords, ref.x.coords)
     assert np.array_equal(sol.y.coords, ref.y.coords)
     assert sol.samples_used <= n
+
+
+def test_boosted_counts_include_inner_solves():
+    # with I = J = 1 the run is one candidate and two inner convex solves;
+    # replay each on its own shard and stream and add up what they did
+    game = MatrixGame.random(5, 5, RngStream(23))
+    obj = game.objective()
+    n = 16_000
+    priv = PrivacyParams(2.0, 1e-4)
+    sol = solve_boosted(obj, game.sample_dataset(n, RngStream(24)), I=1, J=1, privacy=priv,
+                        rng=RngStream(25))
+
+    data = game.sample_dataset(n, RngStream(24))
+    quarter = n // 4
+    parts = [Dataset(data.take(quarter)) for _ in range(3)]
+    plan = plan_bias_reduced(quarter, priv.epsilon, priv.delta, obj.L0, obj.L1, obj.L2, game.ell)
+    cand, _ = solve_smd_bias_reduced(obj, parts[0], plan, RngStream(25).child("candidate", 0))
+    steps, draws = cand.steps_run, cand.vertex_draws
+    inner = (
+        (FrozenYObjective(obj, cand.y.coords), parts[1], obj.d_x, "inner_x"),
+        (FrozenXObjective(obj, cand.x.coords), parts[2], obj.d_y, "inner_y"),
+    )
+    for f, shard, dim, tag in inner:
+        p = plan_anytime_sco(quarter, priv.epsilon, priv.delta, f.L0, f.L1, f.L2,
+                             math.log(dim), "second_order")
+        s = solve_dp_sco(f, shard, p, RngStream(25).child(tag, 0, 0))
+        steps += p.T
+        draws += p.K * s.refresh_count
+    assert sol.steps_run == steps > cand.steps_run
+    assert sol.vertex_draws == draws > cand.vertex_draws
 
 
 def test_boosted_rejects_small_shards():
