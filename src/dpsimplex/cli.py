@@ -121,7 +121,24 @@ def load_payoff(path: str) -> np.ndarray:
 
 
 def load_categories(path: str) -> np.ndarray:
-    """One integer category index per CSV row."""
+    """One integer category index per CSV row.
+
+    A file of unsigned decimals, one per line (what ``synth`` writes), is
+    parsed in one numpy call; any other file goes through the CSV reader row
+    by row. Both paths accept the same files and return the same values.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    # fromstring reads a blank file as [0] and clamps a value past int64 to
+    # its maximum; both cases are left to the row reader
+    if not raw.translate(None, b"0123456789\n") and raw.count(b"\n") < len(raw):
+        values = np.fromstring(raw, dtype=np.int64, sep="\n")
+        if values.max() < np.iinfo(np.int64).max:
+            return values
+    return _load_categories_rows(path)
+
+
+def _load_categories_rows(path: str) -> np.ndarray:
     values = []
     with open(path, newline="") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
@@ -266,12 +283,15 @@ def _plan(t: _Trial, L0: float, planner):
             if f.name in fixed:
                 fields[f.name] = fixed[f.name]
             elif f.name == "B_batch":
-                fields[f.name] = max(1, t.n // fields["T"])
+                # a T below 1 is left for validate() to reject
+                fields[f.name] = max(1, t.n // max(1, fields["T"]))
             else:
                 value = ov.get(f.name, defaults[f.name]) if f.name in defaults else ov[f.name]
                 fields[f.name] = int(value) if f.type == "int" else float(value)
     except KeyError as exc:
         raise ConfigError(f"overrides for {t.algorithm} are missing {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"overrides for {t.algorithm} must be numbers: {exc}") from exc
     plan = plan_cls(**fields)
     plan.validate()  # explicit parameters are enforced, never trusted
     return plan
@@ -299,6 +319,8 @@ def _run_bias_reduced(t: _Trial, game: MatrixGame):
 
 
 def _run_boosted(t: _Trial, game: MatrixGame):
+    if t.cfg.get("overrides"):
+        raise ConfigError("boosted plans every inner schedule itself and takes no overrides")
     boost = t.cfg.get("boosting") or {}
     if "I" in boost and "J" in boost:
         I, J = int(boost["I"]), int(boost["J"])
@@ -312,8 +334,17 @@ def _run_boosted(t: _Trial, game: MatrixGame):
 
 def _run_nonprivate(t: _Trial, game: MatrixGame):
     ov = t.cfg.get("overrides") or {}
-    T = int(ov.get("T", 10_000))
-    tau = float(ov.get("tau", math.sqrt(game.ell / T) / game.objective().L0))
+    try:
+        T = int(ov.get("T", 10_000))
+        tau = float(ov["tau"]) if "tau" in ov else None
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"overrides for nonprivate_smd must be numbers: {exc}") from exc
+    if T < 1:
+        raise ConfigError(f"nonprivate_smd needs T >= 1, got {T}")
+    if tau is None:
+        tau = math.sqrt(game.ell / T) / game.objective().L0
+    if not (math.isfinite(tau) and tau > 0):
+        raise ConfigError(f"nonprivate_smd needs a positive finite tau, got {tau}")
     sol = solve_smd_nonprivate(game.population(), T, tau, game.d_x, game.d_y)
     return sol, json.dumps({"T": T, "tau": tau}, sort_keys=True)
 

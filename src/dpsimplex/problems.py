@@ -26,6 +26,11 @@ from .solvers import solve_smd_vertex
 # stochastic matrix games
 
 
+# Below about 10^4 entries the dense product takes a few microseconds, less than
+# the ten or so numpy calls of a support gather (measured at d = 20 to 150).
+_GATHER_MIN_ENTRIES = 10_000
+
+
 class BilinearObjective(PerSampleObjective):
     """f(x, y; z) = x^T (A + z E) y with z in {-1, +1}."""
 
@@ -52,15 +57,35 @@ class BilinearObjective(PerSampleObjective):
     def grad_y(self, x, y, z):
         return self._matrix(z).T @ x
 
-    # the objective is linear in z, so batch means reduce to the mean matrix
+    # The objective is linear in z, so batch means reduce to the mean matrix.
+    # The gradients read only the columns (rows) on the other point's support:
+    # O(d * support) instead of O(d_x * d_y) at the sparsified iterates. Past
+    # half the block, or below _GATHER_MIN_ENTRIES, the dense product is cheaper.
     def batch_grad_x(self, x, y, zs):
-        return self._matrix(np.mean(zs)) @ y
+        z = _mean_sign(zs)
+        if self.A.size >= _GATHER_MIN_ENTRIES:
+            j = np.flatnonzero(y)
+            if 2 * j.size <= self.d_y:
+                return (self.A[:, j] + z * self.E[:, j]) @ y[j]
+        return self._matrix(z) @ y
 
     def batch_grad_y(self, x, y, zs):
-        return self._matrix(np.mean(zs)).T @ x
+        z = _mean_sign(zs)
+        if self.A.size >= _GATHER_MIN_ENTRIES:
+            i = np.flatnonzero(x)
+            if 2 * i.size <= self.d_x:
+                return (self.A[i] + z * self.E[i]).T @ x[i]
+        return self._matrix(z).T @ x
 
     def batch_value(self, x, y, zs):
         return float(x @ self._matrix(np.mean(zs)) @ y)
+
+
+def _mean_sign(zs) -> float:
+    """``np.mean(zs)`` to the bit for float signs: the same ``add.reduce`` and divide,
+    at a third of its cost."""
+    zs = np.asarray(zs)
+    return zs.sum() / zs.size
 
 
 @dataclass(frozen=True)

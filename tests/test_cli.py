@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import os
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dpsimplex.cli import (
     EXIT_BUDGET,
@@ -19,6 +21,8 @@ from dpsimplex.cli import (
     save_payoff,
 )
 from dpsimplex.errors import ConfigError
+
+REPO = Path(__file__).resolve().parents[1]
 from dpsimplex.rng import RngStream
 
 
@@ -208,6 +212,25 @@ def test_run_rejects_bias_reduced_overrides_missing_u(tmp_path):
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == EXIT_CONFIG
 
 
+def test_run_rejects_boosted_overrides(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, algorithm="boosted", overrides={"T": 10, "tau": 10.0, "K": 1})
+    out = tmp_path / "x.csv"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("algorithm", ["smd_vertex", "nonprivate_smd"])
+@pytest.mark.parametrize("T", ["abc", None, [10], 1e400],
+                         ids=["text", "null", "list", "inf"])
+def test_run_rejects_non_numeric_overrides(tmp_path, capsys, algorithm, T):
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, algorithm=algorithm, overrides={"T": T, "tau": 1e-4, "K": 1})
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+
+
 def test_cli_import_leaves_scipy_out():
     code = "import sys, dpsimplex.cli; print('scipy' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -225,6 +248,27 @@ def test_quickstart_config_under_a_minute(tmp_path):
     assert main(["run", "--config", "configs/quickstart.json", "--out", str(out)]) == EXIT_OK
     assert time.perf_counter() - start < 60.0
     assert len(out.read_text().splitlines()) == 1 + 2 * 3  # n grid x trials
+
+
+@pytest.mark.parametrize("algorithm,code", [("smd_vertex", EXIT_BUDGET),
+                                            ("nonprivate_smd", EXIT_CONFIG)])
+def test_run_rejects_zero_steps_override(tmp_path, algorithm, code):
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, algorithm=algorithm, overrides={"T": 0, "tau": 1e-4, "K": 1})
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == code
+
+
+def test_quickstart_bytes_are_pinned(tmp_path):
+    # a speedup must not change what is released
+    out = tmp_path / "quickstart.csv"
+    assert main(["run", "--config", str(REPO / "configs" / "quickstart.json"),
+                 "--out", str(out)]) == EXIT_OK
+    digests = [hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in (out, tmp_path / "quickstart.csv.meta.json")]
+    assert digests == [
+        "55f77f613633fe60005fef88e738b86c0d690e543bf9d48edc6f495367b085c4",
+        "1d11a5c4d40ebcce36c17b044d55125a90e69356d7dd91d295e46bc8ddd2f71d",
+    ]
 
 
 # ---- verify --------------------------------------------------------------------
@@ -333,3 +377,50 @@ def test_categories_loader(tmp_path):
     empty.write_text("\n")
     with pytest.raises(ConfigError):
         load_categories(str(empty))
+
+
+def test_categories_loader_names_the_bad_line(tmp_path):
+    path = tmp_path / "cats.csv"
+    path.write_text("3\n" * 1000 + "x\n" + "4\n")
+    with pytest.raises(ConfigError, match=r"cats\.csv:1001: "):
+        load_categories(str(path))
+
+
+def _categories_by_row(path):
+    """The row-by-row reader ``load_categories`` must agree with."""
+    values = []
+    with open(path, newline="") as fh:
+        for lineno, row in enumerate(csv.reader(fh), start=1):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            try:
+                values.append(int(row[0]))
+            except ValueError as exc:
+                raise ConfigError(f"{path}:{lineno}: not an integer category") from exc
+    if not values:
+        raise ConfigError(f"{path}: empty categorical dataset")
+    return np.asarray(values, dtype=np.int64)
+
+
+def _outcome(load, path):
+    try:
+        return load(path).tolist()
+    except (ConfigError, OverflowError) as exc:
+        return (type(exc), str(exc))
+
+
+_ROW = st.one_of(
+    st.integers(0, 10**20).map(str),
+    st.sampled_from(["", " ", "\t", "x", "-3", "+4", " 5 ", "1,2", '"6"', "1_0", "7\x0b", "0.5",
+                    str(2**63 - 1), str(2**63)]),
+)
+
+
+@given(rows=st.lists(_ROW, max_size=30), eol=st.sampled_from(["\n", "\r\n"]),
+       last=st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_categories_loader_matches_row_reader(tmp_path_factory, rows, eol, last):
+    path = str(tmp_path_factory.getbasetemp() / "rows.csv")
+    with open(path, "w", newline="") as fh:
+        fh.write(eol.join(rows) + (eol if last else ""))
+    assert _outcome(load_categories, path) == _outcome(_categories_by_row, path)

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dpsimplex.errors import OracleError
 from dpsimplex.oracles import check_objective
 from dpsimplex.privacy import PrivacyParams
 from dpsimplex.problems import (
+    BilinearObjective,
     ComponentLoss,
     MatrixGame,
     MaxLossProblem,
@@ -29,6 +31,46 @@ from dpsimplex.simplex import SimplexPoint
 
 def point(*values):
     return SimplexPoint(np.array(values, dtype=np.float64))
+
+
+# ---- bilinear batch gradients -----------------------------------------------
+
+
+@given(
+    d_x=st.integers(1, 160),
+    d_y=st.integers(1, 160),
+    support=st.integers(1, 160),
+    n_z=st.integers(1, 60),
+    as_list=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=300, deadline=None)
+def test_bilinear_batch_gradients_match_dense_reference(d_x, d_y, support, n_z, as_list, seed):
+    gen = np.random.default_rng(seed)
+    A = gen.uniform(-1.0, 1.0, size=(d_x, d_y))
+    E = 0.5 * (gen.integers(0, 2, size=(d_x, d_y)) * 2 - 1)
+    obj = BilinearObjective(A, E)
+
+    def sparse_point(dim):
+        p = np.zeros(dim)
+        idx = gen.choice(dim, size=min(support, dim), replace=False)
+        p[idx] = gen.dirichlet(np.ones(idx.size))
+        return p
+
+    x, y = sparse_point(d_x), sparse_point(d_y)
+    zs = gen.integers(0, 2, size=n_z) * 2 - 1.0
+    zs = zs.tolist() if as_list else zs
+    dense = A + np.mean(zs) * E
+    # a one-term sum plus exact zeros is exact; beyond that BLAS kernels may
+    # round a sum differently by the column positions, within eps per term
+    for got, ref, point in (
+        (obj.batch_grad_x(x, y, zs), dense @ y, y),
+        (obj.batch_grad_y(x, y, zs), dense.T @ x, x),
+    ):
+        if np.count_nonzero(point) == 1:
+            assert np.array_equal(got, ref)
+        else:
+            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * obj.L0)
 
 
 # ---- exact bilinear gap -----------------------------------------------------

@@ -12,6 +12,7 @@ from dpsimplex.privacy import (
     max_step_vertex_smd,
     plan_anytime_sco,
     plan_bias_reduced,
+    plan_vertex_smd,
 )
 from dpsimplex.problems import BilinearObjective, MatrixGame, exact_gap_bilinear
 from dpsimplex.rng import RngStream
@@ -83,6 +84,31 @@ def test_vertex_solver_records_released_categories():
     # the recorded draws are exactly the ones averaged into the output
     counts = np.bincount(sol.x_vertex_indices, minlength=6)
     assert np.allclose(sol.x.coords, counts / plan.T)
+
+
+class DenseBilinear(BilinearObjective):
+    """Reference batch gradients through the full ``A + mean(z) E``."""
+
+    def batch_grad_x(self, x, y, zs):
+        return (self.A + np.mean(zs) * self.E) @ y
+
+    def batch_grad_y(self, x, y, zs):
+        return (self.A + np.mean(zs) * self.E).T @ x
+
+
+def test_vertex_solver_sparse_gradients_match_dense_reference():
+    game = MatrixGame.random(200, 200, RngStream(43))
+    n = 20_000
+    plan = plan_vertex_smd(n, 1.0, 1e-5, game.objective().L0, 0.0, 0.0, game.ell, "quadratic")
+    assert plan.K == 1
+    sparse, dense = (
+        solve_smd_vertex(obj, game.sample_dataset(n, RngStream(44)), plan, RngStream(45),
+                         keep_x_draws=True)
+        for obj in (game.objective(), DenseBilinear(game.payoff, game.perturbation))
+    )
+    assert np.array_equal(sparse.x.coords, dense.x.coords)
+    assert np.array_equal(sparse.y.coords, dense.y.coords)
+    assert np.array_equal(sparse.x_vertex_indices, dense.x_vertex_indices)
 
 
 def test_vertex_solver_rejects_short_dataset():
