@@ -161,7 +161,7 @@ def load_config(path: str) -> dict:
     try:
         with open(path) as fh:
             cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if cfg.get("version") != 1:
         raise ConfigError(f"unsupported config version {cfg.get('version')!r}")
@@ -183,7 +183,11 @@ def _build_game(problem: dict, master_seed: int, base_dir: str) -> MatrixGame:
     if "payoff" in problem:
         A = np.asarray(problem["payoff"], dtype=np.float64)
     elif "payoff_file" in problem:
-        A = load_payoff(os.path.join(base_dir, problem["payoff_file"]))
+        path = os.path.join(base_dir, problem["payoff_file"])
+        try:
+            A = load_payoff(path)
+        except (OSError, struct.error) as exc:  # no such file, or a cut-off header
+            raise ConfigError(f"cannot read payoff file {path}: {exc}") from exc
     else:
         raise ConfigError("matrix_game problem needs 'payoff' or 'payoff_file'")
     if A.ndim != 2:
@@ -209,7 +213,11 @@ def _build_synth_problem(problem: dict, base_dir: str) -> SynthDataProblem:
     if "data" in problem:
         data = np.asarray(problem["data"], dtype=np.int64)
     elif "data_file" in problem:
-        data = load_categories(os.path.join(base_dir, problem["data_file"]))
+        path = os.path.join(base_dir, problem["data_file"])
+        try:
+            data = load_categories(path)
+        except (OSError, UnicodeDecodeError, OverflowError) as exc:  # or a category past int64
+            raise ConfigError(f"cannot read data file {path}: {exc}") from exc
     else:
         raise ConfigError("synth_data problem needs 'data' or 'data_file'")
     true_dist = problem.get("true_dist")

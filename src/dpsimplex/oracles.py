@@ -86,7 +86,7 @@ class SaddleGradient:
     g_y: np.ndarray
 
     def __post_init__(self):
-        if not (np.all(np.isfinite(self.g_x)) and np.all(np.isfinite(self.g_y))):
+        if not (np.isfinite(self.g_x).all() and np.isfinite(self.g_y).all()):
             raise ValueError("saddle gradient has non-finite entries")
 
 

@@ -137,7 +137,7 @@ def solve_dp_sco(
             refreshed=np.array(marks, dtype=bool),
         )
     return ScoSolution(
-        w_hat=final,
+        w_hat=SimplexPoint(final.coords),  # the released point is checked at the boundary
         samples_used=plan.T * plan.B_batch,
         refresh_count=refreshes,
         trace=trace,

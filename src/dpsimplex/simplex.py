@@ -25,7 +25,9 @@ class SimplexPoint:
     """A probability vector on the standard simplex.
 
     Coordinates are validated on construction (nonnegative, summing to one
-    within ``SIMPLEX_SUM_TOL``) and frozen read-only.
+    within ``SIMPLEX_SUM_TOL``) and frozen read-only. The iterates built by
+    :func:`to_point`, :func:`sparsify` and :func:`running_average` are valid
+    by construction and skip the check.
     """
 
     coords: np.ndarray
@@ -85,15 +87,25 @@ class LogWeights:
         return cls(np.zeros(dim))
 
 
+def _frozen(cls, field: str, array: np.ndarray):
+    """``cls`` holding ``array`` read-only, built with no copy and no check.
+
+    Only for float64 arrays just built here that are valid by construction.
+    """
+    array.flags.writeable = False
+    obj = object.__new__(cls)
+    object.__setattr__(obj, field, array)
+    return obj
+
+
 def to_point(w: LogWeights) -> SimplexPoint:
     """Normalize log-weights into a simplex point (max-shifted softmax).
 
     Stable for log-weight spreads of +-1e4 and invariant under adding a
     constant to every entry.
     """
-    shifted = w.logw - w.logw.max()
-    e = np.exp(shifted)
-    return SimplexPoint(e / e.sum())
+    e = np.exp(w.logw - w.logw.max())
+    return _frozen(SimplexPoint, "coords", e / e.sum())
 
 
 def mwu_step(w: LogWeights, g: np.ndarray, tau: float = 1.0) -> LogWeights:
@@ -101,21 +113,25 @@ def mwu_step(w: LogWeights, g: np.ndarray, tau: float = 1.0) -> LogWeights:
 
     The caller carries the sign: pass the negated gradient for descent and
     the raw gradient for ascent. Steps compose additively, so k single steps
-    equal one cumulative step in log domain.
+    equal one cumulative step in log domain. A non-finite gradient, or a step
+    that overflows, raises ``ValueError``.
     """
-    g = np.asarray(g, dtype=np.float64)
-    if not np.all(np.isfinite(g)):
-        raise ValueError("mwu step requires finite gradient entries")
     if not (np.isfinite(tau) and tau > 0):
         raise ValueError(f"step size must be positive and finite, got {tau!r}")
-    return LogWeights(w.logw + tau * g)
+    g = np.asarray(g, dtype=np.float64)
+    if g.shape != w.logw.shape:
+        raise ValueError(f"gradient shape {g.shape} does not match {w.logw.shape}")
+    new_logw = w.logw + tau * g
+    if not np.isfinite(new_logw).all():
+        raise ValueError("mwu step needs a finite gradient and a step that does not overflow")
+    return _frozen(LogWeights, "logw", new_logw)
 
 
 def sample_vertex_indices(coords: np.ndarray, k: int, rng: RngStream) -> np.ndarray:
     """Draw ``k`` iid vertex indices from the distribution given by ``coords``."""
-    cdf = np.cumsum(coords)
+    cdf = coords.cumsum()
     u = rng.gen.random(k)
-    idx = np.searchsorted(cdf, u, side="left")
+    idx = cdf.searchsorted(u, side="left")
     # float cumsum can land just below 1.0; clamp the (measure-zero) overflow
     return np.minimum(idx, coords.size - 1)
 
@@ -134,7 +150,7 @@ def sparsify(x: SimplexPoint, k: int, rng: RngStream) -> SimplexPoint:
     if k < 1:
         raise ValueError(f"sparsification needs at least one draw, got k={k}")
     counts = np.bincount(sample_vertex_indices(x.coords, k, rng), minlength=x.dim)
-    return SimplexPoint(counts / k)
+    return _frozen(SimplexPoint, "coords", counts / k)
 
 
 def running_average(w_prev: SimplexPoint | None, x_t: SimplexPoint, t: int) -> SimplexPoint:
@@ -149,4 +165,6 @@ def running_average(w_prev: SimplexPoint | None, x_t: SimplexPoint, t: int) -> S
         return x_t
     if w_prev is None:
         raise ValueError("w_prev is required for t >= 2")
-    return SimplexPoint(((t - 1) * w_prev.coords + x_t.coords) / t)
+    if w_prev.coords.shape != x_t.coords.shape:
+        raise ValueError("running average of points of different dimensions")
+    return _frozen(SimplexPoint, "coords", ((t - 1) * w_prev.coords + x_t.coords) / t)

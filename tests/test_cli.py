@@ -365,6 +365,35 @@ def test_payoff_file_config(tmp_path):
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
 
 
+@pytest.mark.parametrize("case", ["missing_payoff", "short_payoff_header", "missing_data",
+                                  "category_past_int64", "category_below_int64",
+                                  "non_utf8_data", "non_utf8_config"])
+def test_unreadable_input_exits_2_naming_the_file(tmp_path, capsys, case):
+    if case.endswith("payoff") or case.endswith("header"):
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, problem={"kind": "matrix_game", "payoff_file": "game.bin"})
+        name, command = "game.bin", "run"
+        if case == "short_payoff_header":
+            (tmp_path / name).write_bytes(b"DPXM\x01")
+    else:
+        cfg = synth_config(tmp_path, [0, 1, 1])
+        name, command = "cats.csv", "synth"
+        contents = {"missing_data": None, "category_past_int64": b"1\n9223372036854775808\n",
+                    "category_below_int64": b"1\n-9223372036854775809\n",
+                    "non_utf8_data": b"\xff\xfe1\n", "non_utf8_config": b"1\n0\n"}[case]
+        if contents is None:
+            (tmp_path / name).unlink()
+        else:
+            (tmp_path / name).write_bytes(contents)
+        if case == "non_utf8_config":
+            cfg.write_bytes(b"\xff\xfe{")
+            name = cfg.name
+    code = main([command, "--config", str(cfg), "--out", str(tmp_path / "o.csv")])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert err.startswith("config error:") and name in err and "Traceback" not in err
+
+
 def test_categories_loader(tmp_path):
     path = tmp_path / "cats.csv"
     path.write_text("0\n2\n\n1\n")

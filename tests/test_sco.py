@@ -121,6 +121,23 @@ def test_solution_reports_steps_and_vertex_draws(quad):
     assert exact.steps_run == plan.T and exact.vertex_draws == 0
 
 
+def test_solver_validates_only_the_returned_point(quad, monkeypatch):
+    # iterates, averages and surrogates are valid by construction; only the
+    # released point is checked, so the count does not grow with T
+    check = SimplexPoint.__post_init__
+    checks = []
+    monkeypatch.setattr(SimplexPoint, "__post_init__", lambda p: checks.append(1) or check(p))
+    counts = []
+    for T in (10, 100):
+        n = 10 * T
+        data = quad.sample_dataset(n, RngStream(108))
+        before = len(checks)
+        sol = solve_dp_sco(quad, data, manual_plan(quad, n, T, q=5, K=2), RngStream(109))
+        assert sol.steps_run == T
+        counts.append(len(checks) - before)
+    assert counts[0] == counts[1] > 0
+
+
 def test_solver_rejects_short_dataset(quad):
     plan = manual_plan(quad, 1000, T=50, q=5, K=2)
     with pytest.raises(BudgetError):

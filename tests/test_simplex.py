@@ -123,6 +123,49 @@ def test_mwu_rejects_bad_inputs():
         mwu_step(w, coords(0.0, 0.0), tau=-1.0)
 
 
+def test_mwu_rejects_overflow_and_shape_mismatch():
+    # one finiteness check on the new log-weights catches what the gradient
+    # check and the LogWeights validation caught, plus an overflowing step
+    with pytest.raises(ValueError), np.errstate(over="ignore"):
+        mwu_step(LogWeights(coords(1e308, 0.0)), coords(1e308, 0.0))
+    with pytest.raises(ValueError):
+        mwu_step(LogWeights.uniform(3), coords(1.0))  # would broadcast
+    with pytest.raises(ValueError):
+        mwu_step(LogWeights.uniform(2), coords(-np.inf, 0.0))
+
+
+# ---- iterates valid by construction ---------------------------------------------
+
+
+@given(
+    logw=st.lists(st.floats(-1e4, 1e4), min_size=1, max_size=60),
+    k=st.integers(1, 50),
+    t=st.integers(2, 10**6),
+)
+@settings(max_examples=300, deadline=None)
+def test_loop_built_points_pass_the_public_check(logw, k, t):
+    # to_point, sparsify and running_average skip validation; what they build
+    # must still pass it
+    x = to_point(LogWeights(np.array(logw)))
+    s = sparsify(x, k, RngStream(k))
+    for p in (x, s, running_average(x, s, t)):
+        assert np.array_equal(SimplexPoint(p.coords).coords, p.coords)
+
+
+def test_loop_built_objects_are_read_only():
+    w = mwu_step(LogWeights.uniform(3), coords(0.1, 0.2, 0.3))
+    x = to_point(w)
+    s = sparsify(x, 4, RngStream(8))
+    for arr in (w.logw, x.coords, s.coords, running_average(x, s, 2).coords):
+        with pytest.raises(ValueError):
+            arr[0] = 0.5
+
+
+def test_running_average_rejects_mismatched_dimensions():
+    with pytest.raises(ValueError):
+        running_average(SimplexPoint(coords(1.0)), SimplexPoint(coords(0.5, 0.5)), 2)
+
+
 # ---- vertex sampling -----------------------------------------------------------
 
 

@@ -1,9 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dpsimplex.errors import BudgetError
+from dpsimplex.errors import BudgetError, OracleError
 from dpsimplex.oracles import Dataset, TruncGeom
 from dpsimplex.privacy import (
     BrPlan,
@@ -17,6 +21,7 @@ from dpsimplex.privacy import (
 from dpsimplex.problems import BilinearObjective, MatrixGame, exact_gap_bilinear
 from dpsimplex.rng import RngStream
 from dpsimplex.sco import FrozenXObjective, FrozenYObjective, solve_dp_sco
+from dpsimplex.simplex import SimplexPoint
 from dpsimplex.solvers import (
     boosting_shape,
     score_candidate_pairs,
@@ -109,6 +114,24 @@ def test_vertex_solver_sparse_gradients_match_dense_reference():
     assert np.array_equal(sparse.x.coords, dense.x.coords)
     assert np.array_equal(sparse.y.coords, dense.y.coords)
     assert np.array_equal(sparse.x_vertex_indices, dense.x_vertex_indices)
+
+
+def test_vertex_solver_validates_only_boundary_points(monkeypatch):
+    # iterates are valid by construction; only the returned pair is checked,
+    # so the number of checks does not grow with the number of steps
+    game = MatrixGame.random(5, 5, RngStream(46))
+    obj = game.objective()
+    check = SimplexPoint.__post_init__
+    checks = []
+    monkeypatch.setattr(SimplexPoint, "__post_init__", lambda p: checks.append(1) or check(p))
+    counts = []
+    for T in (10, 100):
+        data = game.sample_dataset(10 * T, RngStream(47))
+        before = len(checks)
+        sol = solve_smd_vertex(obj, data, small_plan(10 * T, T, 2, obj.L0), RngStream(48))
+        assert sol.steps_run == T
+        counts.append(len(checks) - before)
+    assert counts[0] == counts[1] > 0
 
 
 def test_vertex_solver_rejects_short_dataset():
@@ -323,3 +346,68 @@ def test_selection_prefers_planted_low_score():
         for s in range(50)
     ]
     assert np.mean(np.array(picks) == 1) >= 0.95
+
+
+# ---- non-finite gradients --------------------------------------------------------
+
+
+class BadGradientBilinear(BilinearObjective):
+    """Bilinear game whose x-gradient holds ``bad`` in one entry from step 3 on."""
+
+    def __init__(self, game, bad, calls_per_step):
+        super().__init__(game.payoff, game.perturbation)
+        self.bad = bad
+        self.first_bad_call = 2 * calls_per_step + 1
+        self.calls = 0
+
+    def batch_grad_x(self, x, y, zs):
+        self.calls += 1
+        g = super().batch_grad_x(x, y, zs)
+        if self.calls >= self.first_bad_call:
+            g = g.copy()
+            g[0] = self.bad
+        return g
+
+
+def run_with_bad_gradient(solver, bad):
+    """Run ``solver`` on a 4x4 game whose gradient goes ``bad`` on step 3."""
+    game = MatrixGame.random(4, 4, RngStream(50))
+    data = game.sample_dataset(2000, RngStream(51))
+    if solver == "smd_vertex":
+        obj = BadGradientBilinear(game, bad, calls_per_step=1)
+        return solve_smd_vertex(obj, data, small_plan(200, 10, 1, obj.L0), RngStream(52))
+    if solver == "bias_reduced":
+        obj = BadGradientBilinear(game, bad, calls_per_step=3)
+        plan = BrPlan(U=7.3, M=0, alpha=0.5, tau=1e-3, C=obj.L0**2,
+                      epsilon=1.0, delta=1e-5, L0=obj.L0, n=100, ell=game.ell)
+        return solve_smd_bias_reduced(obj, data, plan, RngStream(52))
+    f = FrozenYObjective(BadGradientBilinear(game, bad, calls_per_step=1), np.full(4, 0.25))
+    plan = plan_anytime_sco(2000, 1.0, 1e-5, f.L0, f.L1, f.L2, math.log(4), "second_order")
+    return solve_dp_sco(f, data, plan, RngStream(52))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("solver", ["smd_vertex", "bias_reduced", "dp_sco"])
+def test_non_finite_gradient_stops_the_run(solver):
+    run_with_bad_gradient(solver, 0.0)  # a finite fault runs to the end
+    for bad in (np.nan, np.inf):
+        with pytest.raises((ValueError, OracleError)):
+            run_with_bad_gradient(solver, bad)
+
+
+def test_non_finite_gradient_guard_survives_python_O():
+    # dp_sco's only guard is mwu_step's finiteness check: it must not be an assert
+    tests = Path(__file__).resolve().parent
+    code = (
+        f"import sys; sys.path.insert(0, {str(tests)!r})\n"
+        "from test_solvers import run_with_bad_gradient\n"
+        "try:\n"
+        "    run_with_bad_gradient('dp_sco', float('nan'))\n"
+        "except ValueError:\n"
+        "    print(sys.flags.optimize, 'raised')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(tests.parent / "src"), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert done.stdout.split() == ["1", "raised"], done.stderr
