@@ -46,6 +46,7 @@ import os
 import struct
 import sys
 import time
+import typing
 
 import numpy as np
 
@@ -53,6 +54,7 @@ from . import __version__
 from .errors import BudgetError, ConfigError, DatasetError, DpSimplexError, OracleError
 from .privacy import (
     BrPlan,
+    Mode,
     PrivacyParams,
     ScoPlan,
     SsmdPlan,
@@ -163,6 +165,8 @@ def load_config(path: str) -> dict:
             cfg = json.load(fh)
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config {path} must be a JSON object")
     if cfg.get("version") != 1:
         raise ConfigError(f"unsupported config version {cfg.get('version')!r}")
     return cfg
@@ -177,6 +181,14 @@ def _require(cfg: dict, key: str):
     if key not in cfg:
         raise ConfigError(f"config is missing required field {key!r}")
     return cfg[key]
+
+
+def _number(kind, value, name: str):
+    """``value`` converted by ``kind`` (int or float), or a ConfigError naming the field."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"config field {name!r} must be a number, got {value!r}") from exc
 
 
 def _build_game(problem: dict, master_seed: int, base_dir: str) -> MatrixGame:
@@ -211,7 +223,7 @@ def _build_quadratic(problem: dict) -> SeparableQuadratic:
 def _build_synth_problem(problem: dict, base_dir: str) -> SynthDataProblem:
     queries = np.asarray(_require(problem, "queries"), dtype=np.float64)
     if "data" in problem:
-        data = np.asarray(problem["data"], dtype=np.int64)
+        data = _inline_categories(problem["data"])
     elif "data_file" in problem:
         path = os.path.join(base_dir, problem["data_file"])
         try:
@@ -227,6 +239,19 @@ def _build_synth_problem(problem: dict, base_dir: str) -> SynthDataProblem:
         return SynthDataProblem(queries=queries, data=data, true_dist=true_dist)
     except ValueError as exc:
         raise ConfigError(f"bad synth_data problem: {exc}") from exc
+
+
+def _inline_categories(values) -> np.ndarray:
+    """Inline synth ``data``: a list of integral category indices within int64."""
+    if not isinstance(values, list):
+        raise ConfigError("synth_data 'data' must be a list of categories")
+    info = np.iinfo(np.int64)
+    for v in values:
+        if isinstance(v, float) and v.is_integer():
+            v = int(v)
+        if isinstance(v, bool) or not isinstance(v, int) or not info.min <= v <= info.max:
+            raise ConfigError(f"synth_data 'data' holds {v!r}, not an int64 category")
+    return np.asarray(values, dtype=np.int64)
 
 
 # --------------------------------------------------------------------------
@@ -280,7 +305,10 @@ def _plan(t: _Trial, L0: float, planner):
     ``n // T``, and ``C`` and ``ell`` are optional.
     """
     if not t.cfg.get("overrides"):
-        return planner()
+        try:
+            return planner()
+        except ValueError as exc:  # the planners' one ValueError: a mode they do not plan
+            raise ConfigError(f"{t.algorithm}: {exc}") from exc
     ov = t.cfg["overrides"]
     plan_cls = ALGORITHMS[t.algorithm][1]
     fixed = {"mode": t.mode, "epsilon": t.eps, "delta": t.delta, "L0": L0, "n": t.n}
@@ -331,9 +359,9 @@ def _run_boosted(t: _Trial, game: MatrixGame):
         raise ConfigError("boosted plans every inner schedule itself and takes no overrides")
     boost = t.cfg.get("boosting") or {}
     if "I" in boost and "J" in boost:
-        I, J = int(boost["I"]), int(boost["J"])
+        I, J = _number(int, boost["I"], "I"), _number(int, boost["J"], "J")
     else:
-        I, J = boosting_shape(float(boost.get("beta", 0.05)))
+        I, J = boosting_shape(_number(float, boost.get("beta", 0.05), "beta"))
     data = game.sample_dataset(t.n, t.stream.child("data"))
     sol = solve_boosted(game.objective(), data, I, J, PrivacyParams(t.eps, t.delta),
                         t.stream.child("solve"), ell=game.ell)
@@ -382,8 +410,11 @@ def _run_trial(cfg: dict, base_dir: str, n: int, trial: int) -> RunRecord:
         raise ConfigError(f"unknown algorithm {algorithm!r}; choose from {tuple(ALGORITHMS)}")
     kind, _, runner = ALGORITHMS[algorithm]
     mode = cfg.get("mode", "quadratic")
-    eps, delta = float(_require(cfg, "epsilon")), float(_require(cfg, "delta"))
-    master_seed = int(_require(cfg, "master_seed"))
+    if mode not in typing.get_args(Mode):
+        raise ConfigError(f"unknown mode {mode!r}; choose from {typing.get_args(Mode)}")
+    eps = _number(float, _require(cfg, "epsilon"), "epsilon")
+    delta = _number(float, _require(cfg, "delta"), "delta")
+    master_seed = _number(int, _require(cfg, "master_seed"), "master_seed")
     problem = _require(cfg, "problem")
     if _require(problem, "kind") != kind:
         raise ConfigError(f"algorithm {algorithm} needs a {kind} problem, got {problem['kind']!r}")
@@ -436,11 +467,16 @@ def _run_trial_task(args: tuple) -> tuple:
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     base_dir = os.path.dirname(os.path.abspath(args.config))
-    n_grid = [int(v) for v in _require(cfg, "n_grid")]
-    trials = int(_require(cfg, "trials"))
+    n_grid = _require(cfg, "n_grid")
+    if not isinstance(n_grid, list):
+        raise ConfigError(f"config field 'n_grid' must be a list, got {n_grid!r}")
+    n_grid = [_number(int, v, "n_grid") for v in n_grid]
+    trials = _number(int, _require(cfg, "trials"), "trials")
     if trials < 1 or not n_grid:
         raise ConfigError("need at least one n value and one trial")
-    PrivacyParams(float(_require(cfg, "epsilon")), float(_require(cfg, "delta")))
+    PrivacyParams(_number(float, _require(cfg, "epsilon"), "epsilon"),
+                  _number(float, _require(cfg, "delta"), "delta"))
+    master_seed = _number(int, _require(cfg, "master_seed"), "master_seed")
 
     tasks = [(cfg, base_dir, n, t) for n in n_grid for t in range(trials)]
     started = time.perf_counter()
@@ -463,7 +499,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     meta = {
         "config_hash": config_hash(cfg),
         "code_version": __version__,
-        "master_seed": int(cfg["master_seed"]),
+        "master_seed": master_seed,
         "rows": len(records),
     }
     with open(args.out + ".meta.json", "w") as fh:
@@ -514,8 +550,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
     if _require(problem_cfg, "kind") != "synth_data":
         raise ConfigError("synth needs a synth_data problem")
     problem = _build_synth_problem(problem_cfg, base_dir)
-    privacy = PrivacyParams(float(_require(cfg, "epsilon")), float(_require(cfg, "delta")))
-    rng = RngStream(int(_require(cfg, "master_seed"))).child("synth")
+    privacy = PrivacyParams(_number(float, _require(cfg, "epsilon"), "epsilon"),
+                            _number(float, _require(cfg, "delta"), "delta"))
+    rng = RngStream(_number(int, _require(cfg, "master_seed"), "master_seed")).child("synth")
     report = synth_data_generate(problem, privacy, rng)
     with open(args.out, "w", newline="") as fh:
         for v in report.synthetic:

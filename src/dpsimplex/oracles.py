@@ -85,10 +85,6 @@ class SaddleGradient:
     g_x: np.ndarray
     g_y: np.ndarray
 
-    def __post_init__(self):
-        if not (np.isfinite(self.g_x).all() and np.isfinite(self.g_y).all()):
-            raise ValueError("saddle gradient has non-finite entries")
-
 
 class Dataset:
     """Ordered sample identifiers with a consumed-prefix cursor.

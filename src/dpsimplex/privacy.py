@@ -1,10 +1,10 @@
 """Privacy budgets, composition rules, and solver parameter planning.
 
 Every solver consumes a plan emitted here (or an explicit override that is
-re-validated, never trusted). Each plan's privacy precondition is a closed
-form in the schedule parameters, so it can be re-asserted at runtime from the
-realized step and draw counts; a violation aborts the run rather than
-silently degrading privacy.
+re-validated, never trusted). A plan's ``validate`` checks its precondition
+before the run; after the run :func:`audit_releases` composes the vertex
+releases the sampling primitive actually counted, so a violation aborts the
+run rather than silently degrading privacy.
 
 All logarithms are natural except the power-of-two truncation level ``M``,
 which lives in base 2 because the multilevel estimator draws ``2^N`` samples.
@@ -238,6 +238,23 @@ class ScoPlan:
             raise BudgetError(
                 f"step size {self.tau} exceeds cached-iterate drift cap {drift_cap}"
             )
+
+
+def audit_releases(plan: SsmdPlan | BrPlan | ScoPlan, releases: int) -> int:
+    """Return a run's counted vertex releases, or raise BudgetError past its budget.
+
+    A saddle or convex release is ``4 tau L0 / B``-DP under advanced composition;
+    a bias-reduced one is ``9 tau alpha L0``-DP under the fully adaptive filter.
+    """
+    if isinstance(plan, BrPlan):  # the filter's sum eps_m^2, in closed form
+        s2 = releases * (9.0 * plan.tau * plan.alpha * plan.L0) ** 2
+        ok = math.sqrt(2.0 * math.log(1.0 / plan.delta) * s2) + 0.5 * s2 <= plan.epsilon
+    else:  # no releases spend nothing; advanced composition needs at least one
+        ok = not releases or 4.0 * plan.tau * plan.L0 / plan.B_batch <= (
+            advanced_composition_eps(releases, plan.epsilon, plan.delta) * _REL_TOL)
+    if not ok:
+        raise BudgetError(f"{releases} realized vertex releases exceed the privacy budget")
+    return releases
 
 
 # --------------------------------------------------------------------------

@@ -35,16 +35,18 @@ class RngStream:
 
     A stream must not be shared between concurrent consumers; derive children
     with :meth:`child` instead. The underlying numpy ``Generator`` is exposed
-    as ``gen``.
+    as ``gen``; ``vertex_draws`` counts the vertex releases drawn from it by
+    :func:`~dpsimplex.simplex.sample_vertex_indices` (a child starts at 0).
     """
 
-    __slots__ = ("seed", "stream_id", "gen")
+    __slots__ = ("seed", "stream_id", "gen", "vertex_draws")
 
     def __init__(self, seed: int, stream_id: int = 0):
         self.seed = int(seed) & _MASK64
         self.stream_id = int(stream_id) & _MASK64
         key = np.array([self.seed, self.stream_id], dtype=np.uint64)
         self.gen = np.random.Generator(np.random.Philox(key=key))
+        self.vertex_draws = 0
 
     def child(self, *tags) -> "RngStream":
         """Derive an independent stream; same tags always give the same child."""

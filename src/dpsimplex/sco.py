@@ -9,14 +9,13 @@ privacy spend) by a factor of about ``q``.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BudgetError
 from .oracles import Dataset, PerSampleObjective
-from .privacy import ScoPlan
+from .privacy import ScoPlan, audit_releases
 from .rng import RngStream
 from .simplex import LogWeights, SimplexPoint, mwu_step, running_average, sparsify, to_point
 
@@ -70,7 +69,7 @@ class ScoSolution:
     refresh_count: int
     trace: ScoTrace | None = None
     steps_run: int = 0
-    vertex_draws: int = 0  # K per refresh; 0 for a run with exact iterates
+    vertex_draws: int = 0
 
 
 def solve_dp_sco(
@@ -101,6 +100,7 @@ def solve_dp_sco(
     w: SimplexPoint | None = None
     w_hat: SimplexPoint | None = None
     refreshes = 0
+    draws = rng.vertex_draws
     xs, ws, gs, marks = [], [], [], []
     for t in range(1, plan.T + 1):
         x_t = to_point(xw)
@@ -126,8 +126,7 @@ def solve_dp_sco(
 
     final = w if exact_iterates else sparsify(w, plan.K, rng)
     refreshes += 1  # the returned average is always a fresh sparsification
-    if not exact_iterates:
-        _audit_refreshes(plan, refreshes)
+    draws = audit_releases(plan, rng.vertex_draws - draws)
     trace = None
     if record_trace:
         trace = ScoTrace(
@@ -142,20 +141,11 @@ def solve_dp_sco(
         refresh_count=refreshes,
         trace=trace,
         steps_run=plan.T,
-        vertex_draws=0 if exact_iterates else plan.K * refreshes,
+        vertex_draws=draws,
     )
 
 
-def _audit_refreshes(plan: ScoPlan, refreshes: int) -> None:
-    """Re-assert the step-size cap from the realized number of vertex releases."""
-    releases = plan.K * refreshes
-    cap = plan.B_batch * plan.epsilon / (
-        8.0 * plan.L0 * math.sqrt(2.0 * releases * math.log(1.0 / plan.delta))
-    )
-    if plan.tau > cap * (1 + 1e-9):
-        raise BudgetError(
-            f"step size {plan.tau} exceeds the cap {cap} implied by {releases} vertex releases"
-        )
+_audit_refreshes = audit_releases  # the name perfbench/layertrace.py traces it by
 
 
 @dataclass(frozen=True)

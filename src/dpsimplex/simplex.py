@@ -128,9 +128,10 @@ def mwu_step(w: LogWeights, g: np.ndarray, tau: float = 1.0) -> LogWeights:
 
 
 def sample_vertex_indices(coords: np.ndarray, k: int, rng: RngStream) -> np.ndarray:
-    """Draw ``k`` iid vertex indices from the distribution given by ``coords``."""
+    """Draw ``k`` iid vertex indices from ``coords``; count them on ``rng.vertex_draws``."""
     cdf = coords.cumsum()
     u = rng.gen.random(k)
+    rng.vertex_draws += k
     idx = cdf.searchsorted(u, side="left")
     # float cumsum can land just below 1.0; clamp the (measure-zero) overflow
     return np.minimum(idx, coords.size - 1)

@@ -5,9 +5,9 @@ iterates); the dense multiplicative-weights state stays internal. Each run is
 strictly sequential and consumes fresh samples through the dataset cursor;
 distinct runs parallelize across disjoint shards and independent streams.
 
-After every run the relevant privacy precondition is re-asserted from the
-realized step, batch, and draw counts; a violation raises
-:class:`~dpsimplex.errors.BudgetError` instead of returning a result.
+Every run reports the vertex releases counted on its stream as
+``vertex_draws``, and :func:`~dpsimplex.privacy.audit_releases` composes them;
+a violation raises :class:`~dpsimplex.errors.BudgetError` instead of a result.
 """
 from __future__ import annotations
 
@@ -30,9 +30,8 @@ from .privacy import (
     BrPlan,
     PrivacyParams,
     SsmdPlan,
-    adaptive_budget_ok,
+    audit_releases,
     exp_mech_sample,
-    max_step_vertex_smd,
     plan_anytime_sco,
     plan_bias_reduced,
 )
@@ -126,6 +125,7 @@ def solve_smd_vertex(
             f"plan needs {plan.T * plan.B_batch} fresh samples, dataset has {dataset.remaining}"
         )
     x_indices: list[int] = []
+    draws = rng.vertex_draws
 
     def exact_step(_, x_t, y_t):
         g = batch_gradient(obj, x_t, y_t, dataset.take(plan.B_batch))
@@ -144,16 +144,13 @@ def solve_smd_vertex(
     x, y, steps = _saddle_descent(
         obj.d_x, obj.d_y, plan.tau, range(plan.T), exact_step if exact_iterates else sampled_step
     )
-    if not exact_iterates:
-        cap = max_step_vertex_smd(plan.B_batch, plan.epsilon, plan.delta, obj.L0, plan.T, plan.K)
-        if plan.tau > cap * (1 + 1e-9):
-            raise BudgetError("realized schedule violates the step-size privacy cap")
+    draws = audit_releases(plan, rng.vertex_draws - draws)
     return SaddleSolution(
         x=x,
         y=y,
         samples_used=steps * plan.B_batch,
         steps_run=steps,
-        vertex_draws=0 if exact_iterates else steps * (2 * plan.K + 2),
+        vertex_draws=draws,
         x_vertex_indices=np.array(x_indices, dtype=np.int64) if keep_x_draws else None,
     )
 
@@ -173,6 +170,7 @@ def solve_smd_bias_reduced(
     tg = TruncGeom(0.5, plan.M)
     threshold = plan.U - 2.0**plan.M
     levels: list[int] = []
+    draws = rng.vertex_draws
 
     def schedule():
         weight = 0
@@ -193,14 +191,13 @@ def solve_smd_bias_reduced(
 
     x, y, steps = _saddle_descent(obj.d_x, obj.d_y, plan.tau, schedule(), step)
     weight = sum(2**N for N in levels)
-    _audit_bias_reduced(plan, weight, steps)
+    draws = audit_releases(plan, rng.vertex_draws - draws)
     sol = SaddleSolution(
         x=x,
         y=y,
         samples_used=sum(_batch_size(N, plan.alpha) for N in levels),
         steps_run=steps,
-        # 2^(N+1) pairs for the estimator plus the output pair, per step
-        vertex_draws=4 * weight + 2 * steps,
+        vertex_draws=draws,
     )
     return sol, BrRunTrace(N_sequence=tuple(levels), total_weight=weight, stop_step=steps)
 
@@ -210,16 +207,7 @@ def _batch_size(N: int, alpha: float) -> int:
     return max(1, math.ceil(2**N / alpha))
 
 
-def _audit_bias_reduced(plan: BrPlan, weight: int, steps: int) -> None:
-    """Re-check the adaptive composition budget from realized draw counts."""
-    if weight > plan.U:
-        raise BudgetError(f"realized level weight {weight} exceeded stopping weight {plan.U}")
-    eps_vertex = 9.0 * plan.tau * plan.alpha * plan.L0
-    releases = 4 * weight + 2 * steps
-    if not adaptive_budget_ok(
-        np.full(releases, eps_vertex), plan.epsilon, plan.delta
-    ):
-        raise BudgetError("realized vertex releases exceed the adaptive composition budget")
+_audit_bias_reduced = audit_releases  # the name perfbench/layertrace.py traces it by
 
 
 def solve_smd_nonprivate(

@@ -231,6 +231,32 @@ def test_run_rejects_non_numeric_overrides(tmp_path, capsys, algorithm, T):
     assert err.startswith("config error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("field,value", [
+    ("epsilon", "abc"), ("master_seed", "abc"), ("trials", None), ("n_grid", ["x"]),
+    ("mode", "bogus"), (None, None),
+], ids=["epsilon_text", "master_seed_text", "trials_null", "n_grid_text", "mode_unknown",
+        "top_level_list"])
+def test_run_rejects_malformed_config_fields(tmp_path, capsys, field, value):
+    cfg = tmp_path / "cfg.json"
+    if field is None:
+        cfg.write_text(json.dumps([write_config(cfg)]))
+    else:
+        write_config(cfg, **{field: value})
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+
+
+def test_run_rejects_a_mode_the_planner_lacks(tmp_path, capsys):
+    cfg = json.loads((REPO / "configs" / "sco_example.json").read_text())
+    cfg["mode"] = "quadratic"  # a saddle-solver mode; dp_sco plans first or second order
+    path = tmp_path / "sco.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "x.csv")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+
+
 def test_cli_import_leaves_scipy_out():
     code = "import sys, dpsimplex.cli; print('scipy' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -336,6 +362,19 @@ def test_synth_end_to_end(tmp_path):
     out2 = tmp_path / "again.csv"
     main(["synth", "--config", str(cfg), "--out", str(out2)])
     assert out.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize("data", [[0.5, 1.7, 1, 0], ["a", 1], [2**63, 1]],
+                         ids=["fractional", "text", "past_int64"])
+def test_synth_rejects_malformed_inline_data(tmp_path, capsys, data):
+    cfg = synth_config(tmp_path, [0, 1])
+    doc = json.loads(cfg.read_text())
+    del doc["problem"]["data_file"]
+    doc["problem"]["data"] = data
+    cfg.write_text(json.dumps(doc))
+    assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
 
 
 # ---- file formats ----------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from dpsimplex.privacy import (
     SsmdPlan,
     adaptive_budget_ok,
     advanced_composition_eps,
+    audit_releases,
     exp_mech_sample,
     max_step_anytime_sco,
     max_step_vertex_smd,
@@ -123,6 +125,24 @@ def test_adaptive_budget_six_u_consistency():
     U = max_stop_weight_bias_reduced(eps, delta, tau, alpha, L0)
     spends = np.full(int(6 * U), 9 * tau * alpha * L0)
     assert adaptive_budget_ok(spends, eps, delta)
+
+
+def test_audit_releases_accepts_the_counts_each_cap_allows():
+    # tau at the vertex solver's cap allows exactly its 2T(K+1) releases
+    ssmd = plan_vertex_smd(10**4, 1e-3, 1e-5, 1.0, 0.0, 0.0, 2 * math.log(10), "quadratic")
+    audit_releases(ssmd, 2 * ssmd.T * (ssmd.K + 1))
+    with pytest.raises(BudgetError):
+        audit_releases(ssmd, 2 * ssmd.T * (ssmd.K + 1) + 1)
+    # U at the bias-reduced cap allows 6U releases, and the filter stops 24U
+    eps, delta, tau, alpha, L0 = 1.5, 1e-5, 0.005, 0.1, 2.0
+    U = max_stop_weight_bias_reduced(eps, delta, tau, alpha, L0)
+    br = BrPlan(U=U, M=0, alpha=alpha, tau=tau, C=L0**2, epsilon=eps, delta=delta,
+                L0=L0, n=10**6, ell=1.0)
+    audit_releases(br, int(6 * U))
+    with pytest.raises(BudgetError):
+        audit_releases(br, int(24 * U))
+    # a run that released nothing spent nothing, whatever its plan
+    audit_releases(dataclasses.replace(ssmd, tau=ssmd.tau * 10), 0)
 
 
 # ---- exponential mechanism ------------------------------------------------------

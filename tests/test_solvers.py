@@ -7,12 +7,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dpsimplex import sco, solvers
 from dpsimplex.errors import BudgetError, OracleError
 from dpsimplex.oracles import Dataset, TruncGeom
 from dpsimplex.privacy import (
     BrPlan,
     PrivacyParams,
+    ScoPlan,
     SsmdPlan,
+    max_step_anytime_sco,
     max_step_vertex_smd,
     plan_anytime_sco,
     plan_bias_reduced,
@@ -21,7 +24,7 @@ from dpsimplex.privacy import (
 from dpsimplex.problems import BilinearObjective, MatrixGame, exact_gap_bilinear
 from dpsimplex.rng import RngStream
 from dpsimplex.sco import FrozenXObjective, FrozenYObjective, solve_dp_sco
-from dpsimplex.simplex import SimplexPoint
+from dpsimplex.simplex import SimplexPoint, sample_vertex
 from dpsimplex.solvers import (
     boosting_shape,
     score_candidate_pairs,
@@ -411,3 +414,47 @@ def test_non_finite_gradient_guard_survives_python_O():
     done = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
                           env=env, timeout=120)
     assert done.stdout.split() == ["1", "raised"], done.stderr
+
+
+# ---- realized release audit ------------------------------------------------------
+
+
+def release_at_cap(solver, tau_scale):
+    """A run whose plan puts tau at ``tau_scale`` times its privacy cap."""
+    game = MatrixGame.random(4, 4, RngStream(60))
+    eps, delta = 1.0, 1e-5
+    if solver == "smd_vertex":
+        obj = game.objective()
+        n, T, K = 4000, 40, 1
+        B = n // T
+        tau = tau_scale * max_step_vertex_smd(B, eps, delta, obj.L0, T, K)
+        plan = SsmdPlan(T=T, tau=tau, K=K, B_batch=B, mode="quadratic",
+                        epsilon=eps, delta=delta, L0=obj.L0, n=n)
+        return lambda: solve_smd_vertex(obj, game.sample_dataset(n, RngStream(61)), plan,
+                                        RngStream(62))
+    f = FrozenYObjective(game.objective(), np.full(4, 0.25))
+    n, T, q, K = 1200, 60, 6, 30  # 16 refreshes: q + T/q, as the planned cap counts them
+    B = n // T
+    tau = tau_scale * max_step_anytime_sco(B, eps, delta, f.L0, T, K, q)
+    assert tau < 1.0 / (4.0 * f.L0 * q)  # the privacy cap binds, not the drift cap
+    plan = ScoPlan(T=T, tau=tau, K=K, q=q, B_batch=B, mode="second_order",
+                   epsilon=eps, delta=delta, L0=f.L0, n=n)
+    return lambda: solve_dp_sco(f, game.sample_dataset(n, RngStream(61)), plan, RngStream(62))
+
+
+@pytest.mark.parametrize("solver, module, draws, extra", [
+    ("smd_vertex", solvers, 40 * 4, 40 * 2),
+    ("dp_sco", sco, 30 * 16, 16),
+])
+def test_audit_composes_the_counted_releases(monkeypatch, solver, module, draws, extra):
+    assert release_at_cap(solver, 1.0)().vertex_draws == draws
+    real = module.sparsify
+
+    def sparsify_releasing_one_more(x, k, rng):
+        sample_vertex(x, rng)
+        return real(x, k, rng)
+
+    monkeypatch.setattr(module, "sparsify", sparsify_releasing_one_more)
+    assert release_at_cap(solver, 0.5)().vertex_draws == draws + extra
+    with pytest.raises(BudgetError, match="realized vertex releases"):
+        release_at_cap(solver, 1.0)()
