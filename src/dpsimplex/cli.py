@@ -5,12 +5,12 @@ Subcommands
 
 ``run --config cfg.json --out results.csv [--jobs N]``
     Execute a trial grid: for every (n, trial) derive an independent stream,
-    synthesize the dataset, plan the schedule (or validate explicit
-    overrides), run the solver, evaluate, and append one CSV row. Output is
-    byte-reproducible for a fixed config and master seed: rows are sorted by
-    (n, trial) regardless of worker scheduling and the ``wall_time_ms``
-    column is written as 0 (real timings go to stderr) so repeated runs
-    produce identical files.
+    synthesize the dataset, plan the schedule (or take explicit overrides,
+    which the solver validates), run the solver, evaluate, and append one CSV
+    row. Output is byte-reproducible for a fixed config and master seed: rows
+    are sorted by (n, trial) regardless of worker scheduling and the
+    ``wall_time_ms`` column is written as 0 (real timings go to stderr) so
+    repeated runs produce identical files.
 
 ``verify --suite <name|all> --reps R --out report.json``
     Run the sparsification verification suites and write a JSON report with
@@ -24,6 +24,13 @@ Subcommands
 Exit codes: 0 ok, 2 config error, 3 budget error, 4 dataset error,
 5 oracle/verification error.
 
+Configs are checked once, at the boundary, before any trial starts:
+``_parse_run`` (for ``run``) and ``_budget`` with ``_build_problem`` (shared
+with ``synth``) turn every field into a checked value or raise
+``ConfigError``, and the problem is built once per command. The runners read
+only the parsed ``_Run``. Every output is written to a temporary sibling and
+renamed onto its path, so a failed command leaves no partial file.
+
 File formats
 ------------
 
@@ -36,10 +43,10 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import csv
 import dataclasses
 import hashlib
-import io
 import json
 import math
 import os
@@ -116,9 +123,10 @@ def load_payoff(path: str) -> np.ndarray:
         if magic != PAYOFF_MAGIC:
             raise ConfigError(f"{path}: not a payoff matrix file (bad magic {magic!r})")
         rows, cols = struct.unpack("<II", fh.read(8))
-        data = np.frombuffer(fh.read(rows * cols * 8), dtype="<f8")
-        if data.size != rows * cols:
+        # checked against the file before reading, so a bad header allocates nothing
+        if rows * cols * 8 > os.fstat(fh.fileno()).st_size - fh.tell():
             raise ConfigError(f"{path}: truncated payoff matrix")
+        data = np.frombuffer(fh.read(rows * cols * 8), dtype="<f8")
         return data.reshape(rows, cols).copy()
 
 
@@ -155,19 +163,41 @@ def _load_categories_rows(path: str) -> np.ndarray:
     return np.asarray(values, dtype=np.int64)
 
 
+@contextlib.contextmanager
+def _atomic_write(path: str, **open_kw):
+    """A temporary sibling of ``path``, renamed onto it once written in full.
+
+    On any error the sibling is removed and an existing ``path`` is kept."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", **open_kw) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
+def _write_json(path: str, payload: dict) -> None:
+    with _atomic_write(path) as fh:
+        json.dump(payload, fh, sort_keys=True, indent=2)
+        fh.write("\n")
+
+
 # --------------------------------------------------------------------------
-# configuration
+# configuration: every field is checked here, before any trial runs
 
 
 def load_config(path: str) -> dict:
     try:
         with open(path) as fh:
             cfg = json.load(fh)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # or not UTF-8, not JSON, an int past the digit limit
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"config {path} must be a JSON object")
-    if cfg.get("version") != 1:
+    if cfg.get("version") != 1 or cfg.get("version") is True:  # True == 1
         raise ConfigError(f"unsupported config version {cfg.get('version')!r}")
     return cfg
 
@@ -184,11 +214,38 @@ def _require(cfg: dict, key: str):
 
 
 def _number(kind, value, name: str):
-    """``value`` converted by ``kind`` (int or float), or a ConfigError naming the field."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"config field {name!r} must be a number, got {value!r}") from exc
+    """``value`` as ``kind`` (int or float), or a ConfigError naming the field.
+
+    Only JSON numbers pass, never ``true`` or text; an int field takes an
+    integral number (``2`` or ``2.0``).
+    """
+    if kind is int and isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if not isinstance(value, bool) and isinstance(value, int if kind is int else (int, float)):
+        try:
+            return kind(value)
+        except OverflowError:  # an integer too large for a float
+            pass
+    noun = "an integer" if kind is int else "a number"
+    raise ConfigError(f"config field {name!r} must be {noun}, got {value!r}")
+
+
+def _section(cfg: dict, key: str, required: bool = False) -> dict:
+    """A field that must be a JSON object; ``{}`` when optional and absent."""
+    value = _require(cfg, key) if required else cfg.get(key, {})
+    if not isinstance(value, dict):
+        raise ConfigError(f"config field {key!r} must be a JSON object, got {value!r}")
+    return value
+
+
+def _budget(cfg: dict) -> tuple[PrivacyParams, int]:
+    """The (epsilon, delta) budget and the master seed, a 64-bit stream key."""
+    privacy = PrivacyParams(_number(float, _require(cfg, "epsilon"), "epsilon"),
+                            _number(float, _require(cfg, "delta"), "delta"))
+    master_seed = _number(int, _require(cfg, "master_seed"), "master_seed")
+    if not 0 <= master_seed < 2**64:
+        raise ConfigError(f"config field 'master_seed' must lie in [0, 2^64), got {master_seed}")
+    return privacy, master_seed
 
 
 def _build_game(problem: dict, master_seed: int, base_dir: str) -> MatrixGame:
@@ -202,28 +259,22 @@ def _build_game(problem: dict, master_seed: int, base_dir: str) -> MatrixGame:
             raise ConfigError(f"cannot read payoff file {path}: {exc}") from exc
     else:
         raise ConfigError("matrix_game problem needs 'payoff' or 'payoff_file'")
-    if A.ndim != 2:
-        raise ConfigError("payoff must be a matrix")
-    noise = float(problem.get("noise_scale", 0.5 * float(np.abs(A).max() or 1.0)))
+    if A.ndim != 2 or not A.size:
+        raise ConfigError("payoff must be a non-empty matrix")
+    noise = _number(float, problem.get("noise_scale", 0.5 * float(np.abs(A).max() or 1.0)),
+                    "noise_scale")
     signs = RngStream(master_seed).child("payoff-noise").gen.integers(0, 2, size=A.shape) * 2 - 1
     return MatrixGame(A, noise * signs)
 
 
-def _build_quadratic(problem: dict) -> SeparableQuadratic:
-    try:
-        return SeparableQuadratic(
-            np.asarray(_require(problem, "weights"), dtype=np.float64),
-            np.asarray(_require(problem, "target"), dtype=np.float64),
-            np.asarray(_require(problem, "noise"), dtype=np.float64),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"bad quadratic_sco problem: {exc}") from exc
+def _build_quadratic(problem: dict, master_seed: int, base_dir: str) -> SeparableQuadratic:
+    return SeparableQuadratic(*(np.asarray(_require(problem, key), dtype=np.float64)
+                                for key in ("weights", "target", "noise")))
 
 
-def _build_synth_problem(problem: dict, base_dir: str) -> SynthDataProblem:
-    queries = np.asarray(_require(problem, "queries"), dtype=np.float64)
-    if "data" in problem:
-        data = _inline_categories(problem["data"])
+def _build_synth_problem(problem: dict, master_seed: int, base_dir: str) -> SynthDataProblem:
+    if "data" in problem:  # integral categories; one past int64 raises OverflowError
+        data = np.asarray([_number(int, v, "data") for v in problem["data"]], dtype=np.int64)
     elif "data_file" in problem:
         path = os.path.join(base_dir, problem["data_file"])
         try:
@@ -232,26 +283,96 @@ def _build_synth_problem(problem: dict, base_dir: str) -> SynthDataProblem:
             raise ConfigError(f"cannot read data file {path}: {exc}") from exc
     else:
         raise ConfigError("synth_data problem needs 'data' or 'data_file'")
-    true_dist = problem.get("true_dist")
-    if true_dist is not None:
-        true_dist = np.asarray(true_dist, dtype=np.float64)
+    true_dist = np.asarray(_require(problem, "true_dist"), dtype=np.float64)
+    return SynthDataProblem(_require(problem, "queries"), data, true_dist)
+
+
+_BUILDERS = {
+    "matrix_game": _build_game,
+    "quadratic_sco": _build_quadratic,
+    "synth_data": _build_synth_problem,
+}
+
+
+def _build_problem(cfg: dict, kind: str, user: str, master_seed: int, base_dir: str):
+    """The config's ``problem``, which ``user`` needs to be of ``kind``."""
+    problem = _section(cfg, "problem", required=True)
+    if problem.get("kind") != kind:
+        raise ConfigError(f"{user} needs a {kind} problem, got kind {problem.get('kind')!r}")
     try:
-        return SynthDataProblem(queries=queries, data=data, true_dist=true_dist)
+        return _BUILDERS[kind](problem, master_seed, base_dir)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"bad {kind} problem: {exc}") from exc
+
+
+@dataclasses.dataclass(frozen=True)
+class _Run:
+    """A checked ``run`` config: all that a runner reads of it."""
+
+    algorithm: str
+    mode: str
+    privacy: PrivacyParams
+    master_seed: int
+    problem: MatrixGame | SeparableQuadratic
+    overrides: dict  # schedule field -> value of the field's type; {} to plan
+    boosting: tuple[int, int] | None  # (I, J) of a boosted run
+
+
+def _overrides(algorithm: str, ov: dict) -> dict:
+    """The schedule fields ``ov`` sets, each converted to its field's type.
+
+    The run supplies a plan's budget, mode, ``L0``, ``n`` and batch size; its
+    ``C`` and ``ell`` are optional. Keys no schedule field reads are ignored.
+    """
+    if not ov:
+        return {}
+    if algorithm == "boosted":
+        raise ConfigError("boosted plans every inner schedule itself and takes no overrides")
+    plan_cls = ALGORITHMS[algorithm][1]
+    if plan_cls is None:  # nonprivate_smd: both optional
+        types = {"T": "int", "tau": "float"}
+    else:
+        run_set = ("mode", "epsilon", "delta", "L0", "n", "B_batch")
+        types = {f.name: f.type for f in dataclasses.fields(plan_cls) if f.name not in run_set}
+        missing = [k for k in types if k not in ov and k not in ("C", "ell")]
+        if missing:
+            raise ConfigError(f"overrides for {algorithm} are missing {missing}")
+    return {key: _number(int if types[key] == "int" else float, value, f"overrides.{key}")
+            for key, value in ov.items() if key in types}
+
+
+def _boosting(boost: dict) -> tuple[int, int]:
+    if "I" in boost and "J" in boost:
+        I, J = _number(int, boost["I"], "boosting.I"), _number(int, boost["J"], "boosting.J")
+        if I < 1 or J < 1:
+            raise ConfigError(f"boosting needs I >= 1 and J >= 1, got I={I}, J={J}")
+        return I, J
+    try:
+        return boosting_shape(_number(float, boost.get("beta", 0.05), "boosting.beta"))
     except ValueError as exc:
-        raise ConfigError(f"bad synth_data problem: {exc}") from exc
+        raise ConfigError(f"boosting: {exc}") from exc
 
 
-def _inline_categories(values) -> np.ndarray:
-    """Inline synth ``data``: a list of integral category indices within int64."""
-    if not isinstance(values, list):
-        raise ConfigError("synth_data 'data' must be a list of categories")
-    info = np.iinfo(np.int64)
-    for v in values:
-        if isinstance(v, float) and v.is_integer():
-            v = int(v)
-        if isinstance(v, bool) or not isinstance(v, int) or not info.min <= v <= info.max:
-            raise ConfigError(f"synth_data 'data' holds {v!r}, not an int64 category")
-    return np.asarray(values, dtype=np.int64)
+def _parse_run(cfg: dict, base_dir: str) -> tuple[_Run, list[int], int]:
+    """Check every field of a ``run`` config: the run, the n grid and the trial count."""
+    algorithm = _require(cfg, "algorithm")
+    if not isinstance(algorithm, str) or algorithm not in ALGORITHMS:
+        raise ConfigError(f"unknown algorithm {algorithm!r}; choose from {tuple(ALGORITHMS)}")
+    mode = cfg.get("mode", "quadratic")
+    if mode not in typing.get_args(Mode):
+        raise ConfigError(f"unknown mode {mode!r}; choose from {typing.get_args(Mode)}")
+    n_grid = _require(cfg, "n_grid")
+    if not isinstance(n_grid, list):
+        raise ConfigError(f"config field 'n_grid' must be a list, got {n_grid!r}")
+    n_grid = [_number(int, v, "n_grid") for v in n_grid]
+    trials = _number(int, _require(cfg, "trials"), "trials")
+    if trials < 1 or not n_grid or not all(1 <= n < 2**63 for n in n_grid):
+        raise ConfigError("need at least one trial and one n value, each n in [1, 2^63)")
+    privacy, master_seed = _budget(cfg)
+    overrides = _overrides(algorithm, _section(cfg, "overrides"))
+    boosting = _boosting(_section(cfg, "boosting")) if algorithm == "boosted" else None
+    problem = _build_problem(cfg, ALGORITHMS[algorithm][0], algorithm, master_seed, base_dir)
+    return _Run(algorithm, mode, privacy, master_seed, problem, overrides, boosting), n_grid, trials
 
 
 # --------------------------------------------------------------------------
@@ -284,117 +405,79 @@ class RunRecord:
         ]
 
 
-@dataclasses.dataclass(frozen=True)
-class _Trial:
-    """What a runner needs of one (n, trial) cell of the grid."""
+def _plan(run: _Run, n: int, L0: float, planner):
+    """The planned schedule, or the run's overrides as a plan (``B_batch = n // T``).
 
-    cfg: dict
-    algorithm: str
-    n: int
-    eps: float
-    delta: float
-    mode: str
-    stream: RngStream
-
-
-def _plan(t: _Trial, L0: float, planner):
-    """The planned schedule, or the config's overrides enforced as a plan.
-
-    Overrides name the schedule fields of the algorithm's plan class; the
-    budget, mode, ``L0`` and ``n`` come from the trial, the batch size is
-    ``n // T``, and ``C`` and ``ell`` are optional.
+    The solver validates either before its first step.
     """
-    if not t.cfg.get("overrides"):
+    if not run.overrides:
         try:
             return planner()
         except ValueError as exc:  # the planners' one ValueError: a mode they do not plan
-            raise ConfigError(f"{t.algorithm}: {exc}") from exc
-    ov = t.cfg["overrides"]
-    plan_cls = ALGORITHMS[t.algorithm][1]
-    fixed = {"mode": t.mode, "epsilon": t.eps, "delta": t.delta, "L0": L0, "n": t.n}
-    defaults = {"C": L0**2, "ell": 1.0}
-    fields = {}
-    try:
-        for f in dataclasses.fields(plan_cls):
-            if f.name in fixed:
-                fields[f.name] = fixed[f.name]
-            elif f.name == "B_batch":
-                # a T below 1 is left for validate() to reject
-                fields[f.name] = max(1, t.n // max(1, fields["T"]))
-            else:
-                value = ov.get(f.name, defaults[f.name]) if f.name in defaults else ov[f.name]
-                fields[f.name] = int(value) if f.type == "int" else float(value)
-    except KeyError as exc:
-        raise ConfigError(f"overrides for {t.algorithm} are missing {exc}") from exc
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"overrides for {t.algorithm} must be numbers: {exc}") from exc
-    plan = plan_cls(**fields)
-    plan.validate()  # explicit parameters are enforced, never trusted
-    return plan
+            raise ConfigError(f"{run.algorithm}: {exc}") from exc
+    plan_cls = ALGORITHMS[run.algorithm][1]
+    fields = {"C": L0**2, "ell": 1.0, **run.overrides, "mode": run.mode, "L0": L0, "n": n,
+              "epsilon": run.privacy.epsilon, "delta": run.privacy.delta}
+    # a T below 1 is left for validate() to reject
+    fields["B_batch"] = max(1, n // max(1, fields.get("T", 1)))
+    return plan_cls(**{f.name: fields[f.name] for f in dataclasses.fields(plan_cls)})
 
 
 def _plan_json(plan) -> str:
     return json.dumps(dataclasses.asdict(plan), sort_keys=True)
 
 
-def _run_smd_vertex(t: _Trial, game: MatrixGame):
+def _run_smd_vertex(run: _Run, n: int, stream: RngStream):
+    game, p = run.problem, run.privacy
     obj = game.objective()
-    plan = _plan(t, obj.L0, lambda: plan_vertex_smd(
-        t.n, t.eps, t.delta, obj.L0, obj.L1, obj.L2, game.ell, t.mode))
-    data = game.sample_dataset(t.n, t.stream.child("data"))
-    return solve_smd_vertex(obj, data, plan, t.stream.child("solve")), _plan_json(plan)
+    plan = _plan(run, n, obj.L0, lambda: plan_vertex_smd(
+        n, p.epsilon, p.delta, obj.L0, obj.L1, obj.L2, game.ell, run.mode))
+    data = game.sample_dataset(n, stream.child("data"))
+    return solve_smd_vertex(obj, data, plan, stream.child("solve")), _plan_json(plan)
 
 
-def _run_bias_reduced(t: _Trial, game: MatrixGame):
+def _run_bias_reduced(run: _Run, n: int, stream: RngStream):
+    game, p = run.problem, run.privacy
     obj = game.objective()
-    plan = _plan(t, obj.L0, lambda: plan_bias_reduced(
-        t.n, t.eps, t.delta, obj.L0, obj.L1, obj.L2, game.ell))
-    data = game.sample_dataset(t.n, t.stream.child("data"))
-    sol, _trace = solve_smd_bias_reduced(obj, data, plan, t.stream.child("solve"))
+    plan = _plan(run, n, obj.L0, lambda: plan_bias_reduced(
+        n, p.epsilon, p.delta, obj.L0, obj.L1, obj.L2, game.ell))
+    data = game.sample_dataset(n, stream.child("data"))
+    sol, _trace = solve_smd_bias_reduced(obj, data, plan, stream.child("solve"))
     return sol, _plan_json(plan)
 
 
-def _run_boosted(t: _Trial, game: MatrixGame):
-    if t.cfg.get("overrides"):
-        raise ConfigError("boosted plans every inner schedule itself and takes no overrides")
-    boost = t.cfg.get("boosting") or {}
-    if "I" in boost and "J" in boost:
-        I, J = _number(int, boost["I"], "I"), _number(int, boost["J"], "J")
-    else:
-        I, J = boosting_shape(_number(float, boost.get("beta", 0.05), "beta"))
-    data = game.sample_dataset(t.n, t.stream.child("data"))
-    sol = solve_boosted(game.objective(), data, I, J, PrivacyParams(t.eps, t.delta),
-                        t.stream.child("solve"), ell=game.ell)
+def _run_boosted(run: _Run, n: int, stream: RngStream):
+    game, (I, J) = run.problem, run.boosting
+    data = game.sample_dataset(n, stream.child("data"))
+    sol = solve_boosted(game.objective(), data, I, J, run.privacy, stream.child("solve"),
+                        ell=game.ell)
     return sol, json.dumps({"I": I, "J": J}, sort_keys=True)
 
 
-def _run_nonprivate(t: _Trial, game: MatrixGame):
-    ov = t.cfg.get("overrides") or {}
-    try:
-        T = int(ov.get("T", 10_000))
-        tau = float(ov["tau"]) if "tau" in ov else None
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"overrides for nonprivate_smd must be numbers: {exc}") from exc
+def _run_nonprivate(run: _Run, n: int, stream: RngStream):
+    game = run.problem
+    T = run.overrides.get("T", 10_000)
     if T < 1:
         raise ConfigError(f"nonprivate_smd needs T >= 1, got {T}")
-    if tau is None:
-        tau = math.sqrt(game.ell / T) / game.objective().L0
+    tau = (run.overrides["tau"] if "tau" in run.overrides
+           else math.sqrt(game.ell / T) / game.objective().L0)
     if not (math.isfinite(tau) and tau > 0):
         raise ConfigError(f"nonprivate_smd needs a positive finite tau, got {tau}")
     sol = solve_smd_nonprivate(game.population(), T, tau, game.d_x, game.d_y)
     return sol, json.dumps({"T": T, "tau": tau}, sort_keys=True)
 
 
-def _run_dp_sco(t: _Trial, obj: SeparableQuadratic):
-    plan = _plan(t, obj.L0, lambda: plan_anytime_sco(
-        t.n, t.eps, t.delta, obj.L0, obj.L1, obj.L2, math.log(obj.dim), t.mode))
-    data = obj.sample_dataset(t.n, t.stream.child("data"))
-    return solve_dp_sco(obj, data, plan, t.stream.child("solve")), _plan_json(plan)
+def _run_dp_sco(run: _Run, n: int, stream: RngStream):
+    obj, p = run.problem, run.privacy
+    plan = _plan(run, n, obj.L0, lambda: plan_anytime_sco(
+        n, p.epsilon, p.delta, obj.L0, obj.L1, obj.L2, math.log(obj.dim), run.mode))
+    data = obj.sample_dataset(n, stream.child("data"))
+    return solve_dp_sco(obj, data, plan, stream.child("solve")), _plan_json(plan)
 
 
-# name -> (problem kind, plan class or None, runner). A runner returns the
-# solution and the plan JSON echoed in the CSV row; rows of algorithms with a
-# plan class are re-validated against that class before they are written.
+# name -> (problem kind, plan class or None, runner). A runner takes the run,
+# n and the trial's stream, and returns the solution and the plan JSON echoed
+# in the CSV row.
 ALGORITHMS = {
     "smd_vertex": ("matrix_game", SsmdPlan, _run_smd_vertex),
     "smd_bias_reduced": ("matrix_game", BrPlan, _run_bias_reduced),
@@ -404,60 +487,24 @@ ALGORITHMS = {
 }
 
 
-def _run_trial(cfg: dict, base_dir: str, n: int, trial: int) -> RunRecord:
-    algorithm = _require(cfg, "algorithm")
-    if algorithm not in ALGORITHMS:
-        raise ConfigError(f"unknown algorithm {algorithm!r}; choose from {tuple(ALGORITHMS)}")
-    kind, _, runner = ALGORITHMS[algorithm]
-    mode = cfg.get("mode", "quadratic")
-    if mode not in typing.get_args(Mode):
-        raise ConfigError(f"unknown mode {mode!r}; choose from {typing.get_args(Mode)}")
-    eps = _number(float, _require(cfg, "epsilon"), "epsilon")
-    delta = _number(float, _require(cfg, "delta"), "delta")
-    master_seed = _number(int, _require(cfg, "master_seed"), "master_seed")
-    problem = _require(cfg, "problem")
-    if _require(problem, "kind") != kind:
-        raise ConfigError(f"algorithm {algorithm} needs a {kind} problem, got {problem['kind']!r}")
-    stream = RngStream(master_seed).child("trial", n, trial)
-    t = _Trial(cfg, algorithm, n, eps, delta, mode, stream)
+def _run_trial(run: _Run, n: int, trial: int) -> RunRecord:
+    stream = RngStream(run.master_seed).child("trial", n, trial)
     started = time.perf_counter()
-
-    if kind == "quadratic_sco":
-        obj = _build_quadratic(problem)
-        sol, plan_echo = runner(t, obj)
+    sol, plan_echo = ALGORITHMS[run.algorithm][2](run, n, stream)
+    if isinstance(run.problem, SeparableQuadratic):
+        obj = run.problem
         risk = obj.population_value(sol.w_hat.coords) - obj.population_value(obj.a)
         metric, value, error_bound = "excess_risk", float(risk), 0.0
     else:
-        game = _build_game(problem, master_seed, base_dir)
-        sol, plan_echo = runner(t, game)
-        gap = exact_gap_bilinear(game.payoff, sol.x, sol.y)
+        gap = exact_gap_bilinear(run.problem.payoff, sol.x, sol.y)
         metric, value, error_bound = "gap", gap.gap_estimate, gap.inner_error_bound
     return RunRecord(
-        trial=trial, n=n, algorithm=algorithm, mode=mode,
+        trial=trial, n=n, algorithm=run.algorithm, mode=run.mode,
         metric=metric, metric_value=value, inner_error_bound=error_bound,
         samples_used=sol.samples_used, steps_run=sol.steps_run, vertex_draws=sol.vertex_draws,
         wall_time_ms=(time.perf_counter() - started) * 1e3,
         seed=stream.stream_id, plan_json=plan_echo,
     )
-
-
-def _revalidate_plan(record: RunRecord) -> None:
-    """Re-check the echoed schedule against its privacy invariants.
-
-    Rows are re-validated at write time so a row can never reach disk with a
-    schedule that violates its own preconditions, whatever path produced it.
-    The non-private baseline and the boosted meta-schedule carry no step-size
-    precondition of their own.
-    """
-    plan_cls = ALGORITHMS[record.algorithm][1]
-    if plan_cls is not None:
-        plan_cls(**json.loads(record.plan_json)).validate()
-
-
-def _run_trial_task(args: tuple) -> tuple:
-    cfg, base_dir, n, trial = args
-    record = _run_trial(cfg, base_dir, n, trial)
-    return (n, trial, record)
 
 
 # --------------------------------------------------------------------------
@@ -466,45 +513,26 @@ def _run_trial_task(args: tuple) -> tuple:
 
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
-    base_dir = os.path.dirname(os.path.abspath(args.config))
-    n_grid = _require(cfg, "n_grid")
-    if not isinstance(n_grid, list):
-        raise ConfigError(f"config field 'n_grid' must be a list, got {n_grid!r}")
-    n_grid = [_number(int, v, "n_grid") for v in n_grid]
-    trials = _number(int, _require(cfg, "trials"), "trials")
-    if trials < 1 or not n_grid:
-        raise ConfigError("need at least one n value and one trial")
-    PrivacyParams(_number(float, _require(cfg, "epsilon"), "epsilon"),
-                  _number(float, _require(cfg, "delta"), "delta"))
-    master_seed = _number(int, _require(cfg, "master_seed"), "master_seed")
-
-    tasks = [(cfg, base_dir, n, t) for n in n_grid for t in range(trials)]
+    run, n_grid, trials = _parse_run(cfg, os.path.dirname(os.path.abspath(args.config)))
+    cells = [(run, n, t) for n in n_grid for t in range(trials)]
     started = time.perf_counter()
     if args.jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_run_trial_task, tasks))
+            records = list(pool.map(_run_trial, *zip(*cells)))
     else:
-        results = [_run_trial_task(t) for t in tasks]
-    results.sort(key=lambda r: (r[0], r[1]))
-    records = [r[2] for r in results]
+        records = [_run_trial(*cell) for cell in cells]
+    records.sort(key=lambda r: (r.n, r.trial))
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for rec in records:
-        _revalidate_plan(rec)
-        writer.writerow(rec.csv_row())
-    with open(args.out, "w", newline="") as fh:
-        fh.write(buf.getvalue())
-    meta = {
+    with _atomic_write(args.out, newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(CSV_COLUMNS)
+        writer.writerows(rec.csv_row() for rec in records)
+    _write_json(args.out + ".meta.json", {
         "config_hash": config_hash(cfg),
         "code_version": __version__,
-        "master_seed": master_seed,
+        "master_seed": run.master_seed,
         "rows": len(records),
-    }
-    with open(args.out + ".meta.json", "w") as fh:
-        json.dump(meta, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    })
     elapsed = time.perf_counter() - started
     total_ms = sum(r.wall_time_ms for r in records)
     print(
@@ -523,15 +551,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
         reports = run_all_suites(args.reps, rng)
     else:
         reports = [verify_maurey_suite(args.suite, args.reps, rng)]
-    payload = {
+    passed = all(r.passed for r in reports)
+    _write_json(args.out, {
         "reps": args.reps,
         "seed": args.seed,
         "suites": [r.as_dict() for r in reports],
-        "passed": all(r.passed for r in reports),
-    }
-    with open(args.out, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        "passed": passed,
+    })
     for r in reports:
         status = "PASS" if r.passed else "FAIL"
         extra = f"  [{r.warning}]" if r.warning else ""
@@ -540,34 +566,26 @@ def cmd_verify(args: argparse.Namespace) -> int:
             f"bound={r.bound:.6g} slack={r.slack:.6g}{extra}",
             file=sys.stderr,
         )
-    return EXIT_OK if payload["passed"] else EXIT_ORACLE
+    return EXIT_OK if passed else EXIT_ORACLE
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
-    base_dir = os.path.dirname(os.path.abspath(args.config))
-    problem_cfg = _require(cfg, "problem")
-    if _require(problem_cfg, "kind") != "synth_data":
-        raise ConfigError("synth needs a synth_data problem")
-    problem = _build_synth_problem(problem_cfg, base_dir)
-    privacy = PrivacyParams(_number(float, _require(cfg, "epsilon"), "epsilon"),
-                            _number(float, _require(cfg, "delta"), "delta"))
-    rng = RngStream(_number(int, _require(cfg, "master_seed"), "master_seed")).child("synth")
-    report = synth_data_generate(problem, privacy, rng)
-    with open(args.out, "w", newline="") as fh:
+    privacy, master_seed = _budget(cfg)
+    problem = _build_problem(cfg, "synth_data", "synth", master_seed,
+                             os.path.dirname(os.path.abspath(args.config)))
+    report = synth_data_generate(problem, privacy, RngStream(master_seed).child("synth"))
+    with _atomic_write(args.out, newline="") as fh:
         for v in report.synthetic:
             fh.write(f"{int(v)}\n")
-    payload = {
+    _write_json(args.out + ".report.json", {
         "config_hash": config_hash(cfg),
         "code_version": __version__,
         "max_query_error": report.max_query_error,
         "query_errors": [float(e) for e in report.query_errors],
         "samples_used": report.samples_used,
         "plan": dataclasses.asdict(report.plan),
-    }
-    with open(args.out + ".report.json", "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    })
     print(f"max query error {report.max_query_error:.6g}", file=sys.stderr)
     return EXIT_OK
 
@@ -579,10 +597,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="execute a seeded experiment grid")
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--out", required=True)
-    p_run.add_argument(
-        "--jobs", type=int, default=int(os.environ.get("DPSIMPLEX_JOBS", "1")),
-        help="trial-level worker processes (default: DPSIMPLEX_JOBS or 1)",
-    )
+    p_run.add_argument("--jobs", type=int, default=1,
+                       help="trial-level worker processes (default: 1)")
     p_run.set_defaults(func=cmd_run)
 
     p_verify = sub.add_parser("verify", help="run sparsification verification suites")

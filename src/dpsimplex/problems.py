@@ -309,6 +309,15 @@ def smoothed_max_bilinear(A: np.ndarray, x: np.ndarray, lam: float) -> float:
 # synthetic data generation
 
 
+def _query_matrix(queries) -> np.ndarray:
+    Q = np.asarray(queries, dtype=np.float64)
+    if Q.ndim != 2:
+        raise ValueError("queries must form a (num_queries, domain_size) matrix")
+    if not (np.isfinite(Q).all() and np.abs(Q).max(initial=0.0) <= 1.0 + 1e-12):
+        raise ValueError("query values must be finite and lie in [-1, 1]")
+    return Q
+
+
 class SynthDataObjective(PerSampleObjective):
     """Query-matching objective f(x, y; z) = sum_j y_j (q_j(z) - <q_j, x>).
 
@@ -317,11 +326,7 @@ class SynthDataObjective(PerSampleObjective):
     """
 
     def __init__(self, queries: np.ndarray):
-        Q = np.asarray(queries, dtype=np.float64)
-        if Q.ndim != 2:
-            raise ValueError("queries must form a (num_queries, domain_size) matrix")
-        if np.abs(Q).max() > 1.0 + 1e-12:
-            raise ValueError("query values must lie in [-1, 1]")
+        Q = _query_matrix(queries)
         self.Q = Q
         self.d_x = Q.shape[1]
         self.d_y = Q.shape[0]
@@ -367,12 +372,18 @@ class SynthDataProblem:
     reference: np.ndarray | None = None
 
     def __post_init__(self):
-        Q = np.asarray(self.queries, dtype=np.float64)
+        Q = _query_matrix(self.queries)
         data = np.asarray(self.data, dtype=np.int64)
         if data.min(initial=0) < 0 or data.max(initial=0) >= Q.shape[1]:
             raise ValueError("category indices outside the query domain")
         object.__setattr__(self, "queries", Q)
         object.__setattr__(self, "data", data)
+        if self.true_dist is not None:
+            dist = np.asarray(self.true_dist, dtype=np.float64)
+            if dist.shape != (Q.shape[1],) or not np.isfinite(dist).all():
+                raise ValueError(f"true_dist must hold {Q.shape[1]} finite entries, "
+                                 f"one per category")
+            object.__setattr__(self, "true_dist", dist)
 
     @property
     def domain_size(self) -> int:
@@ -380,7 +391,7 @@ class SynthDataProblem:
 
     def reference_answers(self) -> np.ndarray:
         if self.true_dist is not None:
-            return self.queries @ np.asarray(self.true_dist, dtype=np.float64)
+            return self.queries @ self.true_dist
         if self.reference is not None:
             ref = np.asarray(self.reference, dtype=np.int64)
             return self.queries[:, ref].mean(axis=1)
@@ -416,6 +427,7 @@ def synth_data_generate(
     instead of matching it.
     """
     Q = p.queries
+    reference = p.reference_answers()  # before the solve: a problem without one fails fast
     obj = SynthDataObjective(np.vstack([Q, -Q]))
     n = p.data.size
     ell = math.log(obj.d_x) + math.log(obj.d_y)
@@ -428,7 +440,7 @@ def synth_data_generate(
     released = sol.x_vertex_indices
     synthetic = released[rng.child("resample").gen.integers(0, released.size, size=n)]
     answers = p.queries[:, synthetic].mean(axis=1)
-    errors = np.abs(p.reference_answers() - answers)
+    errors = np.abs(reference - answers)
     return SynthReport(
         synthetic=synthetic,
         max_query_error=float(errors.max()),

@@ -1,21 +1,29 @@
+import contextlib
 import csv
+import dataclasses
 import hashlib
+import io
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
+import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dpsimplex import cli
 from dpsimplex.cli import (
     EXIT_BUDGET,
     EXIT_CONFIG,
     EXIT_OK,
     load_categories,
+    PAYOFF_MAGIC,
     load_payoff,
     main,
     save_payoff,
@@ -257,6 +265,98 @@ def test_run_rejects_a_mode_the_planner_lacks(tmp_path, capsys):
     assert err.startswith("config error:") and "Traceback" not in err
 
 
+def _synth_doc(tmp_path, **problem):
+    doc = json.loads(synth_config(tmp_path, [0, 1, 1]).read_text())
+    doc["problem"].update(problem)
+    return doc
+
+
+def _game_doc(tmp_path, **fields):
+    doc = write_config(tmp_path / "cfg.json", n_grid=[300], trials=1)
+    doc.update(fields)
+    return doc
+
+
+def _payoff(value):
+    return lambda tmp_path: _game_doc(tmp_path, problem={"kind": "matrix_game", "payoff": value})
+
+
+# each case: (command, config document or raw text); each exits 1 with a traceback, or
+# 0, without the boundary checks, except overrides_list, which exits 2 with a message
+# that does not say the field must be an object
+_BOUNDARY_CASES = {
+    "ragged_payoff": ("run", _payoff([[1.0, 2.0], [3.0]])),
+    "nan_payoff_entry": ("run", _payoff([[1.0, float("nan")], [0.5, 0.2]])),
+    "text_payoff": ("run", _payoff("abc")),
+    "empty_payoff": ("run", _payoff([[]])),
+    "text_noise_scale": ("run", lambda tmp_path: _game_doc(tmp_path, problem={
+        "kind": "matrix_game", "payoff": [[1.0, 0.0], [0.0, 1.0]], "noise_scale": "abc"})),
+    "integer_payoff_file": ("run", lambda tmp_path: _game_doc(tmp_path, problem={
+        "kind": "matrix_game", "payoff_file": 5})),
+    "problem_not_object": ("run", lambda tmp_path: _game_doc(tmp_path, problem=5)),
+    "boosting_list": ("run", lambda tmp_path: _game_doc(tmp_path, algorithm="boosted",
+                                                        boosting=[1])),
+    "algorithm_list": ("run", lambda tmp_path: _game_doc(tmp_path, algorithm=["x"])),
+    "overrides_list": ("run", lambda tmp_path: _game_doc(tmp_path, overrides=[1])),
+    "trials_fractional": ("run", lambda tmp_path: _game_doc(tmp_path, trials=1.5)),
+    "n_past_int64": ("run", lambda tmp_path: _game_doc(tmp_path, n_grid=[10**30])),
+    "master_seed_negative": ("run", lambda tmp_path: _game_doc(tmp_path, master_seed=-1)),
+    "master_seed_2_64": ("run", lambda tmp_path: _game_doc(tmp_path, master_seed=2**64)),
+    "text_queries": ("synth", lambda tmp_path: _synth_doc(tmp_path, queries="abc")),
+    "ragged_queries": ("synth", lambda tmp_path: _synth_doc(tmp_path,
+                                                            queries=[[1.0, 0.0], [1.0]])),
+    "text_true_dist": ("synth", lambda tmp_path: _synth_doc(tmp_path, true_dist="abc")),
+    "version_true": ("run", lambda tmp_path: _game_doc(tmp_path, version=True)),
+    "int_past_the_digit_limit": ("run", lambda tmp_path: '{"version": 1, "trials": 1%s}'
+                                 % ("0" * 5000)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BOUNDARY_CASES))
+def test_malformed_config_field_exits_2(tmp_path, capsys, case):
+    command, make_doc = _BOUNDARY_CASES[case]
+    cfg = tmp_path / "case.json"
+    doc = make_doc(tmp_path)
+    cfg.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    out = tmp_path / "o.csv"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+    assert not out.exists()
+    if case == "overrides_list":
+        assert "'overrides' must be a JSON object" in err
+
+
+@pytest.mark.parametrize("value,accepted", [(2.0, True), (True, False), ("2", False)])
+def test_integer_fields_take_integral_numbers_only(tmp_path, value, accepted):
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, n_grid=[300], trials=value)
+    code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o.csv")])
+    assert code == (EXIT_OK if accepted else EXIT_CONFIG)
+
+
+@pytest.mark.parametrize("algorithm,overrides", [
+    ("smd_vertex", {"T": 10, "tau": 10.0, "K": 1}),
+    ("smd_bias_reduced", {"U": 1e6, "M": 1, "alpha": 0.5, "tau": 1e-3}),
+    ("dp_sco", {"T": 10, "tau": 10.0, "K": 1, "q": 5}),
+])
+def test_over_cap_override_is_stopped_by_the_solver(tmp_path, capsys, algorithm, overrides):
+    # the solver's entry validate() is the one check of an override plan
+    if algorithm == "dp_sco":
+        doc = json.loads((REPO / "configs" / "sco_example.json").read_text())
+        doc.update(n_grid=[1000], trials=1, overrides=overrides)
+    else:
+        doc = _game_doc(tmp_path, algorithm=algorithm, n_grid=[5000], overrides=overrides)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "o.csv"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_BUDGET
+    err = capsys.readouterr().err
+    # the entry check's message, not the post-run audit's
+    assert err.startswith("budget error:") and "exceeds privacy cap" in err
+    assert os.listdir(tmp_path) == ["cfg.json"]
+
+
 def test_cli_import_leaves_scipy_out():
     code = "import sys, dpsimplex.cli; print('scipy' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -377,7 +477,44 @@ def test_synth_rejects_malformed_inline_data(tmp_path, capsys, data):
     assert err.startswith("config error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("problem", [
+    {"queries": [[5.0] * 16], "data": list(range(16))},
+    {"queries": [[0.5] * 16], "data": list(range(16)), "true_dist": [0.5, 0.5]},
+], ids=["queries_outside_unit_interval", "true_dist_of_the_wrong_length"])
+def test_synth_checks_its_problem_before_solving(tmp_path, capsys, monkeypatch, problem):
+    doc = _synth_doc(tmp_path, **problem)
+    del doc["problem"]["data_file"]
+    cfg = tmp_path / "s.json"
+    cfg.write_text(json.dumps(doc))
+
+    def solve(*args):
+        raise AssertionError("the problem reached the solver")
+
+    monkeypatch.setattr(cli, "synth_data_generate", solve)
+    out = tmp_path / "o.csv"
+    assert main(["synth", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: bad synth_data problem")
+    assert not out.exists()
+
+
 # ---- file formats ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("rows,cols,body", [(2**31, 2**31, b""), (1000, 1000, bytes(16))],
+                         ids=["2^31_square", "1000_square_over_16_bytes"])
+def test_payoff_header_is_checked_against_the_file_size(tmp_path, capsys, rows, cols, body):
+    (tmp_path / "game.bin").write_bytes(PAYOFF_MAGIC + struct.pack("<II", rows, cols) + body)
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, problem={"kind": "matrix_game", "payoff_file": "game.bin"})
+    tracemalloc.start()
+    try:
+        code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o.csv")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG and "game.bin: truncated payoff matrix" in err
+    assert peak < 1_000_000  # the headers claim 8 MB and 2^65 bytes
 
 
 def test_payoff_roundtrip(tmp_path):
@@ -492,3 +629,104 @@ def test_categories_loader_matches_row_reader(tmp_path_factory, rows, eol, last)
     with open(path, "w", newline="") as fh:
         fh.write(eol.join(rows) + (eol if last else ""))
     assert _outcome(load_categories, path) == _outcome(_categories_by_row, path)
+
+
+# ---- outputs ---------------------------------------------------------------------
+
+
+def test_atomic_write_keeps_the_old_output_on_error(tmp_path):
+    target = tmp_path / "out.csv"
+    target.write_text("old\n")
+    with pytest.raises(RuntimeError):
+        with cli._atomic_write(str(target)) as fh:
+            fh.write("partial\n")
+            raise RuntimeError("fails partway")
+    assert os.listdir(tmp_path) == ["out.csv"] and target.read_text() == "old\n"
+
+
+def test_synth_failing_partway_through_its_csv_keeps_the_old_output(tmp_path, monkeypatch):
+    cfg = synth_config(tmp_path, [0, 1, 1, 0])
+    out = tmp_path / "o.csv"
+    out.write_text("old\n")
+    generate = cli.synth_data_generate
+
+    def unwritable_third_row(*args):
+        report = generate(*args)
+        return dataclasses.replace(report, synthetic=np.array([0, 1, None], dtype=object))
+
+    monkeypatch.setattr(cli, "synth_data_generate", unwritable_third_row)
+    with pytest.raises(TypeError):
+        main(["synth", "--config", str(cfg), "--out", str(out)])
+    assert sorted(os.listdir(tmp_path)) == ["cats.csv", "o.csv", "synth.json"]
+    assert out.read_text() == "old\n"
+
+
+# ---- fuzzing the config boundary ---------------------------------------------------
+
+# small numbers only: a drawn n_grid entry, trials, T, K, I or J stays far below 10^4
+_FUZZ_VALUES = st.one_of(
+    st.sampled_from(["abc", "", None, True, False, [], [1], {}, {"a": 1}, [[1.0, 2.0], [3.0]],
+                     float("nan"), float("inf"), float("-inf"), -1, -2.5, 0, 0.5, 1.5, 2.0,
+                     "quadratic", "second_order", "boosted", "nonprivate_smd",
+                     "smd_bias_reduced", "dp_sco", "synth_data", "quadratic_sco"]),
+    st.integers(-3, 40),
+    st.floats(-2.0, 2.0),
+)
+
+_FUZZ_RUN = {
+    "version": 1,
+    "problem": {"kind": "matrix_game", "payoff": [[0.5, -0.2, 0.1], [-0.3, 0.4, 0.0],
+                                                  [0.2, 0.1, -0.6]], "noise_scale": 0.3},
+    "algorithm": "smd_vertex",
+    "mode": "quadratic",
+    "epsilon": 1.0,
+    "delta": 1e-5,
+    "n_grid": [300],
+    "trials": 1,
+    "master_seed": 7,
+}
+_FUZZ_CONFIGS = {
+    "run": _FUZZ_RUN,
+    "run_overridden": {**_FUZZ_RUN, "overrides": {"T": 10, "tau": 1e-4, "K": 1}},
+    "run_boosted": {**_FUZZ_RUN, "algorithm": "boosted", "boosting": {"I": 1, "J": 1}},
+    "synth": {
+        "version": 1,
+        "problem": {"kind": "synth_data", "queries": [[1.0, -1.0, 0.5], [0.25, 0.0, -0.5]],
+                    "data": [0, 1, 2, 1, 0, 2, 1, 1], "true_dist": [0.25, 0.5, 0.25]},
+        "epsilon": 1.0,
+        "delta": 1e-5,
+        "master_seed": 3,
+    },
+}
+
+
+def _paths(node, prefix=()):
+    """Key paths of a config's fields: every key of an object, the first entry of a list."""
+    items = node.items() if isinstance(node, dict) else [(0, node[0])] if node else []
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _paths(value, prefix + (key,))
+
+
+@settings(max_examples=150, deadline=None)
+@given(base=st.sampled_from(sorted(_FUZZ_CONFIGS)), data=st.data(), value=_FUZZ_VALUES)
+def test_fuzzed_config_ends_in_a_documented_exit(base, data, value):
+    doc = json.loads(json.dumps(_FUZZ_CONFIGS[base]))
+    path = data.draw(st.sampled_from(list(_paths(doc))))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    command = "synth" if base == "synth" else "run"
+    with tempfile.TemporaryDirectory() as td:
+        cfg, out = os.path.join(td, "cfg.json"), os.path.join(td, "out.csv")
+        with open(cfg, "w") as fh:
+            json.dump(doc, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([command, "--config", cfg, "--out", out])
+        assert code in (0, 2, 3, 4, 5), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        if code != 0:
+            assert os.listdir(td) == ["cfg.json"]
