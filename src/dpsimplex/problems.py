@@ -528,8 +528,10 @@ class SeparableQuadratic(ConvexObjective):
         eta = np.asarray(noise, dtype=np.float64)
         if not (c.shape == a.shape == eta.shape) or c.ndim != 1:
             raise ValueError("weights, target and noise must be equal-length vectors")
-        if np.any(c <= 0):
-            raise ValueError("quadratic weights must be positive")
+        if not (np.isfinite(c).all() and (c > 0).all()):
+            raise ValueError("quadratic weights must be positive and finite")
+        if not np.isfinite(eta).all():
+            raise ValueError("quadratic noise must be finite")
         SimplexPoint(a)  # the known minimizer must be feasible
         self.c = c
         self.a = a

@@ -6,6 +6,14 @@ the advertised rates. Each suite reports the measured statistic, the analytic
 bound, and a 3-sigma Monte-Carlo allowance; a suite passes when
 ``measured <= bound + slack``. Failing is a report outcome, not an exception.
 
+The kernel, ``_sparsified_means``, draws one uniform per rep and sequence
+element, in a fixed stream order, and inverts the element's CDF with a
+Chen & Asau guide table (``_guide_search``; Devroye 1986, section III.2). The
+lookup equals ``searchsorted(side="left")`` exactly, so a seed gives the same
+vertices, and the same report bytes, as a binary search per draw would; the
+alias method is faster but would change the draws. Vertex counts are kept as
+small integers and divided by T once.
+
 Test functions and their constants on the simplex (gradients w.r.t. the
 1-norm, so Lipschitz constants are sup-norm bounds):
 
@@ -28,6 +36,7 @@ from .rng import RngStream
 
 DEFAULT_REPS = 100_000
 MIN_REPS = 10_000
+GUIDE_BUCKETS = 4096  # a power of two, so u * GUIDE_BUCKETS is exact
 
 SUITE_NAMES = (
     "value_bias",
@@ -67,11 +76,16 @@ def _quad_grad(p):
 
 
 def _cubic_grad(p):
-    return 3.0 * p * p
+    g = 3.0 * p
+    g *= p
+    return g
 
 
 def _hinge_grad(p, c):
-    return 2.0 * np.maximum(p - c, 0.0)
+    g = p - c
+    np.maximum(g, 0.0, out=g)
+    g *= 2.0
+    return g
 
 
 # ---- sampling machinery ----------------------------------------------------
@@ -82,21 +96,46 @@ def _fixed_sequence(d: int, T: int, rng: RngStream) -> np.ndarray:
     return rng.gen.dirichlet(np.ones(d), size=T)
 
 
+def _guide_search(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``np.minimum(cdf.searchsorted(u, side="left"), d - 1)``, by a guide table.
+
+    Chen & Asau's guide table: ``lo[b]`` counts the CDF entries below
+    ``b / GUIDE_BUCKETS``, so the answer for a ``u`` in bucket ``b`` lies in
+    ``[lo[b], lo[b + 1]]``, with ``d`` standing in for ``lo[GUIDE_BUCKETS]``.
+    Starting at ``lo[b]``, as many steps ``idx += cdf[idx] < u`` as the widest
+    bucket spans reach it exactly; an appended ``inf`` stops every step past
+    the last entry. ``cdf`` must be nondecreasing and ``u`` in [0, 1).
+    """
+    d = cdf.shape[0]
+    lo = cdf.searchsorted(np.arange(GUIDE_BUCKETS) / GUIDE_BUCKETS, side="left")
+    span = int(np.diff(lo, append=d).max())
+    cdf_pad = np.append(cdf, np.inf)
+    idx = lo[(u * GUIDE_BUCKETS).astype(np.intp)]
+    for _ in range(span):
+        idx += cdf_pad[idx] < u
+    return np.minimum(idx, d - 1, out=idx)
+
+
 def _sparsified_means(xs: np.ndarray, reps: int, rng: RngStream) -> np.ndarray:
     """For each rep draw one vertex per sequence element and average.
 
     Returns an array of shape (reps, d): row r is the empirical mean of T iid
-    one-hot draws, one from each distribution in ``xs``.
+    one-hot draws, one from each distribution in ``xs``. Element t takes one
+    uniform per rep, in rep order, from ``rng`` and inverts its CDF with
+    ``_guide_search``. Counts are kept as integers and divided by T once, so
+    an entry is k / T correctly rounded (for the power-of-two T of every
+    suite, the exact sum of k terms 1 / T).
     """
     T, d = xs.shape
-    out = np.zeros((reps, d))
-    rows = np.arange(reps)
+    counts = np.zeros((reps, d), dtype=np.min_scalar_type(T))
+    flat = counts.reshape(-1)
+    row_starts = np.arange(0, reps * d, d)
     cdfs = np.cumsum(xs, axis=1)
     for t in range(T):
-        u = rng.gen.random(reps)
-        idx = np.minimum(np.searchsorted(cdfs[t], u, side="left"), d - 1)
-        np.add.at(out, (rows, idx), 1.0 / T)
-    return out
+        idx = _guide_search(cdfs[t], rng.gen.random(reps))
+        idx += row_starts
+        flat[idx] += 1  # one index per row, so no target repeats
+    return counts / T
 
 
 def _mean_sigma(per_rep: np.ndarray) -> float:
@@ -122,7 +161,9 @@ def _suite_grad_bias_second_order(reps, rng, d=50, K=64):
     L2 = 6.0
     x = rng.child("point").gen.dirichlet(np.ones(d))
     abar = _sparsified_means(np.tile(x, (K, 1)), reps, rng.child("draws"))
-    diffs = _cubic_grad(abar) - _cubic_grad(x)
+    diffs = _cubic_grad(abar)
+    del abar
+    diffs -= _cubic_grad(x)
     bias = diffs.mean(axis=0)
     measured = float(np.abs(bias).max())
     bound = 2.0 * L2 / K
@@ -135,7 +176,9 @@ def _suite_grad_bias_first_order(reps, rng, d=50, K=64):
     c = 1.0 / d  # kink sits where coordinates concentrate, so the bias is real
     x = rng.child("point").gen.dirichlet(np.ones(d))
     abar = _sparsified_means(np.tile(x, (K, 1)), reps, rng.child("draws"))
-    diffs = _hinge_grad(abar, c) - _hinge_grad(x, c)
+    diffs = _hinge_grad(abar, c)
+    del abar
+    diffs -= _hinge_grad(x, c)
     bias = diffs.mean(axis=0)
     measured = float(np.abs(bias).max())
     bound = 4.0 * L1 / math.sqrt(K)
@@ -184,7 +227,10 @@ def _suite_grad_error_moment_second_order(reps, rng, d=50, T=64):
     xs = _fixed_sequence(d, T, rng.child("seq"))
     abar = _sparsified_means(xs, reps, rng.child("draws"))
     xbar = xs.mean(axis=0)
-    stat = np.max(np.abs(_cubic_grad(abar) - _cubic_grad(xbar)), axis=1) ** 2
+    err = _cubic_grad(abar)
+    del abar
+    err -= _cubic_grad(xbar)
+    stat = np.abs(err, out=err).max(axis=1) ** 2
     measured = float(stat.mean())
     bound = 8.0 * L2**2 / T**2 + 8.0 * L1**2 * (4.0 + math.log(d)) / T
     sigma = _mean_sigma(stat)
@@ -196,7 +242,10 @@ def _suite_grad_error_moment_first_order(reps, rng, d=50, T=64):
     xs = _fixed_sequence(d, T, rng.child("seq"))
     abar = _sparsified_means(xs, reps, rng.child("draws"))
     xbar = xs.mean(axis=0)
-    stat = np.max(np.abs(_quad_grad(abar) - _quad_grad(xbar)), axis=1) ** 2
+    err = _quad_grad(abar)
+    del abar
+    err -= _quad_grad(xbar)
+    stat = np.abs(err, out=err).max(axis=1) ** 2
     measured = float(stat.mean())
     logd = 4.0 + math.log(d)
     bound = 8.0 * math.sqrt(2.0) * L1**2 / (T**1.5 * math.sqrt(logd)) + 8.0 * math.sqrt(

@@ -281,9 +281,18 @@ def _payoff(value):
     return lambda tmp_path: _game_doc(tmp_path, problem={"kind": "matrix_game", "payoff": value})
 
 
+def _quadratic(key, value):
+    def make_doc(tmp_path):
+        doc = json.loads((REPO / "configs" / "sco_example.json").read_text())
+        doc["problem"][key][0] = value
+        return doc
+    return make_doc
+
+
 # each case: (command, config document or raw text); each exits 1 with a traceback, or
 # 0, without the boundary checks, except overrides_list, which exits 2 with a message
-# that does not say the field must be an object
+# that does not say the field must be an object, and the non-finite quadratic entries,
+# which exit 3 with the planner's budget error on L0
 _BOUNDARY_CASES = {
     "ragged_payoff": ("run", _payoff([[1.0, 2.0], [3.0]])),
     "nan_payoff_entry": ("run", _payoff([[1.0, float("nan")], [0.5, 0.2]])),
@@ -309,6 +318,10 @@ _BOUNDARY_CASES = {
     "version_true": ("run", lambda tmp_path: _game_doc(tmp_path, version=True)),
     "int_past_the_digit_limit": ("run", lambda tmp_path: '{"version": 1, "trials": 1%s}'
                                  % ("0" * 5000)),
+    "nan_quadratic_weight": ("run", _quadratic("weights", float("nan"))),
+    "inf_quadratic_weight": ("run", _quadratic("weights", float("inf"))),
+    "nan_quadratic_noise": ("run", _quadratic("noise", float("nan"))),
+    "neg_inf_quadratic_noise": ("run", _quadratic("noise", float("-inf"))),
 }
 
 
