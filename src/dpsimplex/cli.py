@@ -93,6 +93,8 @@ EXIT_BUDGET = 3
 EXIT_DATASET = 4
 EXIT_ORACLE = 5
 
+MAX_GRID_CELLS = 100_000  # (n, trial) cells are built before the first trial; shipped grids: 6
+
 CSV_COLUMNS = [
     "trial", "n", "algorithm", "mode", "metric", "metric_value",
     "inner_error_bound", "samples_used", "steps_run", "vertex_draws",
@@ -368,6 +370,8 @@ def _parse_run(cfg: dict, base_dir: str) -> tuple[_Run, list[int], int]:
     trials = _number(int, _require(cfg, "trials"), "trials")
     if trials < 1 or not n_grid or not all(1 <= n < 2**63 for n in n_grid):
         raise ConfigError("need at least one trial and one n value, each n in [1, 2^63)")
+    if len(n_grid) * trials > MAX_GRID_CELLS:
+        raise ConfigError(f"{len(n_grid)} n values x {trials} trials: over {MAX_GRID_CELLS} cells")
     privacy, master_seed = _budget(cfg)
     overrides = _overrides(algorithm, _section(cfg, "overrides"))
     boosting = _boosting(_section(cfg, "boosting")) if algorithm == "boosted" else None

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DatasetError, OracleError
 from .rng import RngStream
-from .simplex import SimplexPoint, sample_vertex_indices
+from .simplex import SimplexPoint, inverse_cdf, sample_vertex_indices
 
 
 class PerSampleObjective:
@@ -157,9 +157,7 @@ class TruncGeom:
 
 def sample_trunc_geom(tg: TruncGeom, rng: RngStream) -> int:
     """Draw N in {0..M} with P[N = k] proportional to p^k."""
-    cdf = np.cumsum(tg.pmf())
-    idx = int(np.searchsorted(cdf, rng.gen.random(), side="left"))
-    return min(idx, tg.M)
+    return int(inverse_cdf(np.cumsum(tg.pmf()), rng.gen.random(1))[0])
 
 
 def batch_gradient(
@@ -209,10 +207,8 @@ def bias_reduced_gradient(
     y_plus = _mean_one_hot(ys, y.dim)
     x_minus = _mean_one_hot(xs[:half], x.dim)
     y_minus = _mean_one_hot(ys[:half], y.dim)
-    x_first = np.zeros(x.dim)
-    x_first[xs[0]] = 1.0
-    y_first = np.zeros(y.dim)
-    y_first[ys[0]] = 1.0
+    x_first = _mean_one_hot(xs[:1], x.dim)
+    y_first = _mean_one_hot(ys[:1], y.dim)
 
     scale = tg.C_M * half
     gx = scale * (
@@ -251,16 +247,20 @@ def check_objective(
         z = zs[int(gen.integers(len(zs)))]
         gx = obj.grad_x(x, y, z)
         gy = obj.grad_y(x, y, z)
-        assert np.abs(gx).max() <= obj.L0 * (1 + 1e-9), "grad_x exceeds L0"
-        assert np.abs(gy).max() <= obj.L0 * (1 + 1e-9), "grad_y exceeds L0"
+        if not np.abs(gx).max() <= obj.L0 * (1 + 1e-9):
+            raise AssertionError("grad_x exceeds L0")
+        if not np.abs(gy).max() <= obj.L0 * (1 + 1e-9):
+            raise AssertionError("grad_y exceeds L0")
 
         dx = gen.dirichlet(np.ones(obj.d_x)) - x
         dy = gen.dirichlet(np.ones(obj.d_y)) - y
         num = (obj.value(x + h * dx, y, z) - obj.value(x - h * dx, y, z)) / (2 * h)
         ana = float(gx @ dx)
         scale = max(1.0, abs(ana))
-        assert abs(num - ana) <= rel_tol * scale, f"x-directional derivative off: {num} vs {ana}"
+        if not abs(num - ana) <= rel_tol * scale:
+            raise AssertionError(f"x-directional derivative off: {num} vs {ana}")
         num = (obj.value(x, y + h * dy, z) - obj.value(x, y - h * dy, z)) / (2 * h)
         ana = float(gy @ dy)
         scale = max(1.0, abs(ana))
-        assert abs(num - ana) <= rel_tol * scale, f"y-directional derivative off: {num} vs {ana}"
+        if not abs(num - ana) <= rel_tol * scale:
+            raise AssertionError(f"y-directional derivative off: {num} vs {ana}")

@@ -385,10 +385,6 @@ class SynthDataProblem:
                                  f"one per category")
             object.__setattr__(self, "true_dist", dist)
 
-    @property
-    def domain_size(self) -> int:
-        return self.queries.shape[1]
-
     def reference_answers(self) -> np.ndarray:
         if self.true_dist is not None:
             return self.queries @ self.true_dist

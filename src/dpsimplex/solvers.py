@@ -304,19 +304,26 @@ def solve_boosted(
     if cand_size < 1 or inner_size < 1:
         raise BudgetError(f"shards too small for I={I}, J={J} with n={n}")
 
+    # every candidate shard holds cand_size samples and every inner shard
+    # inner_size, and the frozen objectives keep obj's constants: one plan each
+    try:
+        cand_plan = plan_bias_reduced(
+            cand_size, privacy.epsilon, privacy.delta, obj.L0, obj.L1, obj.L2, ell
+        )
+        plan_x = plan_anytime_sco(inner_size, privacy.epsilon, privacy.delta, obj.L0, obj.L1,
+                                  obj.L2, math.log(obj.d_x), "second_order")
+        plan_y = plan_anytime_sco(inner_size, privacy.epsilon, privacy.delta, obj.L0, obj.L1,
+                                  obj.L2, math.log(obj.d_y), "second_order")
+    except BudgetError as exc:
+        raise BudgetError(f"shards of {cand_size} and {inner_size} samples: {exc}") from exc
+
     samples = 0
     steps = 0
     draws = 0
     pairs: list[tuple[np.ndarray, np.ndarray]] = []
     for i in range(I):
         shard = Dataset(parts[0][i * cand_size : (i + 1) * cand_size])
-        try:
-            plan = plan_bias_reduced(
-                shard.n, privacy.epsilon, privacy.delta, obj.L0, obj.L1, obj.L2, ell
-            )
-        except BudgetError as exc:
-            raise BudgetError(f"candidate shard {i}: {exc}") from exc
-        sol, _ = solve_smd_bias_reduced(obj, shard, plan, rng.child("candidate", i))
+        sol, _ = solve_smd_bias_reduced(obj, shard, cand_plan, rng.child("candidate", i))
         pairs.append((sol.x.coords, sol.y.coords))
         samples += sol.samples_used
         steps += sol.steps_run
@@ -332,17 +339,6 @@ def solve_boosted(
             # x_ij approximately minimizes x -> F(x, y_i); y_ij maximizes y -> F(x_i, y)
             fx = FrozenYObjective(obj, pairs[i][1])
             fy = FrozenXObjective(obj, pairs[i][0])
-            try:
-                plan_x = plan_anytime_sco(
-                    sl2.n, privacy.epsilon, privacy.delta, fx.L0, fx.L1, fx.L2,
-                    math.log(obj.d_x), "second_order",
-                )
-                plan_y = plan_anytime_sco(
-                    sl3.n, privacy.epsilon, privacy.delta, fy.L0, fy.L1, fy.L2,
-                    math.log(obj.d_y), "second_order",
-                )
-            except BudgetError as exc:
-                raise BudgetError(f"inner shard ({i},{j}): {exc}") from exc
             sx = solve_dp_sco(fx, sl2, plan_x, rng.child("inner_x", i, j))
             sy = solve_dp_sco(fy, sl3, plan_y, rng.child("inner_y", i, j))
             x_table[i].append(sx.w_hat.coords)

@@ -6,13 +6,9 @@ the advertised rates. Each suite reports the measured statistic, the analytic
 bound, and a 3-sigma Monte-Carlo allowance; a suite passes when
 ``measured <= bound + slack``. Failing is a report outcome, not an exception.
 
-The kernel, ``_sparsified_means``, draws one uniform per rep and sequence
-element, in a fixed stream order, and inverts the element's CDF with a
-Chen & Asau guide table (``_guide_search``; Devroye 1986, section III.2). The
-lookup equals ``searchsorted(side="left")`` exactly, so a seed gives the same
-vertices, and the same report bytes, as a binary search per draw would; the
-alias method is faster but would change the draws. Vertex counts are kept as
-small integers and divided by T once.
+The kernel, ``_sparsified_means``, inverts each CDF by the guide table of
+:func:`~dpsimplex.simplex.inverse_cdf`, not by the solvers' binary search, and
+counts no releases; the alias method is faster but would change the draws.
 
 Test functions and their constants on the simplex (gradients w.r.t. the
 1-norm, so Lipschitz constants are sup-norm bounds):
@@ -33,10 +29,9 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .rng import RngStream
+from .simplex import inverse_cdf
 
-DEFAULT_REPS = 100_000
 MIN_REPS = 10_000
-GUIDE_BUCKETS = 4096  # a power of two, so u * GUIDE_BUCKETS is exact
 
 SUITE_NAMES = (
     "value_bias",
@@ -96,33 +91,13 @@ def _fixed_sequence(d: int, T: int, rng: RngStream) -> np.ndarray:
     return rng.gen.dirichlet(np.ones(d), size=T)
 
 
-def _guide_search(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """``np.minimum(cdf.searchsorted(u, side="left"), d - 1)``, by a guide table.
-
-    Chen & Asau's guide table: ``lo[b]`` counts the CDF entries below
-    ``b / GUIDE_BUCKETS``, so the answer for a ``u`` in bucket ``b`` lies in
-    ``[lo[b], lo[b + 1]]``, with ``d`` standing in for ``lo[GUIDE_BUCKETS]``.
-    Starting at ``lo[b]``, as many steps ``idx += cdf[idx] < u`` as the widest
-    bucket spans reach it exactly; an appended ``inf`` stops every step past
-    the last entry. ``cdf`` must be nondecreasing and ``u`` in [0, 1).
-    """
-    d = cdf.shape[0]
-    lo = cdf.searchsorted(np.arange(GUIDE_BUCKETS) / GUIDE_BUCKETS, side="left")
-    span = int(np.diff(lo, append=d).max())
-    cdf_pad = np.append(cdf, np.inf)
-    idx = lo[(u * GUIDE_BUCKETS).astype(np.intp)]
-    for _ in range(span):
-        idx += cdf_pad[idx] < u
-    return np.minimum(idx, d - 1, out=idx)
-
-
 def _sparsified_means(xs: np.ndarray, reps: int, rng: RngStream) -> np.ndarray:
     """For each rep draw one vertex per sequence element and average.
 
     Returns an array of shape (reps, d): row r is the empirical mean of T iid
     one-hot draws, one from each distribution in ``xs``. Element t takes one
     uniform per rep, in rep order, from ``rng`` and inverts its CDF with
-    ``_guide_search``. Counts are kept as integers and divided by T once, so
+    ``inverse_cdf``. Counts are kept as integers and divided by T once, so
     an entry is k / T correctly rounded (for the power-of-two T of every
     suite, the exact sum of k terms 1 / T).
     """
@@ -132,7 +107,7 @@ def _sparsified_means(xs: np.ndarray, reps: int, rng: RngStream) -> np.ndarray:
     row_starts = np.arange(0, reps * d, d)
     cdfs = np.cumsum(xs, axis=1)
     for t in range(T):
-        idx = _guide_search(cdfs[t], rng.gen.random(reps))
+        idx = inverse_cdf(cdfs[t], rng.gen.random(reps))
         idx += row_starts
         flat[idx] += 1  # one index per row, so no target repeats
     return counts / T

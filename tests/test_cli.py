@@ -308,6 +308,7 @@ _BOUNDARY_CASES = {
     "algorithm_list": ("run", lambda tmp_path: _game_doc(tmp_path, algorithm=["x"])),
     "overrides_list": ("run", lambda tmp_path: _game_doc(tmp_path, overrides=[1])),
     "trials_fractional": ("run", lambda tmp_path: _game_doc(tmp_path, trials=1.5)),
+    "trials_2_64": ("run", lambda tmp_path: _game_doc(tmp_path, trials=2**64)),
     "n_past_int64": ("run", lambda tmp_path: _game_doc(tmp_path, n_grid=[10**30])),
     "master_seed_negative": ("run", lambda tmp_path: _game_doc(tmp_path, master_seed=-1)),
     "master_seed_2_64": ("run", lambda tmp_path: _game_doc(tmp_path, master_seed=2**64)),

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -96,6 +100,16 @@ def test_trunc_geom_m1_frequencies():
     idx = np.minimum(np.searchsorted(cdf, rng.gen.random(draws), side="left"), 1)
     freq0 = float(np.mean(idx == 0))
     assert abs(freq0 - 2 / 3) <= 3 * math.sqrt((2 / 3) * (1 / 3) / draws)
+
+
+def test_trunc_geom_draws_equal_the_reference_inversion():
+    # one scalar uniform per level, inverted by the first CDF entry >= u
+    tg = TruncGeom(0.5, 4)
+    rng, ref = RngStream(3), RngStream(3)
+    cdf = np.cumsum(tg.pmf())
+    for _ in range(2000):
+        expected = min(int(np.searchsorted(cdf, ref.gen.random(), side="left")), tg.M)
+        assert sample_trunc_geom(tg, rng) == expected
 
 
 def test_trunc_geom_mean_pow2():
@@ -275,14 +289,34 @@ def test_check_objective_bilinear(game):
     check_objective(game, np.array([1.0, -1.0]), RngStream(18))
 
 
-def test_check_objective_catches_wrong_gradient():
-    class Broken(BilinearObjective):
-        def grad_x(self, x, y, z):
-            return 2.0 * super().grad_x(x, y, z)
+class DoubledGradX(BilinearObjective):
+    def grad_x(self, x, y, z):
+        return 2.0 * super().grad_x(x, y, z)
 
-    bad = Broken(np.array([[1.0, 0.0], [0.0, 1.0]]), np.zeros((2, 2)))
+
+def check_doubled_gradient():
+    bad = DoubledGradX(np.array([[1.0, 0.0], [0.0, 1.0]]), np.zeros((2, 2)))
+    check_objective(bad, np.array([1.0]), RngStream(19))
+
+
+def test_check_objective_catches_wrong_gradient():
     with pytest.raises(AssertionError):
-        check_objective(bad, np.array([1.0]), RngStream(19))
+        check_doubled_gradient()
+    # the documented AssertionError must not vanish with the asserts under python -O
+    tests = Path(__file__).resolve().parent
+    code = (
+        f"import sys; sys.path.insert(0, {str(tests)!r})\n"
+        "from test_oracles import check_doubled_gradient\n"
+        "try:\n"
+        "    check_doubled_gradient()\n"
+        "except AssertionError:\n"
+        "    print(sys.flags.optimize, 'raised')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(tests.parent / "src"), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert done.stdout.split() == ["1", "raised"], done.stderr
 
 
 def test_matrix_game_constants():

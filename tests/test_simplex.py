@@ -5,10 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
+from dpsimplex import simplex
 from dpsimplex.rng import RngStream
 from dpsimplex.simplex import (
+    GUIDE_BUCKETS,
     LogWeights,
     SimplexPoint,
+    inverse_cdf,
     mwu_step,
     running_average,
     sample_vertex,
@@ -195,6 +198,33 @@ def test_sample_vertex_tie_resolves_low():
     # with u exactly at the boundary the lower index wins
     cdf_boundary = np.searchsorted(np.cumsum(coords(0.5, 0.5)), 0.5, side="left")
     assert cdf_boundary == 0
+
+
+@pytest.mark.parametrize(
+    "shape, draws, table",
+    [
+        ("flat", GUIDE_BUCKETS, True),
+        ("flat", GUIDE_BUCKETS - 1, False),
+        # all other entries share one bucket: a table lookup would take d steps
+        ("near_vertex", GUIDE_BUCKETS, False),
+    ],
+)
+def test_inverse_cdf_takes_the_guide_table_only_where_it_is_cheaper(
+    monkeypatch, shape, draws, table
+):
+    d = 1000
+    x = RngStream(8).gen.dirichlet(np.ones(d))
+    if shape == "near_vertex":
+        x = np.full(d, 1e-6 / (d - 1))
+        x[0] = 1.0 - 1e-6
+    cdf = x.cumsum()
+    calls = []
+    guide_search = simplex._guide_search
+    monkeypatch.setattr(simplex, "_guide_search", lambda *a: calls.append(a) or guide_search(*a))
+    u = RngStream(9).gen.random(draws)
+    expected = np.minimum(cdf.searchsorted(u, side="left"), d - 1)
+    np.testing.assert_array_equal(inverse_cdf(cdf, u), expected)
+    assert bool(calls) == table
 
 
 # ---- sparsify -----------------------------------------------------------------

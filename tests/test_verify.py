@@ -6,11 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dpsimplex.rng import RngStream
+from dpsimplex.simplex import GUIDE_BUCKETS, _guide_search, inverse_cdf
 from dpsimplex.verify import (
-    GUIDE_BUCKETS,
     MIN_REPS,
     SUITE_NAMES,
-    _guide_search,
     _sparsified_means,
     run_all_suites,
     verify_maurey_suite,
@@ -109,6 +108,10 @@ def test_guide_search_equals_searchsorted(d, shape, total, seed):
     u = u[(u >= 0.0) & (u < 1.0)]
     expected = np.minimum(cdf.searchsorted(u, side="left"), d - 1)
     np.testing.assert_array_equal(_guide_search(cdf, u), expected)
+    for size in (GUIDE_BUCKETS - 1, GUIDE_BUCKETS):  # both sides of the draw bound
+        v = np.resize(u, size)
+        expected = np.minimum(cdf.searchsorted(v, side="left"), d - 1)
+        np.testing.assert_array_equal(inverse_cdf(cdf, v), expected)
 
 
 @pytest.mark.parametrize("T", [1, 64, 256])
