@@ -96,6 +96,7 @@ from .solvers import (
     solve_smd_bias_reduced,
     solve_smd_nonprivate,
     solve_smd_vertex,
+    solve_smd_vertex_batch,
 )
 from .verify import SUITE_NAMES, SuiteReport, run_all_suites, verify_maurey_suite
 
@@ -164,6 +165,7 @@ __all__ = [
     "solve_smd_bias_reduced",
     "solve_smd_nonprivate",
     "solve_smd_vertex",
+    "solve_smd_vertex_batch",
     "sparsify",
     "synth_data_generate",
     "to_point",

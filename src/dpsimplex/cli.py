@@ -7,7 +7,11 @@ Subcommands
     Execute a trial grid: for every (n, trial) derive an independent stream,
     synthesize the dataset, plan the schedule (or take explicit overrides,
     which the solver validates), run the solver, evaluate, and append one CSV
-    row. Output is byte-reproducible for a fixed config and master seed: rows
+    row. The trials of one n run as one batch of at most ``BATCH_TRIALS``,
+    for every ``--jobs`` value; ``smd_vertex`` steps a batch together, each
+    trial drawing from a tape on its own stream that charges its draws there,
+    and releases the bytes its trials would release one by one. Output is
+    byte-reproducible for a fixed config and master seed: rows
     are sorted by (n, trial) regardless of worker scheduling and the
     ``wall_time_ms`` column is written as 0 (real timings go to stderr) so
     repeated runs produce identical files.
@@ -82,7 +86,7 @@ from .solvers import (
     solve_boosted,
     solve_smd_bias_reduced,
     solve_smd_nonprivate,
-    solve_smd_vertex,
+    solve_smd_vertex_batch,
 )
 from .sco import solve_dp_sco
 from .verify import MIN_REPS, SUITE_NAMES, run_all_suites, verify_maurey_suite
@@ -94,6 +98,9 @@ EXIT_DATASET = 4
 EXIT_ORACLE = 5
 
 MAX_GRID_CELLS = 100_000  # (n, trial) cells are built before the first trial; shipped grids: 6
+# trials of one n stepped as one batch: a batch holds this many datasets and
+# (trials, d) iterates at once, whatever the grid
+BATCH_TRIALS = 8
 
 CSV_COLUMNS = [
     "trial", "n", "algorithm", "mode", "metric", "metric_value",
@@ -431,13 +438,14 @@ def _plan_json(plan) -> str:
     return json.dumps(dataclasses.asdict(plan), sort_keys=True)
 
 
-def _run_smd_vertex(run: _Run, n: int, stream: RngStream):
+def _run_smd_vertex(run: _Run, n: int, streams: list[RngStream]):
     game, p = run.problem, run.privacy
     obj = game.objective()
     plan = _plan(run, n, obj.L0, lambda: plan_vertex_smd(
         n, p.epsilon, p.delta, obj.L0, obj.L1, obj.L2, game.ell, run.mode))
-    data = game.sample_dataset(n, stream.child("data"))
-    return solve_smd_vertex(obj, data, plan, stream.child("solve")), _plan_json(plan)
+    data = [game.sample_dataset(n, stream.child("data")) for stream in streams]
+    sols = solve_smd_vertex_batch(obj, data, plan, [stream.child("solve") for stream in streams])
+    return [(sol, _plan_json(plan)) for sol in sols]
 
 
 def _run_bias_reduced(run: _Run, n: int, stream: RngStream):
@@ -479,36 +487,48 @@ def _run_dp_sco(run: _Run, n: int, stream: RngStream):
     return solve_dp_sco(obj, data, plan, stream.child("solve")), _plan_json(plan)
 
 
+def _each_trial(runner):
+    """A batch runner that runs the trials of a batch one after another."""
+    return lambda run, n, streams: [runner(run, n, stream) for stream in streams]
+
+
 # name -> (problem kind, plan class or None, runner). A runner takes the run,
-# n and the trial's stream, and returns the solution and the plan JSON echoed
-# in the CSV row.
+# n and the streams of a batch of trials, and returns each trial's solution
+# and the plan JSON echoed in its CSV row.
 ALGORITHMS = {
     "smd_vertex": ("matrix_game", SsmdPlan, _run_smd_vertex),
-    "smd_bias_reduced": ("matrix_game", BrPlan, _run_bias_reduced),
-    "boosted": ("matrix_game", None, _run_boosted),
-    "dp_sco": ("quadratic_sco", ScoPlan, _run_dp_sco),
-    "nonprivate_smd": ("matrix_game", None, _run_nonprivate),
+    "smd_bias_reduced": ("matrix_game", BrPlan, _each_trial(_run_bias_reduced)),
+    "boosted": ("matrix_game", None, _each_trial(_run_boosted)),
+    "dp_sco": ("quadratic_sco", ScoPlan, _each_trial(_run_dp_sco)),
+    "nonprivate_smd": ("matrix_game", None, _each_trial(_run_nonprivate)),
 }
 
 
-def _run_trial(run: _Run, n: int, trial: int) -> RunRecord:
-    stream = RngStream(run.master_seed).child("trial", n, trial)
+def _run_batch(run: _Run, n: int, trials: range) -> list[RunRecord]:
+    """Run the trials of one n as one batch; each keeps its own stream and CSV row."""
+    streams = [RngStream(run.master_seed).child("trial", n, trial) for trial in trials]
     started = time.perf_counter()
-    sol, plan_echo = ALGORITHMS[run.algorithm][2](run, n, stream)
-    if isinstance(run.problem, SeparableQuadratic):
-        obj = run.problem
-        risk = obj.population_value(sol.w_hat.coords) - obj.population_value(obj.a)
-        metric, value, error_bound = "excess_risk", float(risk), 0.0
-    else:
-        gap = exact_gap_bilinear(run.problem.payoff, sol.x, sol.y)
-        metric, value, error_bound = "gap", gap.gap_estimate, gap.inner_error_bound
-    return RunRecord(
-        trial=trial, n=n, algorithm=run.algorithm, mode=run.mode,
-        metric=metric, metric_value=value, inner_error_bound=error_bound,
-        samples_used=sol.samples_used, steps_run=sol.steps_run, vertex_draws=sol.vertex_draws,
-        wall_time_ms=(time.perf_counter() - started) * 1e3,
-        seed=stream.stream_id, plan_json=plan_echo,
-    )
+    records = []
+    for trial, stream, (sol, plan_echo) in zip(
+            trials, streams, ALGORITHMS[run.algorithm][2](run, n, streams)):
+        if isinstance(run.problem, SeparableQuadratic):
+            obj = run.problem
+            risk = obj.population_value(sol.w_hat.coords) - obj.population_value(obj.a)
+            metric, value, error_bound = "excess_risk", float(risk), 0.0
+        else:
+            gap = exact_gap_bilinear(run.problem.payoff, sol.x, sol.y)
+            metric, value, error_bound = "gap", gap.gap_estimate, gap.inner_error_bound
+        records.append(RunRecord(
+            trial=trial, n=n, algorithm=run.algorithm, mode=run.mode,
+            metric=metric, metric_value=value, inner_error_bound=error_bound,
+            samples_used=sol.samples_used, steps_run=sol.steps_run,
+            vertex_draws=sol.vertex_draws, wall_time_ms=0.0,
+            seed=stream.stream_id, plan_json=plan_echo,
+        ))
+    share_ms = (time.perf_counter() - started) * 1e3 / len(records)  # the batch's time, evenly
+    for rec in records:
+        rec.wall_time_ms = share_ms
+    return records
 
 
 # --------------------------------------------------------------------------
@@ -518,14 +538,15 @@ def _run_trial(run: _Run, n: int, trial: int) -> RunRecord:
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     run, n_grid, trials = _parse_run(cfg, os.path.dirname(os.path.abspath(args.config)))
-    cells = [(run, n, t) for n in n_grid for t in range(trials)]
+    batches = [(run, n, range(t, min(t + BATCH_TRIALS, trials)))
+               for n in n_grid for t in range(0, trials, BATCH_TRIALS)]
     started = time.perf_counter()
     if args.jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            records = list(pool.map(_run_trial, *zip(*cells)))
+            done = list(pool.map(_run_batch, *zip(*batches)))
     else:
-        records = [_run_trial(*cell) for cell in cells]
-    records.sort(key=lambda r: (r.n, r.trial))
+        done = [_run_batch(*batch) for batch in batches]
+    records = sorted((rec for recs in done for rec in recs), key=lambda r: (r.n, r.trial))
 
     with _atomic_write(args.out, newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")

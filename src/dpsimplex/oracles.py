@@ -7,7 +7,7 @@ ascends the objective.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -135,6 +135,7 @@ class TruncGeom:
 
     p: float
     M: int
+    cdf: np.ndarray = field(init=False, repr=False, compare=False)  # cumsum of pmf(), kept
 
     def __post_init__(self):
         if not (0.0 < self.p < 1.0):
@@ -142,6 +143,7 @@ class TruncGeom:
         if self.M < 0 or int(self.M) != self.M:
             raise ValueError(f"M must be a nonnegative integer, got {self.M}")
         object.__setattr__(self, "M", int(self.M))
+        object.__setattr__(self, "cdf", np.cumsum(self.pmf()))
 
     @property
     def C_M(self) -> float:
@@ -157,7 +159,7 @@ class TruncGeom:
 
 def sample_trunc_geom(tg: TruncGeom, rng: RngStream) -> int:
     """Draw N in {0..M} with P[N = k] proportional to p^k."""
-    return int(inverse_cdf(np.cumsum(tg.pmf()), rng.gen.random(1))[0])
+    return int(inverse_cdf(tg.cdf, rng.gen.random(1))[0])
 
 
 def batch_gradient(

@@ -7,9 +7,14 @@ renormalizing after every step would drift and destroy that view.
 
 Vertex draws, the bias-reduced level draw and ``verify`` all invert a CDF with
 one uniform per draw, through the package's one inversion, :func:`inverse_cdf`.
+Vertex uniforms come from :func:`vertex_uniforms`, which charges each one on the
+stream as a release. The row-wise forms (:func:`softmax`, :func:`mwu_add`,
+:func:`inverse_cdf_rows`, :func:`mean_one_hots`) step a batch of iterates held as
+one (R, d) array; row by row they give the bits of the 1-d forms.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,14 +103,31 @@ def _frozen(cls, field: str, array: np.ndarray):
     return obj
 
 
-def to_point(w: LogWeights) -> SimplexPoint:
-    """Normalize log-weights into a simplex point (max-shifted softmax).
+def softmax(logw: np.ndarray) -> np.ndarray:
+    """Max-shifted softmax over the last axis: each row of log-weights to a simplex point.
 
     Stable for log-weight spreads of +-1e4 and invariant under adding a
-    constant to every entry.
+    constant to every entry of a row.
     """
-    e = np.exp(w.logw - w.logw.max())
-    return _frozen(SimplexPoint, "coords", e / e.sum())
+    # the ufuncs' reduce is what ndarray.max/sum run, without their Python-level wrappers
+    e = np.exp(logw - np.maximum.reduce(logw, axis=-1, keepdims=True))
+    return e / np.add.reduce(e, axis=-1, keepdims=True)
+
+
+def to_point(w: LogWeights) -> SimplexPoint:
+    """Normalize log-weights into a simplex point (:func:`softmax`)."""
+    return _frozen(SimplexPoint, "coords", softmax(w.logw))
+
+
+def mwu_add(logw: np.ndarray, g: np.ndarray, tau: float) -> np.ndarray:
+    """``logw + tau * g`` on raw arrays; a step size that is not positive and finite, or a
+    non-finite result, raises ``ValueError`` (an explicit raise, kept under ``python -O``)."""
+    if not (math.isfinite(tau) and tau > 0):
+        raise ValueError(f"step size must be positive and finite, got {tau!r}")
+    new_logw = logw + tau * g
+    if not np.isfinite(new_logw).all():
+        raise ValueError("mwu step needs a finite gradient and a step that does not overflow")
+    return new_logw
 
 
 def mwu_step(w: LogWeights, g: np.ndarray, tau: float = 1.0) -> LogWeights:
@@ -116,15 +138,10 @@ def mwu_step(w: LogWeights, g: np.ndarray, tau: float = 1.0) -> LogWeights:
     equal one cumulative step in log domain. A non-finite gradient, or a step
     that overflows, raises ``ValueError``.
     """
-    if not (np.isfinite(tau) and tau > 0):
-        raise ValueError(f"step size must be positive and finite, got {tau!r}")
     g = np.asarray(g, dtype=np.float64)
     if g.shape != w.logw.shape:
         raise ValueError(f"gradient shape {g.shape} does not match {w.logw.shape}")
-    new_logw = w.logw + tau * g
-    if not np.isfinite(new_logw).all():
-        raise ValueError("mwu step needs a finite gradient and a step that does not overflow")
-    return _frozen(LogWeights, "logw", new_logw)
+    return _frozen(LogWeights, "logw", mwu_add(w.logw, g, tau))
 
 
 def _guide_table(cdf: np.ndarray) -> tuple[np.ndarray, int]:
@@ -159,10 +176,38 @@ def inverse_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     return cdf[:-1].searchsorted(u, side="left")  # d - 1 entries: the clamp for free
 
 
+def inverse_cdf_rows(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """:func:`inverse_cdf` of each row of ``u`` (R, k) on the same row of ``cdf`` (R, d)."""
+    out = np.empty(u.shape, dtype=np.intp)
+    for r in range(u.shape[0]):
+        out[r] = inverse_cdf(cdf[r], u[r])
+    return out
+
+
+def mean_one_hots(indices: np.ndarray, dim: int) -> np.ndarray:
+    """(R, dim) array whose row r averages the one-hots of ``indices[r]`` (R, k).
+
+    One ``bincount`` over the indices offset by ``r * dim``.
+    """
+    rows, k = indices.shape
+    flat = (indices + np.arange(0, rows * dim, dim)[:, None]).ravel()
+    return np.bincount(flat, minlength=rows * dim).reshape(rows, dim) / k
+
+
+def vertex_uniforms(rng: RngStream, shape) -> np.ndarray:
+    """Uniforms of ``shape`` from ``rng``, each charged as one release on ``rng.vertex_draws``.
+
+    Every vertex draw inverts one of these; ``random(n)`` gives the bits of n
+    scalar calls, so a block drawn ahead equals the draws taken one at a time.
+    """
+    u = rng.gen.random(shape)
+    rng.vertex_draws += u.size
+    return u
+
+
 def sample_vertex_indices(coords: np.ndarray, k: int, rng: RngStream) -> np.ndarray:
     """Draw ``k`` iid vertex indices from ``coords``; count them on ``rng.vertex_draws``."""
-    rng.vertex_draws += k
-    return inverse_cdf(coords.cumsum(), rng.gen.random(k))
+    return inverse_cdf(coords.cumsum(), vertex_uniforms(rng, k))
 
 
 def sample_vertex(x: SimplexPoint, rng: RngStream) -> int:

@@ -8,6 +8,12 @@ distinct runs parallelize across disjoint shards and independent streams.
 Every run reports the vertex releases counted on its stream as
 ``vertex_draws``, and :func:`~dpsimplex.privacy.audit_releases` composes them;
 a violation raises :class:`~dpsimplex.errors.BudgetError` instead of a result.
+
+The trials of one n share their plan and run as one batch
+(:func:`solve_smd_vertex_batch`): their iterates step together as (R, d) raw
+arrays in the one loop, :func:`_saddle_descent`, and each trial draws from a
+tape on its own stream whose uniforms are charged on that stream as releases.
+A batched trial releases the bytes it would release run on its own.
 """
 from __future__ import annotations
 
@@ -37,7 +43,18 @@ from .privacy import (
 )
 from .rng import RngStream
 from .sco import FrozenXObjective, FrozenYObjective, solve_dp_sco
-from .simplex import LogWeights, SimplexPoint, mwu_step, sample_vertex, sparsify, to_point
+from .simplex import (
+    SimplexPoint,
+    _frozen,
+    inverse_cdf_rows,
+    mean_one_hots,
+    mwu_add,
+    sample_vertex,
+    softmax,
+    vertex_uniforms,
+)
+
+TAPE_UNIFORMS = 1 << 14  # uniforms a batch draws ahead per refill (128 KB); at least one step
 
 
 @dataclass(frozen=True)
@@ -61,39 +78,70 @@ class BrRunTrace:
     stop_step: int
 
 
-def _saddle_descent(
-    d_x: int, d_y: int, tau: float, schedule, step
-) -> tuple[SimplexPoint, SimplexPoint, int]:
-    """Entropic mirror descent on both blocks; the loop every saddle solver runs.
+def _saddle_descent(d_x: int, d_y: int, rows: int, tau: float, schedule, step):
+    """Entropic mirror descent on both blocks of ``rows`` runs; the loop every saddle solver runs.
 
-    ``schedule`` yields one item per step and ending it ends the run.
-    ``step(item, x_t, y_t)`` returns ``(x_out, y_out, g_x, g_y)``: the step's
-    output coordinates for each block (a one-hot vertex or the dense iterate)
-    and the saddle gradient both blocks descend along. Returns the averaged
-    outputs and the number of steps; a run of zero steps raises
-    :class:`~dpsimplex.errors.BudgetError`.
+    The runs share ``tau`` and the schedule, and step together as (rows, d)
+    log-weight arrays. ``schedule`` yields one item per step and ending it ends
+    the run. ``step(item, x_t, y_t)`` gets the (rows, d) iterates and returns
+    ``(x_out, y_out, dx, dy)``: each block's released vertex per row (a list
+    of ints), or None for both when the step releases nothing, and the
+    direction each block's log-weights move along (the negated saddle
+    gradient).
+
+    Returns ``(x, y, steps, x_released)``: the outputs, (rows, d) each, average
+    the released one-hots (or the dense iterates, when nothing is released);
+    ``x_released`` (rows, steps) holds the x block's released vertices, or None.
+    A run of zero steps raises :class:`~dpsimplex.errors.BudgetError`.
     """
-    xw = LogWeights.uniform(d_x)
-    yw = LogWeights.uniform(d_y)
-    x_acc = np.zeros(d_x)
-    y_acc = np.zeros(d_y)
+    xw = np.zeros((rows, d_x))
+    yw = np.zeros((rows, d_y))
+    x_acc = np.zeros((rows, d_x))
+    y_acc = np.zeros((rows, d_y))
+    released: list[int] = []  # per step, x's rows then y's: ints, not one array per step
     steps = 0
     for item in schedule:
-        x_out, y_out, g_x, g_y = step(item, to_point(xw), to_point(yw))
-        x_acc += x_out
-        y_acc += y_out
-        xw = mwu_step(xw, -g_x, tau)
-        yw = mwu_step(yw, -g_y, tau)
+        x_t, y_t = softmax(xw), softmax(yw)
+        x_out, y_out, dx, dy = step(item, x_t, y_t)
+        if x_out is None:
+            x_acc += x_t
+            y_acc += y_t
+        else:
+            released += x_out
+            released += y_out
+        xw = mwu_add(xw, dx, tau)
+        yw = mwu_add(yw, dy, tau)
         steps += 1
     if steps == 0:
         raise BudgetError("schedule too short to execute a single step")
-    return SimplexPoint(x_acc / steps), SimplexPoint(y_acc / steps), steps
+    if not released:
+        return x_acc / steps, y_acc / steps, steps, None
+    # counting the releases at the end adds the same exact 1.0s a running sum would
+    x_released, y_released = np.array(released).reshape(steps, 2, rows).transpose(1, 2, 0)
+    return (mean_one_hots(x_released, d_x), mean_one_hots(y_released, d_y), steps,
+            x_released)
 
 
-def _one_hot(dim: int, index: int) -> np.ndarray:
-    e = np.zeros(dim)
-    e[index] = 1.0
-    return e
+def _point(coords: np.ndarray) -> SimplexPoint:
+    """A row the loop built (a softmax or a mean of one-hots), valid by construction,
+    as a point without a copy or a check."""
+    return _frozen(SimplexPoint, "coords", coords)
+
+
+def _tape(rngs: list[RngStream], steps: int, order: np.ndarray):
+    """Each step's uniforms for every run: (rows, len(order)) arrays, row r from ``rngs[r]``.
+
+    A step takes ``len(order)`` consecutive draws of its run's stream, put in
+    ``order``. The draws are taken ahead in blocks of about TAPE_UNIFORMS per
+    batch (at least one step) and charged as releases by
+    :func:`~dpsimplex.simplex.vertex_uniforms`; ``steps`` steps draw exactly
+    what they use, so each stream ends where step-by-step draws would.
+    """
+    width = order.size
+    chunk = max(1, TAPE_UNIFORMS // (len(rngs) * width))
+    for start in range(0, steps, chunk):
+        n = min(chunk, steps - start)
+        yield from np.stack([vertex_uniforms(rng, (n, width)) for rng in rngs], axis=1)[..., order]
 
 
 def solve_smd_vertex(
@@ -109,7 +157,7 @@ def solve_smd_vertex(
     Per step: sparsify both iterates with K vertex draws, take a fresh batch,
     evaluate the saddle gradient at the sparsified pair, update both blocks in
     log domain, and contribute one fresh vertex draw per player to the output
-    average.
+    average. This is :func:`solve_smd_vertex_batch` with one trial.
 
     ``exact_iterates=True`` replaces every sampling stage with the identity,
     which reproduces the non-private baseline trajectory exactly and is used
@@ -119,40 +167,81 @@ def solve_smd_vertex(
     synthetic-data generation).
     """
     if not exact_iterates:
-        plan.validate()
+        return solve_smd_vertex_batch(obj, [dataset], plan, [rng], keep_x_draws)[0]
+    _check_samples(dataset, plan)
+
+    def exact_step(_, x_t, y_t):
+        g = batch_gradient(obj, _point(x_t[0]), _point(y_t[0]), dataset.take(plan.B_batch))
+        return None, None, -g.g_x, -g.g_y
+
+    x, y, steps, _ = _saddle_descent(obj.d_x, obj.d_y, 1, plan.tau, range(plan.T), exact_step)
+    return SaddleSolution(x=SimplexPoint(x[0]), y=SimplexPoint(y[0]),
+                          samples_used=steps * plan.B_batch, steps_run=steps, vertex_draws=0,
+                          x_vertex_indices=np.zeros(0, dtype=np.int64) if keep_x_draws else None)
+
+
+def solve_smd_vertex_batch(
+    obj: PerSampleObjective,
+    datasets: list[Dataset],
+    plan: SsmdPlan,
+    rngs: list[RngStream],
+    keep_x_draws: bool = False,
+) -> list[SaddleSolution]:
+    """:func:`solve_smd_vertex` for trials that share ``plan``, stepped together.
+
+    Trial r reads ``datasets[r]`` and ``rngs[r]`` only, and gets the bytes a
+    run of its own would: its draws come from a tape on its own stream
+    (:func:`_tape`), in the order x sparsification (K), y sparsification (K),
+    x output vertex, y output vertex, and each block's K + 1 draws invert one
+    CDF. The log-weights of all trials are one (R, d) array per block, the
+    sparsified points come from one ``bincount``, and each trial makes its own
+    gradient call, so no product is batched across trials. Each trial's counted
+    releases are audited on their own.
+    """
+    if not rngs or len(rngs) != len(datasets):
+        raise ValueError(f"need one stream per dataset, got {len(rngs)} and {len(datasets)}")
+    plan.validate()
+    for dataset in datasets:
+        _check_samples(dataset, plan)
+    K, B, rows = plan.K, plan.B_batch, len(rngs)
+    draws = [rng.vertex_draws for rng in rngs]
+    dx = np.empty((rows, obj.d_x))
+    dy = np.empty((rows, obj.d_y))
+
+    def sampled_step(u, x_t, y_t):
+        xs = inverse_cdf_rows(x_t.cumsum(axis=1), u[:, : K + 1])
+        ys = inverse_cdf_rows(y_t.cumsum(axis=1), u[:, K + 1 :])
+        x_hat = mean_one_hots(xs[:, :K], obj.d_x)
+        y_hat = mean_one_hots(ys[:, :K], obj.d_y)
+        for r, dataset in enumerate(datasets):
+            g = batch_gradient(obj, _point(x_hat[r]), _point(y_hat[r]), dataset.take(B))
+            np.negative(g.g_x, out=dx[r])
+            np.negative(g.g_y, out=dy[r])
+        return xs[:, K].tolist(), ys[:, K].tolist(), dx, dy
+
+    # a step's stream order is x's K draws, y's K, x's vertex, y's vertex; the tape
+    # puts each block's K + 1 draws side by side
+    order = np.r_[0:K, 2 * K, K : 2 * K, 2 * K + 1]
+    x, y, steps, x_released = _saddle_descent(obj.d_x, obj.d_y, rows, plan.tau,
+                                              _tape(rngs, plan.T, order), sampled_step)
+    return [
+        SaddleSolution(
+            x=SimplexPoint(x[r]),
+            y=SimplexPoint(y[r]),
+            samples_used=steps * B,
+            steps_run=steps,
+            vertex_draws=audit_releases(plan, rng.vertex_draws - draws[r]),
+            x_vertex_indices=x_released[r].astype(np.int64) if keep_x_draws else None,
+        )
+        for r, rng in enumerate(rngs)
+    ]
+
+
+def _check_samples(dataset: Dataset, plan: SsmdPlan) -> None:
     if dataset.remaining < plan.T * plan.B_batch:
         raise BudgetError(
             f"plan needs {plan.T * plan.B_batch} fresh samples, dataset has {dataset.remaining}"
         )
-    x_indices: list[int] = []
-    draws = rng.vertex_draws
-
-    def exact_step(_, x_t, y_t):
-        g = batch_gradient(obj, x_t, y_t, dataset.take(plan.B_batch))
-        return x_t.coords, y_t.coords, g.g_x, g.g_y
-
-    def sampled_step(_, x_t, y_t):
-        x_hat = sparsify(x_t, plan.K, rng)
-        y_hat = sparsify(y_t, plan.K, rng)
-        xi = sample_vertex(x_t, rng)
-        yi = sample_vertex(y_t, rng)
-        if keep_x_draws:
-            x_indices.append(xi)
-        g = batch_gradient(obj, x_hat, y_hat, dataset.take(plan.B_batch))
-        return _one_hot(obj.d_x, xi), _one_hot(obj.d_y, yi), g.g_x, g.g_y
-
-    x, y, steps = _saddle_descent(
-        obj.d_x, obj.d_y, plan.tau, range(plan.T), exact_step if exact_iterates else sampled_step
-    )
-    draws = audit_releases(plan, rng.vertex_draws - draws)
-    return SaddleSolution(
-        x=x,
-        y=y,
-        samples_used=steps * plan.B_batch,
-        steps_run=steps,
-        vertex_draws=draws,
-        x_vertex_indices=np.array(x_indices, dtype=np.int64) if keep_x_draws else None,
-    )
 
 
 def solve_smd_bias_reduced(
@@ -183,18 +272,18 @@ def solve_smd_bias_reduced(
             yield N
 
     def step(N, x_t, y_t):
-        xi = sample_vertex(x_t, rng)
-        yi = sample_vertex(y_t, rng)
+        x, y = _point(x_t[0]), _point(y_t[0])
+        xi, yi = sample_vertex(x, rng), sample_vertex(y, rng)
         batch = dataset.take(_batch_size(N, plan.alpha))
-        g = bias_reduced_gradient(obj, x_t, y_t, N, batch, tg, rng)
-        return _one_hot(obj.d_x, xi), _one_hot(obj.d_y, yi), g.g_x, g.g_y
+        g = bias_reduced_gradient(obj, x, y, N, batch, tg, rng)
+        return [xi], [yi], -g.g_x, -g.g_y
 
-    x, y, steps = _saddle_descent(obj.d_x, obj.d_y, plan.tau, schedule(), step)
+    x, y, steps, _ = _saddle_descent(obj.d_x, obj.d_y, 1, plan.tau, schedule(), step)
     weight = sum(2**N for N in levels)
     draws = audit_releases(plan, rng.vertex_draws - draws)
     sol = SaddleSolution(
-        x=x,
-        y=y,
+        x=SimplexPoint(x[0]),
+        y=SimplexPoint(y[0]),
         samples_used=sum(_batch_size(N, plan.alpha) for N in levels),
         steps_run=steps,
         vertex_draws=draws,
@@ -224,12 +313,11 @@ def solve_smd_nonprivate(
         raise ValueError(f"need tau > 0, got {tau}")
 
     def step(_, x_t, y_t):
-        gx = pop.grad_x(x_t.coords, y_t.coords)
-        gy = -pop.grad_y(x_t.coords, y_t.coords)
-        return x_t.coords, y_t.coords, gx, gy
+        return None, None, -pop.grad_x(x_t[0], y_t[0]), pop.grad_y(x_t[0], y_t[0])
 
-    x, y, steps = _saddle_descent(d_x, d_y, tau, range(T), step)
-    return SaddleSolution(x=x, y=y, samples_used=0, steps_run=steps, vertex_draws=0)
+    x, y, steps, _ = _saddle_descent(d_x, d_y, 1, tau, range(T), step)
+    return SaddleSolution(x=SimplexPoint(x[0]), y=SimplexPoint(y[0]), samples_used=0,
+                          steps_run=steps, vertex_draws=0)
 
 
 # --------------------------------------------------------------------------

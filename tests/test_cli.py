@@ -74,6 +74,18 @@ def test_run_parallel_jobs_match_serial(tmp_path):
     assert serial.read_bytes() == parallel.read_bytes()
 
 
+def test_run_bytes_do_not_depend_on_the_batch_split(tmp_path, monkeypatch):
+    # trials of one n step as one batch; splitting them differently changes no byte
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, trials=3)
+    outs = []
+    for batch_trials in (1, 2, cli.BATCH_TRIALS):
+        monkeypatch.setattr(cli, "BATCH_TRIALS", batch_trials)
+        outs.append(tmp_path / f"b{batch_trials}.csv")
+        assert main(["run", "--config", str(cfg), "--out", str(outs[-1])]) == EXIT_OK
+    assert outs[0].read_bytes() == outs[1].read_bytes() == outs[2].read_bytes()
+
+
 def test_run_rows_and_metadata(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg = write_config(cfg_path)

@@ -227,6 +227,45 @@ def test_inverse_cdf_takes_the_guide_table_only_where_it_is_cheaper(
     assert bool(calls) == table
 
 
+# ---- row-wise forms ---------------------------------------------------------------
+
+
+@given(
+    d=st.integers(1, 1000),
+    rows=st.integers(1, 8),
+    k=st.integers(1, 40),
+    spread=st.sampled_from([1e-3, 1.0, 30.0, 1e4]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_row_wise_forms_equal_the_1d_forms_bit_for_bit(d, rows, k, spread, seed):
+    gen = np.random.default_rng(seed)
+    logw = spread * gen.standard_normal((rows, d))
+    g = gen.standard_normal((rows, d))
+    u = gen.random((rows, k))
+    points = simplex.softmax(logw)
+    cdf = points.cumsum(axis=1)
+    indices = simplex.inverse_cdf_rows(cdf, u)
+    means = simplex.mean_one_hots(indices, d)
+    stepped = simplex.mwu_add(logw, g, 0.37)
+    row_sums = np.exp(logw - logw.max(axis=1, keepdims=True)).sum(axis=1)
+    for r in range(rows):
+        e = np.exp(logw[r] - logw[r].max())
+        assert row_sums[r] == e.sum()
+        assert np.array_equal(points[r], e / e.sum())
+        assert np.array_equal(cdf[r], points[r].cumsum())
+        assert np.array_equal(indices[r], inverse_cdf(points[r].cumsum(), u[r]))
+        assert np.array_equal(means[r], np.bincount(indices[r], minlength=d) / k)
+        assert np.array_equal(stepped[r], logw[r] + 0.37 * g[r])
+
+
+def test_vertex_uniforms_charge_what_they_draw():
+    rng, ref = RngStream(8), RngStream(8)
+    u = simplex.vertex_uniforms(rng, (3, 4))
+    assert rng.vertex_draws == 12
+    assert np.array_equal(u.ravel(), [ref.gen.random() for _ in range(12)])
+
+
 # ---- sparsify -----------------------------------------------------------------
 
 

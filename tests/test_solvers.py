@@ -9,7 +9,7 @@ import pytest
 
 from dpsimplex import sco, solvers
 from dpsimplex.errors import BudgetError, OracleError
-from dpsimplex.oracles import Dataset, TruncGeom
+from dpsimplex.oracles import Dataset, TruncGeom, batch_gradient
 from dpsimplex.privacy import (
     BrPlan,
     PrivacyParams,
@@ -24,8 +24,16 @@ from dpsimplex.privacy import (
 from dpsimplex.problems import BilinearObjective, MatrixGame, exact_gap_bilinear
 from dpsimplex.rng import RngStream
 from dpsimplex.sco import FrozenXObjective, FrozenYObjective, solve_dp_sco
-from dpsimplex.simplex import SimplexPoint, sample_vertex
+from dpsimplex.simplex import (
+    LogWeights,
+    SimplexPoint,
+    mwu_step,
+    sample_vertex,
+    sparsify,
+    to_point,
+)
 from dpsimplex.solvers import (
+    SaddleSolution,
     boosting_shape,
     score_candidate_pairs,
     select_pair,
@@ -33,6 +41,7 @@ from dpsimplex.solvers import (
     solve_smd_bias_reduced,
     solve_smd_nonprivate,
     solve_smd_vertex,
+    solve_smd_vertex_batch,
 )
 
 
@@ -92,6 +101,74 @@ def test_vertex_solver_records_released_categories():
     # the recorded draws are exactly the ones averaged into the output
     counts = np.bincount(sol.x_vertex_indices, minlength=6)
     assert np.allclose(sol.x.coords, counts / plan.T)
+
+
+def reference_smd_vertex(obj, dataset, plan, rng):
+    """The step-by-step vertex solver the batched kernel replaces, on the public helpers:
+    one sparsify per block, one sample_vertex per output, one-hot sums, mwu_step."""
+    xw, yw = LogWeights.uniform(obj.d_x), LogWeights.uniform(obj.d_y)
+    x_acc, y_acc = np.zeros(obj.d_x), np.zeros(obj.d_y)
+    draws, released = rng.vertex_draws, []
+    for _ in range(plan.T):
+        x_t, y_t = to_point(xw), to_point(yw)
+        x_hat, y_hat = sparsify(x_t, plan.K, rng), sparsify(y_t, plan.K, rng)
+        xi, yi = sample_vertex(x_t, rng), sample_vertex(y_t, rng)
+        released.append(xi)
+        g = batch_gradient(obj, x_hat, y_hat, dataset.take(plan.B_batch))
+        x_acc += np.eye(obj.d_x)[xi]
+        y_acc += np.eye(obj.d_y)[yi]
+        xw, yw = mwu_step(xw, -g.g_x, plan.tau), mwu_step(yw, -g.g_y, plan.tau)
+    return SaddleSolution(x=SimplexPoint(x_acc / plan.T), y=SimplexPoint(y_acc / plan.T),
+                          samples_used=plan.T * plan.B_batch, steps_run=plan.T,
+                          vertex_draws=rng.vertex_draws - draws,
+                          x_vertex_indices=np.array(released, dtype=np.int64))
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3])
+@pytest.mark.parametrize("K", [1, 2, 21])
+@pytest.mark.parametrize("past_chunk", [-1, 0, 1])
+def test_batched_kernel_equals_the_step_by_step_reference(monkeypatch, rows, K, past_chunk):
+    # a tape chunk of 4 steps per batch; T ends one step before, at, or one step past it
+    monkeypatch.setattr(solvers, "TAPE_UNIFORMS", 4 * rows * (2 * K + 2))
+    game = MatrixGame.random(7, 5, RngStream(70))
+    obj = game.objective()
+    T = 4 + past_chunk
+    plan = small_plan(40 * T, T, K, obj.L0)
+    sols = solve_smd_vertex_batch(
+        obj, [game.sample_dataset(40 * T, RngStream(71, r)) for r in range(rows)], plan,
+        [RngStream(72, r) for r in range(rows)], keep_x_draws=True)
+    for r, sol in enumerate(sols):
+        ref = reference_smd_vertex(obj, game.sample_dataset(40 * T, RngStream(71, r)), plan,
+                                   RngStream(72, r))
+        assert np.array_equal(sol.x.coords, ref.x.coords)
+        assert np.array_equal(sol.y.coords, ref.y.coords)
+        assert np.array_equal(sol.x_vertex_indices, ref.x_vertex_indices)
+        assert (sol.vertex_draws, sol.steps_run, sol.samples_used) == (
+            ref.vertex_draws, ref.steps_run, ref.samples_used)
+
+
+def test_batch_needs_one_stream_per_dataset():
+    game = MatrixGame.random(3, 3, RngStream(76))
+    obj = game.objective()
+    plan = small_plan(100, 10, 1, obj.L0)
+    with pytest.raises(ValueError, match="one stream per dataset"):
+        solve_smd_vertex_batch(obj, [], plan, [])
+    with pytest.raises(ValueError, match="one stream per dataset"):
+        solve_smd_vertex_batch(obj, [game.sample_dataset(100, RngStream(79))], plan,
+                               [RngStream(77), RngStream(78)])
+
+
+def test_tape_takes_at_least_one_step_per_refill(monkeypatch):
+    monkeypatch.setattr(solvers, "TAPE_UNIFORMS", 1)
+    game = MatrixGame.random(3, 4, RngStream(73))
+    obj = game.objective()
+    plan = small_plan(60, 6, 2, obj.L0)
+    sol = solve_smd_vertex(obj, game.sample_dataset(60, RngStream(74)), plan, RngStream(75),
+                           keep_x_draws=True)
+    ref = reference_smd_vertex(obj, game.sample_dataset(60, RngStream(74)), plan,
+                               RngStream(75))
+    assert np.array_equal(sol.x.coords, ref.x.coords)
+    assert np.array_equal(sol.x_vertex_indices, ref.x_vertex_indices)
 
 
 class DenseBilinear(BilinearObjective):
@@ -416,6 +493,25 @@ def test_non_finite_gradient_guard_survives_python_O():
     assert done.stdout.split() == ["1", "raised"], done.stderr
 
 
+def test_raw_loop_finiteness_guard_survives_python_O():
+    # smd_vertex steps raw arrays; its guard is mwu_add's explicit raise, not an assert
+    tests = Path(__file__).resolve().parent
+    code = (
+        f"import sys; sys.path.insert(0, {str(tests)!r})\n"
+        "from test_solvers import run_with_bad_gradient\n"
+        "for bad in (float('nan'), float('inf')):\n"
+        "    try:\n"
+        "        run_with_bad_gradient('smd_vertex', bad)\n"
+        "    except ValueError:\n"
+        "        print(sys.flags.optimize, 'raised')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(tests.parent / "src"), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert done.stdout.split() == ["1", "raised"] * 2, done.stderr
+
+
 # ---- realized release audit ------------------------------------------------------
 
 
@@ -448,13 +544,23 @@ def release_at_cap(solver, tau_scale):
 ])
 def test_audit_composes_the_counted_releases(monkeypatch, solver, module, draws, extra):
     assert release_at_cap(solver, 1.0)().vertex_draws == draws
-    real = module.sparsify
+    if solver == "smd_vertex":  # the kernel takes its releases from a counted tape
+        real_uniforms = module.vertex_uniforms
 
-    def sparsify_releasing_one_more(x, k, rng):
-        sample_vertex(x, rng)
-        return real(x, k, rng)
+        def tape_releasing_two_more_per_step(rng, shape):
+            tape = real_uniforms(rng, shape)
+            real_uniforms(rng, (shape[0], 2))  # one more per sparsified block and step
+            return tape
 
-    monkeypatch.setattr(module, "sparsify", sparsify_releasing_one_more)
+        monkeypatch.setattr(module, "vertex_uniforms", tape_releasing_two_more_per_step)
+    else:
+        real = module.sparsify
+
+        def sparsify_releasing_one_more(x, k, rng):
+            sample_vertex(x, rng)
+            return real(x, k, rng)
+
+        monkeypatch.setattr(module, "sparsify", sparsify_releasing_one_more)
     assert release_at_cap(solver, 0.5)().vertex_draws == draws + extra
     with pytest.raises(BudgetError, match="realized vertex releases"):
         release_at_cap(solver, 1.0)()
