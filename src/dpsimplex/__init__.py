@@ -2,7 +2,7 @@
 
 Library layout:
 
-* :mod:`dpsimplex.simplex` - simplex points, log-domain iterates, vertex
+* :mod:`dpsimplex.simplex` - simplex points, the one mirror-descent loop, vertex
   sampling and sparsification
 * :mod:`dpsimplex.oracles` - per-sample objectives, datasets, truncated
   geometric levels and the bias-reduced gradient estimator
@@ -80,7 +80,6 @@ from .sco import (
     solve_dp_sco,
 )
 from .simplex import (
-    LogWeights,
     SimplexPoint,
     mwu_step,
     running_average,
@@ -112,7 +111,6 @@ __all__ = [
     "DatasetError",
     "DpSimplexError",
     "GapReport",
-    "LogWeights",
     "MatrixGame",
     "MaxLossProblem",
     "NashReport",

@@ -600,9 +600,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
     problem = _build_problem(cfg, "synth_data", "synth", master_seed,
                              os.path.dirname(os.path.abspath(args.config)))
     report = synth_data_generate(problem, privacy, RngStream(master_seed).child("synth"))
+    rows = np.asarray(report.synthetic, dtype=np.int64).tolist()
     with _atomic_write(args.out, newline="") as fh:
-        for v in report.synthetic:
-            fh.write(f"{int(v)}\n")
+        fh.write("".join(f"{v}\n" for v in rows))
     _write_json(args.out + ".report.json", {
         "config_hash": config_hash(cfg),
         "code_version": __version__,

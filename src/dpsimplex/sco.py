@@ -6,6 +6,11 @@ online-to-batch conversion: gradients are queried at the running average
 Because the query point moves so slowly, its sparsified surrogate can be
 cached for a whole round of ``q`` steps, cutting vertex releases (and hence
 privacy spend) by a factor of about ``q``.
+
+The online iterates are the package's one mirror-descent loop,
+:func:`~dpsimplex.simplex.mirror_descent`, run on one block with R = 1; the
+running average, its drift check and the cached surrogate live in the
+solver's step function.
 """
 from __future__ import annotations
 
@@ -17,7 +22,7 @@ from .errors import BudgetError
 from .oracles import Dataset, PerSampleObjective
 from .privacy import ScoPlan, audit_releases
 from .rng import RngStream
-from .simplex import LogWeights, SimplexPoint, mwu_step, running_average, sparsify, to_point
+from .simplex import SimplexPoint, _point, mirror_descent, running_average, sparsify
 
 
 class ConvexObjective:
@@ -95,54 +100,57 @@ def solve_dp_sco(
         raise BudgetError(
             f"plan needs {plan.T * plan.B_batch} fresh samples, dataset has {dataset.remaining}"
         )
-    d = obj.dim
-    xw = LogWeights.uniform(d)
-    w: SimplexPoint | None = None
-    w_hat: SimplexPoint | None = None
+    w = w_hat = None
     refreshes = 0
     draws = rng.vertex_draws
-    xs, ws, gs, marks = [], [], [], []
-    for t in range(1, plan.T + 1):
-        x_t = to_point(xw)
+    recorded = []  # (x_t, w_t, g_t, refreshed) per step, with record_trace
+
+    def step(item, x_t):
+        nonlocal w, w_hat, refreshes
+        t, refresh = item
+        x_t = x_t[0]
         w_next = running_average(w, x_t, t)
         if w is not None:
             # the cached-surrogate privacy cap relies on the 2/t drift bound
-            drift = float(np.abs(w_next.coords - w.coords).sum())
+            drift = float(np.add.reduce(np.abs(w_next - w)))
             if drift > 2.0 / t + 1e-12:
                 raise BudgetError(f"average moved {drift} > 2/{t}")
         w = w_next
-        refreshed = t <= plan.q or t % plan.q == 0
-        if refreshed:
-            w_hat = w if exact_iterates else sparsify(w, plan.K, rng)
+        if refresh:
+            w_hat = w if exact_iterates else sparsify(_point(w), plan.K, rng).coords
             refreshes += 1
-        batch = dataset.take(plan.B_batch)
-        g = obj.batch_grad(w_hat.coords, batch)
+        g = obj.batch_grad(w_hat, dataset.take(plan.B_batch))
         if record_trace:
-            xs.append(x_t.coords)
-            ws.append(w.coords)
-            gs.append(g)
-            marks.append(refreshed)
-        xw = mwu_step(xw, -g, plan.tau)
+            recorded.append((x_t, w, g, refresh))
+        return (-g,)
 
-    final = w if exact_iterates else sparsify(w, plan.K, rng)
+    mirror_descent((obj.dim,), 1, plan.tau, _rounds(plan.T, plan.q), step)
+    final = w if exact_iterates else sparsify(_point(w), plan.K, rng).coords
     refreshes += 1  # the returned average is always a fresh sparsification
     draws = audit_releases(plan, rng.vertex_draws - draws)
     trace = None
     if record_trace:
-        trace = ScoTrace(
-            x_points=np.array(xs),
-            w_points=np.array(ws),
-            grads=np.array(gs),
-            refreshed=np.array(marks, dtype=bool),
-        )
+        xs, ws, gs, marks = zip(*recorded)
+        trace = ScoTrace(x_points=np.array(xs), w_points=np.array(ws), grads=np.array(gs),
+                         refreshed=np.array(marks, dtype=bool))
     return ScoSolution(
-        w_hat=SimplexPoint(final.coords),  # the released point is checked at the boundary
+        w_hat=SimplexPoint(final),  # the released point is checked at the boundary
         samples_used=plan.T * plan.B_batch,
         refresh_count=refreshes,
         trace=trace,
         steps_run=plan.T,
         vertex_draws=draws,
     )
+
+
+def _rounds(T: int, q: int):
+    """Steps t = 1..T, each with whether it redraws the cached surrogate.
+
+    The surrogate is redrawn on every step ``t <= q`` and on every multiple of
+    ``q`` (step q counts once): about ``q + T/q`` draws of K vertices, as
+    :func:`~dpsimplex.privacy.max_step_anytime_sco` plans them.
+    """
+    return ((t, t <= q or t % q == 0) for t in range(1, T + 1))
 
 
 _audit_refreshes = audit_releases  # the name perfbench/layertrace.py traces it by

@@ -5,12 +5,17 @@ normalized only on read (:func:`to_point`). Composing update steps is then
 exact addition of cumulative score vectors, which the privacy audits rely on;
 renormalizing after every step would drift and destroy that view.
 
+Every solver runs the one step loop, :func:`mirror_descent`, on raw float64
+arrays: each rule (:func:`to_point`, :func:`mwu_step`, :func:`running_average`)
+takes a (d,) vector or an (R, d) batch of iterates, and row by row a batch
+gives the bits of the 1-d form. :class:`SimplexPoint` checks the points callers
+build and the points solvers return; the loop builds none.
+
 Vertex draws, the bias-reduced level draw and ``verify`` all invert a CDF with
 one uniform per draw, through the package's one inversion, :func:`inverse_cdf`.
 Vertex uniforms come from :func:`vertex_uniforms`, which charges each one on the
-stream as a release. The row-wise forms (:func:`softmax`, :func:`mwu_add`,
-:func:`inverse_cdf_rows`, :func:`mean_one_hots`) step a batch of iterates held as
-one (R, d) array; row by row they give the bits of the 1-d forms.
+stream as a release. :func:`inverse_cdf_rows` and :func:`mean_one_hots` are the
+row-wise forms of the inversion and of :func:`sparsify`'s counts.
 """
 from __future__ import annotations
 
@@ -19,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import BudgetError
 from .rng import RngStream
 
 SIMPLEX_SUM_TOL = 1e-9
@@ -30,9 +36,9 @@ class SimplexPoint:
     """A probability vector on the standard simplex.
 
     Coordinates are validated on construction (nonnegative, summing to one
-    within ``SIMPLEX_SUM_TOL``) and frozen read-only. The iterates built by
-    :func:`to_point`, :func:`sparsify` and :func:`running_average` are valid
-    by construction and skip the check.
+    within ``SIMPLEX_SUM_TOL``) and frozen read-only. Points that
+    :func:`sparsify` builds, and loop rows passed to a function that takes a
+    point, are valid by construction and skip the check.
     """
 
     coords: np.ndarray
@@ -67,81 +73,81 @@ class SimplexPoint:
         return cls(e)
 
 
-@dataclass(frozen=True)
-class LogWeights:
-    """Unnormalized log-domain weights backing a multiplicative-weights iterate."""
+def _point(coords: np.ndarray) -> SimplexPoint:
+    """``coords`` as a read-only point with no copy and no check.
 
-    logw: np.ndarray
-
-    def __post_init__(self):
-        logw = np.asarray(self.logw, dtype=np.float64)
-        if logw.ndim != 1 or logw.size < 1:
-            raise ValueError("log-weights must be a nonempty 1-d vector")
-        if not np.all(np.isfinite(logw)):
-            raise ValueError("log-weights must be finite")
-        logw = logw.copy()
-        logw.flags.writeable = False
-        object.__setattr__(self, "logw", logw)
-
-    @property
-    def dim(self) -> int:
-        return self.logw.size
-
-    @classmethod
-    def uniform(cls, dim: int) -> "LogWeights":
-        return cls(np.zeros(dim))
-
-
-def _frozen(cls, field: str, array: np.ndarray):
-    """``cls`` holding ``array`` read-only, built with no copy and no check.
-
-    Only for float64 arrays just built here that are valid by construction.
+    Only for a float64 row this package just built that is valid by
+    construction (a :func:`to_point` row, a mean of one-hots, a running
+    average), handed to a function that takes a point.
     """
-    array.flags.writeable = False
-    obj = object.__new__(cls)
-    object.__setattr__(obj, field, array)
-    return obj
+    coords.setflags(write=False)
+    p = object.__new__(SimplexPoint)
+    object.__setattr__(p, "coords", coords)
+    return p
 
 
-def softmax(logw: np.ndarray) -> np.ndarray:
+def to_point(logw: np.ndarray) -> np.ndarray:
     """Max-shifted softmax over the last axis: each row of log-weights to a simplex point.
 
-    Stable for log-weight spreads of +-1e4 and invariant under adding a
-    constant to every entry of a row.
+    Works on one (d,) vector or an (R, d) batch and returns a new read-only
+    array. Stable for log-weight spreads of +-1e4 and invariant under adding
+    a constant to every entry of a row.
     """
     # the ufuncs' reduce is what ndarray.max/sum run, without their Python-level wrappers
     e = np.exp(logw - np.maximum.reduce(logw, axis=-1, keepdims=True))
-    return e / np.add.reduce(e, axis=-1, keepdims=True)
+    x = e / np.add.reduce(e, axis=-1, keepdims=True)
+    x.setflags(write=False)
+    return x
 
 
-def to_point(w: LogWeights) -> SimplexPoint:
-    """Normalize log-weights into a simplex point (:func:`softmax`)."""
-    return _frozen(SimplexPoint, "coords", softmax(w.logw))
-
-
-def mwu_add(logw: np.ndarray, g: np.ndarray, tau: float) -> np.ndarray:
-    """``logw + tau * g`` on raw arrays; a step size that is not positive and finite, or a
-    non-finite result, raises ``ValueError`` (an explicit raise, kept under ``python -O``)."""
-    if not (math.isfinite(tau) and tau > 0):
-        raise ValueError(f"step size must be positive and finite, got {tau!r}")
-    new_logw = logw + tau * g
-    if not np.isfinite(new_logw).all():
-        raise ValueError("mwu step needs a finite gradient and a step that does not overflow")
-    return new_logw
-
-
-def mwu_step(w: LogWeights, g: np.ndarray, tau: float = 1.0) -> LogWeights:
-    """Add ``tau * g`` to the log-weights.
+def mwu_step(logw: np.ndarray, g: np.ndarray, tau: float = 1.0) -> np.ndarray:
+    """The multiplicative-weights step in log domain: ``logw + tau * g``, a new read-only array.
 
     The caller carries the sign: pass the negated gradient for descent and
     the raw gradient for ascent. Steps compose additively, so k single steps
-    equal one cumulative step in log domain. A non-finite gradient, or a step
-    that overflows, raises ``ValueError``.
+    equal one cumulative step in log domain. A (d,) gradient steps every row
+    of an (R, d) batch; a gradient of another width raises ``ValueError``, and
+    so do a step size that is not positive and finite and a non-finite result
+    (a NaN or infinite gradient, or an overflowing step). The raises are
+    explicit, so they hold under ``python -O``.
     """
-    g = np.asarray(g, dtype=np.float64)
-    if g.shape != w.logw.shape:
-        raise ValueError(f"gradient shape {g.shape} does not match {w.logw.shape}")
-    return _frozen(LogWeights, "logw", mwu_add(w.logw, g, tau))
+    if not (math.isfinite(tau) and tau > 0):
+        raise ValueError(f"step size must be positive and finite, got {tau!r}")
+    if g.shape[-1:] != logw.shape[-1:]:
+        raise ValueError(f"gradient shape {g.shape} does not match {logw.shape}")
+    new_logw = logw + tau * g
+    if not np.isfinite(new_logw).all():
+        raise ValueError("mwu step needs a finite gradient and a step that does not overflow")
+    new_logw.setflags(write=False)
+    return new_logw
+
+
+def mirror_descent(dims: tuple[int, ...], rows: int, tau: float, schedule, step) -> int:
+    """The loop every solver runs: entropic mirror descent on blocks of sizes ``dims``.
+
+    The multiplicative-weights step of Beck & Teboulle (2003) on each simplex
+    block, run as the saddle SMD of Nemirovski, Juditsky, Lan & Shapiro (2009)
+    on two blocks and as online learning on one. Each block's log-weights
+    start at zero, as one (rows, d) array; the runs share ``tau`` and the
+    schedule. ``schedule`` yields one item per step, and ending it ends the
+    run. ``step(item, *points)`` gets each block's iterates (:func:`to_point`,
+    (rows, d) each) and returns the direction each block's log-weights move
+    along (:func:`mwu_step`): the negated gradient for descent. What a run
+    releases, averages or records is the step's business.
+
+    Returns the number of steps. A run of zero steps raises
+    :class:`~dpsimplex.errors.BudgetError`.
+    """
+    logw = [np.zeros((rows, d)) for d in dims]
+    taus = [tau] * len(dims)
+    steps = 0
+    for item in schedule:
+        directions = step(item, *map(to_point, logw))
+        logw = list(map(mwu_step, logw, directions, taus))
+        steps += 1
+    if steps == 0:
+        raise BudgetError("schedule too short to execute a single step")
+    return steps
 
 
 def _guide_table(cdf: np.ndarray) -> tuple[np.ndarray, int]:
@@ -224,11 +230,11 @@ def sparsify(x: SimplexPoint, k: int, rng: RngStream) -> SimplexPoint:
     if k < 1:
         raise ValueError(f"sparsification needs at least one draw, got k={k}")
     counts = np.bincount(sample_vertex_indices(x.coords, k, rng), minlength=x.dim)
-    return _frozen(SimplexPoint, "coords", counts / k)
+    return _point(counts / k)
 
 
-def running_average(w_prev: SimplexPoint | None, x_t: SimplexPoint, t: int) -> SimplexPoint:
-    """Exact running mean ``((t-1) * w_prev + x_t) / t``.
+def running_average(w_prev: np.ndarray | None, x_t: np.ndarray, t: int) -> np.ndarray:
+    """Exact running mean ``((t-1) * w_prev + x_t) / t`` of simplex points, read-only.
 
     Successive averages move slowly: the 1-norm distance to ``w_prev`` is at
     most ``2/t``.
@@ -239,6 +245,8 @@ def running_average(w_prev: SimplexPoint | None, x_t: SimplexPoint, t: int) -> S
         return x_t
     if w_prev is None:
         raise ValueError("w_prev is required for t >= 2")
-    if w_prev.coords.shape != x_t.coords.shape:
+    if w_prev.shape != x_t.shape:
         raise ValueError("running average of points of different dimensions")
-    return _frozen(SimplexPoint, "coords", ((t - 1) * w_prev.coords + x_t.coords) / t)
+    w = ((t - 1) * w_prev + x_t) / t
+    w.setflags(write=False)
+    return w

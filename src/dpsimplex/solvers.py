@@ -9,11 +9,13 @@ Every run reports the vertex releases counted on its stream as
 ``vertex_draws``, and :func:`~dpsimplex.privacy.audit_releases` composes them;
 a violation raises :class:`~dpsimplex.errors.BudgetError` instead of a result.
 
-The trials of one n share their plan and run as one batch
-(:func:`solve_smd_vertex_batch`): their iterates step together as (R, d) raw
-arrays in the one loop, :func:`_saddle_descent`, and each trial draws from a
-tape on its own stream whose uniforms are charged on that stream as releases.
-A batched trial releases the bytes it would release run on its own.
+The saddle solvers run the package's one mirror-descent loop,
+:func:`~dpsimplex.simplex.mirror_descent`, on the x and y blocks; each
+supplies only its schedule and its per-step estimator. The trials of one n
+share their plan and run as one batch (:func:`solve_smd_vertex_batch`): their
+iterates step together as (R, d) raw arrays, and each trial draws from a tape
+on its own stream whose uniforms are charged on that stream as releases. A
+batched trial releases the bytes it would release run on its own.
 """
 from __future__ import annotations
 
@@ -45,12 +47,11 @@ from .rng import RngStream
 from .sco import FrozenXObjective, FrozenYObjective, solve_dp_sco
 from .simplex import (
     SimplexPoint,
-    _frozen,
+    _point,
     inverse_cdf_rows,
     mean_one_hots,
-    mwu_add,
+    mirror_descent,
     sample_vertex,
-    softmax,
     vertex_uniforms,
 )
 
@@ -78,54 +79,33 @@ class BrRunTrace:
     stop_step: int
 
 
-def _saddle_descent(d_x: int, d_y: int, rows: int, tau: float, schedule, step):
-    """Entropic mirror descent on both blocks of ``rows`` runs; the loop every saddle solver runs.
+def _dense_average(d_x: int, d_y: int, tau: float, T: int, direction):
+    """T steps of the loop whose outputs average the dense iterates, which releases nothing.
 
-    The runs share ``tau`` and the schedule, and step together as (rows, d)
-    log-weight arrays. ``schedule`` yields one item per step and ending it ends
-    the run. ``step(item, x_t, y_t)`` gets the (rows, d) iterates and returns
-    ``(x_out, y_out, dx, dy)``: each block's released vertex per row (a list
-    of ints), or None for both when the step releases nothing, and the
-    direction each block's log-weights move along (the negated saddle
-    gradient).
-
-    Returns ``(x, y, steps, x_released)``: the outputs, (rows, d) each, average
-    the released one-hots (or the dense iterates, when nothing is released);
-    ``x_released`` (rows, steps) holds the x block's released vertices, or None.
-    A run of zero steps raises :class:`~dpsimplex.errors.BudgetError`.
+    ``direction(x, y)`` gives both blocks' directions at the (d,) iterates.
+    Returns the two averages, (d,) each.
     """
-    xw = np.zeros((rows, d_x))
-    yw = np.zeros((rows, d_y))
-    x_acc = np.zeros((rows, d_x))
-    y_acc = np.zeros((rows, d_y))
-    released: list[int] = []  # per step, x's rows then y's: ints, not one array per step
-    steps = 0
-    for item in schedule:
-        x_t, y_t = softmax(xw), softmax(yw)
-        x_out, y_out, dx, dy = step(item, x_t, y_t)
-        if x_out is None:
-            x_acc += x_t
-            y_acc += y_t
-        else:
-            released += x_out
-            released += y_out
-        xw = mwu_add(xw, dx, tau)
-        yw = mwu_add(yw, dy, tau)
-        steps += 1
-    if steps == 0:
-        raise BudgetError("schedule too short to execute a single step")
-    if not released:
-        return x_acc / steps, y_acc / steps, steps, None
-    # counting the releases at the end adds the same exact 1.0s a running sum would
+    x_sum, y_sum = np.zeros((1, d_x)), np.zeros((1, d_y))
+
+    def step(_, x_t, y_t):
+        np.add(x_sum, x_t, out=x_sum)
+        np.add(y_sum, y_t, out=y_sum)
+        return direction(x_t[0], y_t[0])
+
+    steps = mirror_descent((d_x, d_y), 1, tau, range(T), step)
+    return x_sum[0] / steps, y_sum[0] / steps
+
+
+def _released_means(released: list[int], steps: int, rows: int, d_x: int, d_y: int):
+    """The outputs of runs that release one vertex per block, row and step.
+
+    ``released`` holds each step's x vertices, row by row, then its y
+    vertices. Returns the means of the released one-hots, (rows, d) each, and
+    the x block's released vertices, (rows, steps). Counting the releases at
+    the end adds the same exact 1.0s a running sum would.
+    """
     x_released, y_released = np.array(released).reshape(steps, 2, rows).transpose(1, 2, 0)
-    return (mean_one_hots(x_released, d_x), mean_one_hots(y_released, d_y), steps,
-            x_released)
-
-
-def _point(coords: np.ndarray) -> SimplexPoint:
-    """A row the loop built (a softmax or a mean of one-hots), valid by construction,
-    as a point without a copy or a check."""
-    return _frozen(SimplexPoint, "coords", coords)
+    return mean_one_hots(x_released, d_x), mean_one_hots(y_released, d_y), x_released
 
 
 def _tape(rngs: list[RngStream], steps: int, order: np.ndarray):
@@ -170,13 +150,13 @@ def solve_smd_vertex(
         return solve_smd_vertex_batch(obj, [dataset], plan, [rng], keep_x_draws)[0]
     _check_samples(dataset, plan)
 
-    def exact_step(_, x_t, y_t):
-        g = batch_gradient(obj, _point(x_t[0]), _point(y_t[0]), dataset.take(plan.B_batch))
-        return None, None, -g.g_x, -g.g_y
+    def exact_direction(x, y):
+        g = batch_gradient(obj, _point(x), _point(y), dataset.take(plan.B_batch))
+        return -g.g_x, -g.g_y
 
-    x, y, steps, _ = _saddle_descent(obj.d_x, obj.d_y, 1, plan.tau, range(plan.T), exact_step)
-    return SaddleSolution(x=SimplexPoint(x[0]), y=SimplexPoint(y[0]),
-                          samples_used=steps * plan.B_batch, steps_run=steps, vertex_draws=0,
+    x, y = _dense_average(obj.d_x, obj.d_y, plan.tau, plan.T, exact_direction)
+    return SaddleSolution(x=SimplexPoint(x), y=SimplexPoint(y),
+                          samples_used=plan.T * plan.B_batch, steps_run=plan.T, vertex_draws=0,
                           x_vertex_indices=np.zeros(0, dtype=np.int64) if keep_x_draws else None)
 
 
@@ -207,6 +187,7 @@ def solve_smd_vertex_batch(
     draws = [rng.vertex_draws for rng in rngs]
     dx = np.empty((rows, obj.d_x))
     dy = np.empty((rows, obj.d_y))
+    released: list[int] = []  # ints, not one array per step
 
     def sampled_step(u, x_t, y_t):
         xs = inverse_cdf_rows(x_t.cumsum(axis=1), u[:, : K + 1])
@@ -217,13 +198,16 @@ def solve_smd_vertex_batch(
             g = batch_gradient(obj, _point(x_hat[r]), _point(y_hat[r]), dataset.take(B))
             np.negative(g.g_x, out=dx[r])
             np.negative(g.g_y, out=dy[r])
-        return xs[:, K].tolist(), ys[:, K].tolist(), dx, dy
+        released.extend(xs[:, K].tolist())
+        released.extend(ys[:, K].tolist())
+        return dx, dy
 
     # a step's stream order is x's K draws, y's K, x's vertex, y's vertex; the tape
     # puts each block's K + 1 draws side by side
     order = np.r_[0:K, 2 * K, K : 2 * K, 2 * K + 1]
-    x, y, steps, x_released = _saddle_descent(obj.d_x, obj.d_y, rows, plan.tau,
-                                              _tape(rngs, plan.T, order), sampled_step)
+    steps = mirror_descent((obj.d_x, obj.d_y), rows, plan.tau, _tape(rngs, plan.T, order),
+                           sampled_step)
+    x, y, x_released = _released_means(released, steps, rows, obj.d_x, obj.d_y)
     return [
         SaddleSolution(
             x=SimplexPoint(x[r]),
@@ -259,6 +243,7 @@ def solve_smd_bias_reduced(
     tg = TruncGeom(0.5, plan.M)
     threshold = plan.U - 2.0**plan.M
     levels: list[int] = []
+    released: list[int] = []
     draws = rng.vertex_draws
 
     def schedule():
@@ -273,12 +258,14 @@ def solve_smd_bias_reduced(
 
     def step(N, x_t, y_t):
         x, y = _point(x_t[0]), _point(y_t[0])
-        xi, yi = sample_vertex(x, rng), sample_vertex(y, rng)
+        released.append(sample_vertex(x, rng))
+        released.append(sample_vertex(y, rng))
         batch = dataset.take(_batch_size(N, plan.alpha))
         g = bias_reduced_gradient(obj, x, y, N, batch, tg, rng)
-        return [xi], [yi], -g.g_x, -g.g_y
+        return -g.g_x, -g.g_y
 
-    x, y, steps, _ = _saddle_descent(obj.d_x, obj.d_y, 1, plan.tau, schedule(), step)
+    steps = mirror_descent((obj.d_x, obj.d_y), 1, plan.tau, schedule(), step)
+    x, y, _ = _released_means(released, steps, 1, obj.d_x, obj.d_y)
     weight = sum(2**N for N in levels)
     draws = audit_releases(plan, rng.vertex_draws - draws)
     sol = SaddleSolution(
@@ -312,12 +299,9 @@ def solve_smd_nonprivate(
     if not (tau > 0):
         raise ValueError(f"need tau > 0, got {tau}")
 
-    def step(_, x_t, y_t):
-        return None, None, -pop.grad_x(x_t[0], y_t[0]), pop.grad_y(x_t[0], y_t[0])
-
-    x, y, steps, _ = _saddle_descent(d_x, d_y, 1, tau, range(T), step)
-    return SaddleSolution(x=SimplexPoint(x[0]), y=SimplexPoint(y[0]), samples_used=0,
-                          steps_run=steps, vertex_draws=0)
+    x, y = _dense_average(d_x, d_y, tau, T, lambda x, y: (-pop.grad_x(x, y), pop.grad_y(x, y)))
+    return SaddleSolution(x=SimplexPoint(x), y=SimplexPoint(y), samples_used=0, steps_run=T,
+                          vertex_draws=0)
 
 
 # --------------------------------------------------------------------------

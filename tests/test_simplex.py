@@ -9,7 +9,6 @@ from dpsimplex import simplex
 from dpsimplex.rng import RngStream
 from dpsimplex.simplex import (
     GUIDE_BUCKETS,
-    LogWeights,
     SimplexPoint,
     inverse_cdf,
     mwu_step,
@@ -25,7 +24,7 @@ def coords(*values):
     return np.array(values, dtype=np.float64)
 
 
-# ---- SimplexPoint / LogWeights invariants ----------------------------------
+# ---- SimplexPoint invariants ------------------------------------------------
 
 
 def test_simplex_point_validation():
@@ -53,28 +52,23 @@ def test_vertex_and_uniform():
     assert np.allclose(u.coords, 0.2)
 
 
-def test_log_weights_require_finite():
-    with pytest.raises(ValueError):
-        LogWeights(coords(np.inf, 0.0))
-
-
 # ---- to_point ----------------------------------------------------------------
 
 
 def test_to_point_symmetry():
-    assert np.allclose(to_point(LogWeights(coords(0, 0, 0))).coords, 1 / 3)
+    assert np.allclose(to_point(coords(0, 0, 0)), 1 / 3)
 
 
 def test_to_point_max_shift_stability():
-    p = to_point(LogWeights(coords(1000.0, 0.0)))
-    assert p.coords[0] == pytest.approx(1.0)
-    p = to_point(LogWeights(coords(1e4, -1e4, 0.0)))
-    assert np.isfinite(p.coords).all() and p.coords.sum() == pytest.approx(1.0)
+    p = to_point(coords(1000.0, 0.0))
+    assert p[0] == pytest.approx(1.0)
+    p = to_point(coords(1e4, -1e4, 0.0))
+    assert np.isfinite(p).all() and p.sum() == pytest.approx(1.0)
 
 
 def test_to_point_direct_normalization():
-    p = to_point(LogWeights(coords(math.log(1), math.log(3))))
-    assert np.allclose(p.coords, [0.25, 0.75], atol=1e-12)
+    p = to_point(coords(math.log(1), math.log(3)))
+    assert np.allclose(p, [0.25, 0.75], atol=1e-12)
 
 
 @given(
@@ -83,24 +77,24 @@ def test_to_point_direct_normalization():
 )
 @settings(max_examples=200, deadline=None)
 def test_to_point_scale_invariance(logw, shift):
-    w = LogWeights(np.array(logw))
-    shifted = LogWeights(np.array(logw) + shift)
-    assert np.allclose(to_point(w).coords, to_point(shifted).coords, atol=1e-12)
+    w = np.array(logw)
+    shifted = np.array(logw) + shift
+    assert np.allclose(to_point(w), to_point(shifted), atol=1e-12)
 
 
 # ---- mwu_step ----------------------------------------------------------------
 
 
 def test_mwu_zero_gradient_is_identity():
-    w = LogWeights(coords(0.3, -0.2, 1.0))
+    w = coords(0.3, -0.2, 1.0)
     w2 = mwu_step(w, coords(0.0, 0.0, 0.0))
-    assert np.allclose(to_point(w).coords, to_point(w2).coords)
+    assert np.allclose(to_point(w), to_point(w2))
 
 
 def test_mwu_closed_form_softmax():
-    w = LogWeights.uniform(2)
+    w = np.zeros(2)
     w2 = mwu_step(w, coords(-math.log(2), 0.0))
-    assert np.allclose(to_point(w2).coords, [1 / 3, 2 / 3], atol=1e-12)
+    assert np.allclose(to_point(w2), [1 / 3, 2 / 3], atol=1e-12)
 
 
 @given(
@@ -110,14 +104,14 @@ def test_mwu_closed_form_softmax():
 )
 @settings(max_examples=200, deadline=None)
 def test_mwu_additivity(g1, g2, tau):
-    w = LogWeights(coords(0.1, -0.4, 0.3))
+    w = coords(0.1, -0.4, 0.3)
     sequential = mwu_step(mwu_step(w, np.array(g1), tau), np.array(g2), tau)
     combined = mwu_step(w, np.array(g1) + np.array(g2), tau)
-    assert np.allclose(to_point(sequential).coords, to_point(combined).coords, atol=1e-12)
+    assert np.allclose(to_point(sequential), to_point(combined), atol=1e-12)
 
 
 def test_mwu_rejects_bad_inputs():
-    w = LogWeights.uniform(2)
+    w = np.zeros(2)
     with pytest.raises(ValueError):
         mwu_step(w, coords(np.inf, 0.0))
     with pytest.raises(ValueError):
@@ -128,13 +122,13 @@ def test_mwu_rejects_bad_inputs():
 
 def test_mwu_rejects_overflow_and_shape_mismatch():
     # one finiteness check on the new log-weights catches what the gradient
-    # check and the LogWeights validation caught, plus an overflowing step
+    # check caught, plus an overflowing step
     with pytest.raises(ValueError), np.errstate(over="ignore"):
-        mwu_step(LogWeights(coords(1e308, 0.0)), coords(1e308, 0.0))
+        mwu_step(coords(1e308, 0.0), coords(1e308, 0.0))
     with pytest.raises(ValueError):
-        mwu_step(LogWeights.uniform(3), coords(1.0))  # would broadcast
+        mwu_step(np.zeros(3), coords(1.0))  # would broadcast
     with pytest.raises(ValueError):
-        mwu_step(LogWeights.uniform(2), coords(-np.inf, 0.0))
+        mwu_step(np.zeros(2), coords(-np.inf, 0.0))
 
 
 # ---- iterates valid by construction ---------------------------------------------
@@ -149,24 +143,24 @@ def test_mwu_rejects_overflow_and_shape_mismatch():
 def test_loop_built_points_pass_the_public_check(logw, k, t):
     # to_point, sparsify and running_average skip validation; what they build
     # must still pass it
-    x = to_point(LogWeights(np.array(logw)))
-    s = sparsify(x, k, RngStream(k))
+    x = to_point(np.array(logw))
+    s = sparsify(SimplexPoint(x), k, RngStream(k)).coords
     for p in (x, s, running_average(x, s, t)):
-        assert np.array_equal(SimplexPoint(p.coords).coords, p.coords)
+        assert np.array_equal(SimplexPoint(p).coords, p)
 
 
 def test_loop_built_objects_are_read_only():
-    w = mwu_step(LogWeights.uniform(3), coords(0.1, 0.2, 0.3))
+    w = mwu_step(np.zeros(3), coords(0.1, 0.2, 0.3))
     x = to_point(w)
-    s = sparsify(x, 4, RngStream(8))
-    for arr in (w.logw, x.coords, s.coords, running_average(x, s, 2).coords):
+    s = sparsify(SimplexPoint(x), 4, RngStream(8)).coords
+    for arr in (w, x, s, running_average(x, s, 2)):
         with pytest.raises(ValueError):
             arr[0] = 0.5
 
 
 def test_running_average_rejects_mismatched_dimensions():
     with pytest.raises(ValueError):
-        running_average(SimplexPoint(coords(1.0)), SimplexPoint(coords(0.5, 0.5)), 2)
+        running_average(coords(1.0), coords(0.5, 0.5), 2)
 
 
 # ---- vertex sampling -----------------------------------------------------------
@@ -243,11 +237,11 @@ def test_row_wise_forms_equal_the_1d_forms_bit_for_bit(d, rows, k, spread, seed)
     logw = spread * gen.standard_normal((rows, d))
     g = gen.standard_normal((rows, d))
     u = gen.random((rows, k))
-    points = simplex.softmax(logw)
+    points = simplex.to_point(logw)
     cdf = points.cumsum(axis=1)
     indices = simplex.inverse_cdf_rows(cdf, u)
     means = simplex.mean_one_hots(indices, d)
-    stepped = simplex.mwu_add(logw, g, 0.37)
+    stepped = simplex.mwu_step(logw, g, 0.37)
     row_sums = np.exp(logw - logw.max(axis=1, keepdims=True)).sum(axis=1)
     for r in range(rows):
         e = np.exp(logw[r] - logw[r].max())
@@ -319,18 +313,18 @@ def test_sparsify_support_is_multiples_of_inverse_k(k):
 
 
 def test_running_average_first_step():
-    x = SimplexPoint(coords(0.4, 0.6))
+    x = coords(0.4, 0.6)
     assert running_average(None, x, 1) is x
 
 
 def test_running_average_midpoint():
-    w = running_average(SimplexPoint(coords(1.0, 0.0)), SimplexPoint(coords(0.0, 1.0)), 2)
-    assert np.allclose(w.coords, [0.5, 0.5])
+    w = running_average(coords(1.0, 0.0), coords(0.0, 1.0), 2)
+    assert np.allclose(w, [0.5, 0.5])
 
 
 def test_running_average_rejects_t_zero():
     with pytest.raises(ValueError):
-        running_average(None, SimplexPoint(coords(1.0, 0.0)), 0)
+        running_average(None, coords(1.0, 0.0), 0)
 
 
 def test_running_average_drift_bound():
@@ -338,8 +332,8 @@ def test_running_average_drift_bound():
     gen = RngStream(7).gen
     w = None
     for t in range(1, 10**4 + 1):
-        x = SimplexPoint(gen.dirichlet(np.ones(6)))
+        x = gen.dirichlet(np.ones(6))
         w_next = running_average(w, x, t)
         if w is not None:
-            assert np.abs(w_next.coords - w.coords).sum() <= 2.0 / t + 1e-12
+            assert np.abs(w_next - w).sum() <= 2.0 / t + 1e-12
         w = w_next

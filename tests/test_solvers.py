@@ -25,7 +25,6 @@ from dpsimplex.problems import BilinearObjective, MatrixGame, exact_gap_bilinear
 from dpsimplex.rng import RngStream
 from dpsimplex.sco import FrozenXObjective, FrozenYObjective, solve_dp_sco
 from dpsimplex.simplex import (
-    LogWeights,
     SimplexPoint,
     mwu_step,
     sample_vertex,
@@ -106,11 +105,11 @@ def test_vertex_solver_records_released_categories():
 def reference_smd_vertex(obj, dataset, plan, rng):
     """The step-by-step vertex solver the batched kernel replaces, on the public helpers:
     one sparsify per block, one sample_vertex per output, one-hot sums, mwu_step."""
-    xw, yw = LogWeights.uniform(obj.d_x), LogWeights.uniform(obj.d_y)
+    xw, yw = np.zeros(obj.d_x), np.zeros(obj.d_y)
     x_acc, y_acc = np.zeros(obj.d_x), np.zeros(obj.d_y)
     draws, released = rng.vertex_draws, []
     for _ in range(plan.T):
-        x_t, y_t = to_point(xw), to_point(yw)
+        x_t, y_t = SimplexPoint(to_point(xw)), SimplexPoint(to_point(yw))
         x_hat, y_hat = sparsify(x_t, plan.K, rng), sparsify(y_t, plan.K, rng)
         xi, yi = sample_vertex(x_t, rng), sample_vertex(y_t, rng)
         released.append(xi)
@@ -494,7 +493,7 @@ def test_non_finite_gradient_guard_survives_python_O():
 
 
 def test_raw_loop_finiteness_guard_survives_python_O():
-    # smd_vertex steps raw arrays; its guard is mwu_add's explicit raise, not an assert
+    # smd_vertex steps raw arrays; its guard is mwu_step's explicit raise, not an assert
     tests = Path(__file__).resolve().parent
     code = (
         f"import sys; sys.path.insert(0, {str(tests)!r})\n"
