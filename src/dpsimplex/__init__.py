@@ -75,6 +75,7 @@ from .problems import (
 from .rng import RngStream
 from .sco import (
     ConvexObjective,
+    ScoBatch,
     ScoSolution,
     anytime_average_regret_decomposition,
     solve_dp_sco,
@@ -124,6 +125,7 @@ __all__ = [
     "SaddleGradient",
     "SaddleSolution",
     "ScoPlan",
+    "ScoBatch",
     "ScoSolution",
     "SeparableQuadratic",
     "SimplexPoint",

@@ -62,6 +62,10 @@ class PerSampleObjective:
             g += self.grad_y(x, y, z)
         return g / len(zs)
 
+    def batch_grad_xy(self, x: np.ndarray, y: np.ndarray, zs) -> tuple[np.ndarray, np.ndarray]:
+        """``(batch_grad_x, batch_grad_y)`` in one call; subclasses may share work between them."""
+        return self.batch_grad_x(x, y, zs), self.batch_grad_y(x, y, zs)
+
     def batch_value(self, x: np.ndarray, y: np.ndarray, zs) -> float:
         return sum(self.value(x, y, z) for z in zs) / len(zs)
 
@@ -168,9 +172,8 @@ def batch_gradient(
     """Mean saddle gradient over a batch: ``(mean grad_x, -mean grad_y)``."""
     if len(batch) == 0:
         raise ValueError("gradient batch must be nonempty")
-    gx = obj.batch_grad_x(x.coords, y.coords, batch)
-    gy = -obj.batch_grad_y(x.coords, y.coords, batch)
-    return SaddleGradient(gx, gy)
+    gx, gy = obj.batch_grad_xy(x.coords, y.coords, batch)
+    return SaddleGradient(gx, -gy)
 
 
 def _mean_one_hot(indices: np.ndarray, dim: int) -> np.ndarray:
@@ -213,12 +216,11 @@ def bias_reduced_gradient(
     y_first = _mean_one_hot(ys[:1], y.dim)
 
     scale = tg.C_M * half
-    gx = scale * (
-        obj.batch_grad_x(x_plus, y_plus, batch) - obj.batch_grad_x(x_minus, y_minus, batch)
-    ) + obj.batch_grad_x(x_first, y_first, batch)
-    gy = -scale * (
-        obj.batch_grad_y(x_plus, y_plus, batch) - obj.batch_grad_y(x_minus, y_minus, batch)
-    ) - obj.batch_grad_y(x_first, y_first, batch)
+    gx_plus, gy_plus = obj.batch_grad_xy(x_plus, y_plus, batch)
+    gx_minus, gy_minus = obj.batch_grad_xy(x_minus, y_minus, batch)
+    gx_first, gy_first = obj.batch_grad_xy(x_first, y_first, batch)
+    gx = scale * (gx_plus - gx_minus) + gx_first
+    gy = -scale * (gy_plus - gy_minus) - gy_first
 
     cap = tg.C_M * 2 * half * obj.L0 + obj.L0
     if np.abs(gx).max() > cap * (1 + 1e-9) or np.abs(gy).max() > cap * (1 + 1e-9):

@@ -61,22 +61,37 @@ class BilinearObjective(PerSampleObjective):
     # The gradients read only the columns (rows) on the other point's support:
     # O(d * support) instead of O(d_x * d_y) at the sparsified iterates. The dense
     # product is cheaper below _GATHER_MIN_ENTRIES, and past a support of a fifth
-    # of the block for batch_grad_x's strided columns (half for batch_grad_y's rows).
+    # of the block for the x gradient's strided columns (half for the y gradient's rows).
+    # batch_grad_xy averages the batch once and builds the dense matrix at most once.
     def batch_grad_x(self, x, y, zs):
-        z = _mean_sign(zs)
-        if self.A.size >= _GATHER_MIN_ENTRIES:
-            j = np.flatnonzero(y)
-            if 5 * j.size <= self.d_y:
-                return (self.A[:, j] + z * self.E[:, j]) @ y[j]
-        return self._matrix(z) @ y
+        return self._grad_x(y, _mean_sign(zs), self._support(y, 5))
 
     def batch_grad_y(self, x, y, zs):
+        return self._grad_y(x, _mean_sign(zs), self._support(x, 2))
+
+    def batch_grad_xy(self, x, y, zs):
         z = _mean_sign(zs)
+        j, i = self._support(y, 5), self._support(x, 2)
+        M = self._matrix(z) if j is None or i is None else None
+        return self._grad_x(y, z, j, M), self._grad_y(x, z, i, M)
+
+    def _support(self, p, share):
+        """Indices of ``p``'s nonzeros if gathering them beats the dense product, else None."""
         if self.A.size >= _GATHER_MIN_ENTRIES:
-            i = np.flatnonzero(x)
-            if 2 * i.size <= self.d_x:
-                return (self.A[i] + z * self.E[i]).T @ x[i]
-        return self._matrix(z).T @ x
+            idx = np.flatnonzero(p)
+            if share * idx.size <= p.size:
+                return idx
+        return None
+
+    def _grad_x(self, y, z, j, M=None):
+        if j is None:
+            return (self._matrix(z) if M is None else M) @ y
+        return (self.A[:, j] + z * self.E[:, j]) @ y[j]
+
+    def _grad_y(self, x, z, i, M=None):
+        if i is None:
+            return (self._matrix(z) if M is None else M).T @ x
+        return (self.A[i] + z * self.E[i]).T @ x[i]
 
     def batch_value(self, x, y, zs):
         return float(x @ self._matrix(np.mean(zs)) @ y)
@@ -86,7 +101,7 @@ def _mean_sign(zs) -> float:
     """``np.mean(zs)`` to the bit for float signs: the same ``add.reduce`` and divide,
     at a third of its cost."""
     zs = np.asarray(zs)
-    return zs.sum() / zs.size
+    return np.add.reduce(zs) / zs.size
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,10 @@ cached for a whole round of ``q`` steps, cutting vertex releases (and hence
 privacy spend) by a factor of about ``q``.
 
 The online iterates are the package's one mirror-descent loop,
-:func:`~dpsimplex.simplex.mirror_descent`, run on one block with R = 1; the
-running average, its drift check and the cached surrogate live in the
-solver's step function.
+:func:`~dpsimplex.simplex.mirror_descent`, run on one block of R rows, one
+per solve that shares the plan (boosting's I*J best responses per side are
+one call). The rows' running averages, drift check and cached surrogates
+live in the solver's step function.
 """
 from __future__ import annotations
 
@@ -77,70 +78,93 @@ class ScoSolution:
     vertex_draws: int = 0
 
 
+class ScoBatch(tuple):
+    """The solutions of one :func:`solve_dp_sco` call, one per row, in row order."""
+
+    refresh_count = property(lambda self: self[0].refresh_count)  # the rows share the schedule
+
+
 def solve_dp_sco(
-    obj: ConvexObjective,
-    dataset: Dataset,
+    objs: list[ConvexObjective],
+    datasets: list[Dataset],
     plan: ScoPlan,
-    rng: RngStream,
+    rngs: list[RngStream],
     exact_iterates: bool = False,
     record_trace: bool = False,
-) -> ScoSolution:
-    """Anytime mirror descent with a round-cached sparsified average.
+) -> ScoBatch:
+    """Anytime mirror descent with a round-cached sparsified average, one run per row.
 
-    The sparsified surrogate is redrawn with K vertex draws on steps
-    ``t <= q`` and on multiples of ``q`` (step q counts once) and reused in
-    between; the return value is a fresh K-draw sparsification of the final
-    average. ``exact_iterates=True`` replaces all sampling with the identity,
-    reducing the method to exact anytime mirror descent; such a run releases
-    no vertices, so its privacy precondition is not enforced.
+    Row r minimizes ``objs[r]`` on ``datasets[r]`` with draws from ``rngs[r]``
+    and gets the bytes a one-row call would; the rows share ``plan`` and step
+    as one (R, d) block, with one gradient call and one release audit per row.
+    The sparsified surrogate is redrawn with K vertex draws on steps ``t <= q``
+    and on multiples of ``q`` (step q counts once) and reused in between; a
+    row returns a fresh K-draw sparsification of its final average.
+    ``exact_iterates=True`` replaces all sampling with the identity, reducing
+    the method to exact anytime mirror descent; such a run releases no
+    vertices, so its plan's privacy caps are not enforced (its schedule is).
     """
-    if not exact_iterates:
-        plan.validate()
-    if dataset.remaining < plan.T * plan.B_batch:
-        raise BudgetError(
-            f"plan needs {plan.T * plan.B_batch} fresh samples, dataset has {dataset.remaining}"
-        )
+    if not objs or not len(objs) == len(datasets) == len(rngs):
+        raise ValueError("need one objective, dataset and stream per row")
+    plan.validate(privacy=not exact_iterates)
+    for dataset in datasets:
+        if dataset.remaining < plan.T * plan.B_batch:
+            raise BudgetError(f"plan needs {plan.T * plan.B_batch} fresh samples, "
+                              f"dataset has {dataset.remaining}")
     w = w_hat = None
     refreshes = 0
-    draws = rng.vertex_draws
-    recorded = []  # (x_t, w_t, g_t, refreshed) per step, with record_trace
+    draws = [rng.vertex_draws for rng in rngs]
+    recorded = []  # (x_t, w_t, g_t, refreshed) per step, (R, d) each, with record_trace
 
     def step(item, x_t):
         nonlocal w, w_hat, refreshes
         t, refresh = item
-        x_t = x_t[0]
         w_next = running_average(w, x_t, t)
         if w is not None:
-            # the cached-surrogate privacy cap relies on the 2/t drift bound
-            drift = float(np.add.reduce(np.abs(w_next - w)))
-            if drift > 2.0 / t + 1e-12:
-                raise BudgetError(f"average moved {drift} > 2/{t}")
+            _check_drift(w_next, w, t)
         w = w_next
         if refresh:
-            w_hat = w if exact_iterates else sparsify(_point(w), plan.K, rng).coords
+            w_hat = w if exact_iterates else _sparsify_rows(w, plan.K, rngs)
             refreshes += 1
-        g = obj.batch_grad(w_hat, dataset.take(plan.B_batch))
+        g = np.array([obj.batch_grad(p, dataset.take(plan.B_batch))
+                      for obj, p, dataset in zip(objs, w_hat, datasets)])
         if record_trace:
             recorded.append((x_t, w, g, refresh))
         return (-g,)
 
-    mirror_descent((obj.dim,), 1, plan.tau, _rounds(plan.T, plan.q), step)
-    final = w if exact_iterates else sparsify(_point(w), plan.K, rng).coords
+    mirror_descent((objs[0].dim,), len(objs), plan.tau, _rounds(plan.T, plan.q), step)
+    final = w if exact_iterates else _sparsify_rows(w, plan.K, rngs)
     refreshes += 1  # the returned average is always a fresh sparsification
-    draws = audit_releases(plan, rng.vertex_draws - draws)
-    trace = None
+    traces = [None] * len(objs)
     if record_trace:
-        xs, ws, gs, marks = zip(*recorded)
-        trace = ScoTrace(x_points=np.array(xs), w_points=np.array(ws), grads=np.array(gs),
-                         refreshed=np.array(marks, dtype=bool))
-    return ScoSolution(
-        w_hat=SimplexPoint(final),  # the released point is checked at the boundary
-        samples_used=plan.T * plan.B_batch,
-        refresh_count=refreshes,
-        trace=trace,
-        steps_run=plan.T,
-        vertex_draws=draws,
+        xs, ws, gs, marks = (np.array(a) for a in zip(*recorded))
+        traces = [ScoTrace(x_points=xs[:, r], w_points=ws[:, r], grads=gs[:, r], refreshed=marks)
+                  for r in range(len(objs))]
+    return ScoBatch(
+        ScoSolution(
+            w_hat=SimplexPoint(final[r]),  # the released point is checked at the boundary
+            samples_used=plan.T * plan.B_batch,
+            refresh_count=refreshes,
+            trace=traces[r],
+            steps_run=plan.T,
+            vertex_draws=audit_releases(plan, rng.vertex_draws - draws[r]),
+        )
+        for r, rng in enumerate(rngs)
     )
+
+
+def _check_drift(w_next: np.ndarray, w: np.ndarray, t: int) -> None:
+    """Raise BudgetError if a row's average moved past 2/t, which the cached-surrogate cap needs."""
+    drift = np.add.reduce(np.abs(w_next - w), axis=-1).ravel()  # one entry per row
+    if drift.max() > 2.0 / t + 1e-12:
+        raise BudgetError(f"row {drift.argmax()}: average moved {drift.max()} > 2/{t}")
+
+
+def _sparsify_rows(w: np.ndarray, k: int, rngs: list[RngStream]) -> np.ndarray:
+    """Row r of ``w`` sparsified with ``k`` draws from ``rngs[r]``, as an (R, d) array."""
+    w_hat = np.array([sparsify(_point(row), k, rng).coords for row, rng in zip(w, rngs)])
+    w_hat.setflags(write=False)
+    return w_hat
 
 
 def _rounds(T: int, q: int):

@@ -15,7 +15,9 @@ supplies only its schedule and its per-step estimator. The trials of one n
 share their plan and run as one batch (:func:`solve_smd_vertex_batch`): their
 iterates step together as (R, d) raw arrays, and each trial draws from a tape
 on its own stream whose uniforms are charged on that stream as releases. A
-batched trial releases the bytes it would release run on its own.
+batched trial releases the bytes it would release run on its own. Boosting's
+I*J inner convex solves per side share one plan and run as one
+:func:`~dpsimplex.sco.solve_dp_sco` batch, one row per solve.
 """
 from __future__ import annotations
 
@@ -401,23 +403,21 @@ def solve_boosted(
         steps += sol.steps_run
         draws += sol.vertex_draws
 
-    x_table: list[list[np.ndarray]] = [[] for _ in range(I)]
-    y_table: list[list[np.ndarray]] = [[] for _ in range(I)]
-    for i in range(I):
-        for j in range(J):
-            lo = (i * J + j) * inner_size
-            sl2 = Dataset(parts[1][lo : lo + inner_size])
-            sl3 = Dataset(parts[2][lo : lo + inner_size])
-            # x_ij approximately minimizes x -> F(x, y_i); y_ij maximizes y -> F(x_i, y)
-            fx = FrozenYObjective(obj, pairs[i][1])
-            fy = FrozenXObjective(obj, pairs[i][0])
-            sx = solve_dp_sco(fx, sl2, plan_x, rng.child("inner_x", i, j))
-            sy = solve_dp_sco(fy, sl3, plan_y, rng.child("inner_y", i, j))
-            x_table[i].append(sx.w_hat.coords)
-            y_table[i].append(sy.w_hat.coords)
-            samples += sx.samples_used + sy.samples_used
-            steps += sx.steps_run + sy.steps_run
-            draws += sx.vertex_draws + sy.vertex_draws
+    # x_ij approximately minimizes x -> F(x, y_i) and y_ij maximizes y -> F(x_i, y): all
+    # I*J solves of a side share its plan, so each side is one batch, row i*J + j
+    cells = [(i, j) for i in range(I) for j in range(J)]
+    shards = [[Dataset(part[k * inner_size : (k + 1) * inner_size]) for k in range(I * J)]
+              for part in parts[1:3]]
+    sx = solve_dp_sco([FrozenYObjective(obj, pairs[i][1]) for i, _ in cells], shards[0], plan_x,
+                      [rng.child("inner_x", i, j) for i, j in cells])
+    sy = solve_dp_sco([FrozenXObjective(obj, pairs[i][0]) for i, _ in cells], shards[1], plan_y,
+                      [rng.child("inner_y", i, j) for i, j in cells])
+    x_table = [[s.w_hat.coords for s in sx[i * J : (i + 1) * J]] for i in range(I)]
+    y_table = [[s.w_hat.coords for s in sy[i * J : (i + 1) * J]] for i in range(I)]
+    for s in (*sx, *sy):
+        samples += s.samples_used
+        steps += s.steps_run
+        draws += s.vertex_draws
 
     scores = score_candidate_pairs(obj, parts[3], pairs, x_table, y_table)
     winner = select_pair(scores, obj.B, quarter, privacy.epsilon, rng.child("select"))

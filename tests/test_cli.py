@@ -423,6 +423,26 @@ def test_quickstart_bytes_are_pinned(tmp_path):
     ]
 
 
+
+def test_boosted_bytes_are_pinned_with_several_candidates_and_responses(tmp_path):
+    # beta = 0.5 gives I = 3 candidates and J = 6 best responses per side, so each
+    # side's inner convex solves run as one batch of 18 rows
+    gen = np.random.Generator(np.random.PCG64([7, 99]))
+    payoff = gen.uniform(-1.0, 1.0, size=(8, 8))
+    cfg = tmp_path / "boosted.json"
+    cfg.write_text(json.dumps({
+        "version": 1, "problem": {"kind": "matrix_game", "payoff": payoff.tolist(),
+                                  "noise_scale": 0.5},
+        "algorithm": "boosted", "mode": "quadratic", "epsilon": 1.0, "delta": 1e-5,
+        "n_grid": [200_000], "trials": 1, "master_seed": 20250810, "boosting": {"beta": 0.5},
+    }))
+    out = tmp_path / "boosted.csv"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    assert '""I"": 3, ""J"": 6' in out.read_text()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "9c2fbc58df218dc91009e3041ca0c1e74c3dd05ec103d301388ad1f0e28bf6ce")
+
+
 # ---- verify --------------------------------------------------------------------
 
 

@@ -1,4 +1,4 @@
-"""Faults in the mirror-descent loop every solver runs, each caught by a named check.
+"""Faults in the mirror-descent loop and its step functions, each caught by a named check.
 
 Each case applies one fault by monkeypatch, with no source edit, and runs an
 existing test of the suite that must then fail. None of the checks is a byte
@@ -49,6 +49,19 @@ def mwu_step_without_finiteness_check(monkeypatch):
     monkeypatch.setattr(simplex, "mwu_step", unchecked)
 
 
+def drift_check_reads_row_0_only(monkeypatch):
+    """The SCO drift check sees row 0 of a batch and misses a hop in any other row."""
+    check = sco._check_drift
+    monkeypatch.setattr(sco, "_check_drift", lambda w_next, w, t: check(w_next[:1], w[:1], t))
+
+
+def rows_draw_from_row_0_stream(monkeypatch):
+    """Every row of an SCO batch redraws its surrogate from row 0's stream."""
+    sparsify_rows = sco._sparsify_rows
+    monkeypatch.setattr(sco, "_sparsify_rows",
+                        lambda w, k, rngs: sparsify_rows(w, k, rngs[:1] * len(rngs)))
+
+
 FAULTS = {
     "y_block_ascends": (
         y_block_ascends,
@@ -58,6 +71,15 @@ FAULTS = {
         surrogate_never_refreshed_after_q,
         lambda request: test_sco.test_refresh_count_matches_schedule(
             request.getfixturevalue("quad")),
+    ),
+    "sco_drift_check_reads_row_0_only": (
+        drift_check_reads_row_0_only,
+        lambda request: test_sco.test_average_drift_violation_in_one_row_raises_budget_error(
+            request.getfixturevalue("quad"), request.getfixturevalue("monkeypatch")),
+    ),
+    "sco_rows_draw_from_row_0_stream": (
+        rows_draw_from_row_0_stream,
+        lambda request: test_sco.test_batched_rows_equal_one_row_runs(exact_iterates=False),
     ),
     **{
         f"mwu_step_finiteness_check_dropped-{solver}": (

@@ -73,6 +73,28 @@ def test_bilinear_batch_gradients_match_dense_reference(d_x, d_y, support, n_z, 
             np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * obj.L0)
 
 
+
+@pytest.mark.parametrize("d, support, gathers", [
+    (20, 20, (False, False)),   # below _GATHER_MIN_ENTRIES: both blocks dense
+    (20, 2, (False, False)),
+    (200, 3, (True, True)),     # both supports small: both blocks gather
+    (200, 60, (False, True)),   # y's support past a fifth: x dense, y gathers
+    (200, 200, (False, False)),
+])
+def test_fused_bilinear_gradient_equals_the_two_calls(d, support, gathers):
+    gen = np.random.default_rng(d * 1000 + support)
+    obj = BilinearObjective(gen.uniform(-1.0, 1.0, size=(d, d)),
+                            0.5 * (gen.integers(0, 2, size=(d, d)) * 2 - 1))
+    x, y = (np.zeros(d) for _ in range(2))
+    for p in (x, y):
+        p[gen.choice(d, size=support, replace=False)] = gen.dirichlet(np.ones(support))
+    assert (obj._support(y, 5) is not None, obj._support(x, 2) is not None) == gathers
+    zs = gen.integers(0, 2, size=7) * 2 - 1.0
+    gx, gy = obj.batch_grad_xy(x, y, zs)
+    assert np.array_equal(gx, obj.batch_grad_x(x, y, zs))
+    assert np.array_equal(gy, obj.batch_grad_y(x, y, zs))
+
+
 # ---- exact bilinear gap -----------------------------------------------------
 
 

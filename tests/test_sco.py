@@ -15,7 +15,7 @@ from dpsimplex.sco import (
     anytime_average_regret_decomposition,
     solve_dp_sco,
 )
-from dpsimplex.problems import BilinearObjective
+from dpsimplex.problems import BilinearObjective, MatrixGame
 
 
 @pytest.fixture(scope="module")
@@ -47,7 +47,8 @@ def test_refresh_count_matches_schedule(quad):
     n = 2000
     for T, q in ((60, 6), (60, 7), (50, 50), (9, 3)):
         plan = manual_plan(quad, n, T, q, K=2)
-        sol = solve_dp_sco(quad, quad.sample_dataset(n, RngStream(101)), plan, RngStream(102))
+        data = quad.sample_dataset(n, RngStream(101))
+        sol = solve_dp_sco([quad], [data], plan, [RngStream(102)])[0]
         expected = q + math.floor((T - q) / q) + 1
         assert abs(sol.refresh_count - expected) <= 1
         assert sol.samples_used == plan.T * plan.B_batch
@@ -59,7 +60,7 @@ def test_surrogate_cached_between_refreshes(quad):
     n = 1200
     plan = manual_plan(quad, n, T=40, q=8, K=3)
     data = Dataset(np.zeros(n))  # constant samples isolate the surrogate
-    sol = solve_dp_sco(quad, data, plan, RngStream(103), record_trace=True)
+    sol = solve_dp_sco([quad], [data], plan, [RngStream(103)], record_trace=True)[0]
     tr = sol.trace
     for t in range(1, plan.T):
         if not tr.refreshed[t]:
@@ -72,7 +73,7 @@ def test_exact_iterates_reduce_to_plain_anytime_descent(quad):
     n, T = 900, 30
     plan = manual_plan(quad, n, T=T, q=T, K=1)
     data = quad.sample_dataset(n, RngStream(104))
-    sol = solve_dp_sco(quad, data, plan, RngStream(105), exact_iterates=True)
+    sol = solve_dp_sco([quad], [data], plan, [RngStream(105)], exact_iterates=True)[0]
 
     ref_data = quad.sample_dataset(n, RngStream(104))
     logw = np.zeros(quad.dim)
@@ -90,8 +91,8 @@ def test_average_drift_assertion_is_active(quad):
     # the 2/t drift bound is asserted on every step of a normal run
     n = 800
     plan = manual_plan(quad, n, T=25, q=5, K=2)
-    sol = solve_dp_sco(quad, quad.sample_dataset(n, RngStream(106)), plan, RngStream(107),
-                       record_trace=True)
+    sol = solve_dp_sco([quad], [quad.sample_dataset(n, RngStream(106))], plan, [RngStream(107)],
+                       record_trace=True)[0]
     w = sol.trace.w_points
     for t in range(1, w.shape[0]):
         assert np.abs(w[t] - w[t - 1]).sum() <= 2.0 / (t + 1) + 1e-12
@@ -107,17 +108,72 @@ def test_average_drift_violation_raises_budget_error(quad, monkeypatch):
     n = 800
     plan = manual_plan(quad, n, T=25, q=5, K=2)
     with pytest.raises(BudgetError):
-        solve_dp_sco(quad, quad.sample_dataset(n, RngStream(106)), plan, RngStream(107))
+        solve_dp_sco([quad], [quad.sample_dataset(n, RngStream(106))], plan, [RngStream(107)])
+
+
+def test_average_drift_violation_in_one_row_raises_budget_error(quad, monkeypatch):
+    # the drift bound is checked on every row of a batch: a hop in row 1 alone must stop it
+    import dpsimplex.sco as sco
+
+    average = sco.running_average
+
+    def row_1_hops(w_prev, x_t, t):
+        w = np.array(average(w_prev, x_t, t))
+        w[1] = SimplexPoint.vertex(x_t.shape[1], t % 2).coords
+        return w
+
+    monkeypatch.setattr(sco, "running_average", row_1_hops)
+    n = 800
+    plan = manual_plan(quad, n, T=25, q=5, K=2)
+    with pytest.raises(BudgetError):
+        solve_dp_sco([quad] * 3, [quad.sample_dataset(n, RngStream(106, r)) for r in range(3)],
+                     plan, [RngStream(107, r) for r in range(3)])
+
+
+@pytest.mark.parametrize("exact_iterates", [False, True])
+def test_batched_rows_equal_one_row_runs(exact_iterates):
+    # rows with their own frozen partner, shard and stream step as one block; each
+    # row must get the bits a one-row call with the same inputs gets
+    game = MatrixGame.random(6, 6, RngStream(120))
+    gen = RngStream(121).gen
+    objs = [FrozenYObjective(game.objective(), gen.dirichlet(np.ones(6))) for _ in range(3)]
+    n = 600
+    plan = manual_plan(objs[0], n, T=23, q=5, K=3)
+    assert plan.T % plan.q != 0
+
+    def run(rows):
+        return solve_dp_sco([objs[r] for r in rows],
+                            [game.sample_dataset(n, RngStream(122, r)) for r in rows], plan,
+                            [RngStream(123, r) for r in rows], exact_iterates=exact_iterates)
+
+    batch = run(range(3))
+    assert len(batch) == 3
+    assert not np.array_equal(batch[0].w_hat.coords, batch[1].w_hat.coords)
+    for r in range(3):
+        (one,) = run([r])
+        assert np.array_equal(batch[r].w_hat.coords, one.w_hat.coords)
+        assert batch[r].vertex_draws == one.vertex_draws
+        assert batch[r].refresh_count == one.refresh_count == batch.refresh_count
+
+
+def test_exact_run_checks_its_schedule(quad):
+    # exact runs skip only the privacy caps: a zero round length is still refused
+    n = 100
+    plan = ScoPlan(T=5, tau=0.01, K=1, q=0, B_batch=20, mode="second_order",
+                   epsilon=1.0, delta=1e-5, L0=quad.L0, n=n)
+    with pytest.raises(BudgetError):
+        solve_dp_sco([quad], [quad.sample_dataset(n, RngStream(115))], plan, [RngStream(116)],
+                     exact_iterates=True)
 
 
 def test_solution_reports_steps_and_vertex_draws(quad):
     n = 800
     plan = manual_plan(quad, n, T=25, q=5, K=2)
-    sol = solve_dp_sco(quad, quad.sample_dataset(n, RngStream(106)), plan, RngStream(107))
+    sol = solve_dp_sco([quad], [quad.sample_dataset(n, RngStream(106))], plan, [RngStream(107)])[0]
     assert sol.steps_run == plan.T
     assert sol.vertex_draws == plan.K * sol.refresh_count
-    exact = solve_dp_sco(quad, quad.sample_dataset(n, RngStream(106)), plan, RngStream(107),
-                         exact_iterates=True)
+    exact = solve_dp_sco([quad], [quad.sample_dataset(n, RngStream(106))], plan, [RngStream(107)],
+                         exact_iterates=True)[0]
     assert exact.steps_run == plan.T and exact.vertex_draws == 0
 
 
@@ -132,7 +188,7 @@ def test_solver_validates_only_the_returned_point(quad, monkeypatch):
         n = 10 * T
         data = quad.sample_dataset(n, RngStream(108))
         before = len(checks)
-        sol = solve_dp_sco(quad, data, manual_plan(quad, n, T, q=5, K=2), RngStream(109))
+        sol = solve_dp_sco([quad], [data], manual_plan(quad, n, T, q=5, K=2), [RngStream(109)])[0]
         assert sol.steps_run == T
         counts.append(len(checks) - before)
     assert counts[0] == counts[1] > 0
@@ -141,14 +197,14 @@ def test_solver_validates_only_the_returned_point(quad, monkeypatch):
 def test_solver_rejects_short_dataset(quad):
     plan = manual_plan(quad, 1000, T=50, q=5, K=2)
     with pytest.raises(BudgetError):
-        solve_dp_sco(quad, quad.sample_dataset(100, RngStream(108)), plan, RngStream(109))
+        solve_dp_sco([quad], [quad.sample_dataset(100, RngStream(108))], plan, [RngStream(109)])
 
 
 def test_planned_run_hits_low_risk(quad):
     n = 10**4
     plan = plan_anytime_sco(n, 1.0, 1e-5, quad.L0, quad.L1, quad.L2,
                             math.log(quad.dim), "second_order")
-    sol = solve_dp_sco(quad, quad.sample_dataset(n, RngStream(110)), plan, RngStream(111))
+    sol = solve_dp_sco([quad], [quad.sample_dataset(n, RngStream(110))], plan, [RngStream(111)])[0]
     excess = quad.population_value(sol.w_hat.coords)
     assert excess <= 0.1 * quad.value_range()
 
@@ -160,8 +216,8 @@ def test_decomposition_coupling_vanishes_with_exact_gradients(quad):
     # deterministic samples + identity surrogate make g_t the exact gradient
     n, T = 600, 20
     plan = manual_plan(quad, n, T=T, q=T, K=1)
-    sol = solve_dp_sco(quad, Dataset(np.zeros(n)), plan, RngStream(112),
-                       exact_iterates=True, record_trace=True)
+    sol = solve_dp_sco([quad], [Dataset(np.zeros(n))], plan, [RngStream(112)],
+                       exact_iterates=True, record_trace=True)[0]
     dec = anytime_average_regret_decomposition(
         sol.trace, quad.population_grad, quad.a
     )
@@ -175,8 +231,8 @@ def test_decomposition_upper_bounds_excess_risk(quad, seed):
     n = 4000
     plan = plan_anytime_sco(n, 1.0, 1e-5, quad.L0, quad.L1, quad.L2,
                             math.log(quad.dim), "second_order")
-    sol = solve_dp_sco(quad, quad.sample_dataset(n, RngStream(113, seed)), plan,
-                       RngStream(114, seed), record_trace=True)
+    sol = solve_dp_sco([quad], [quad.sample_dataset(n, RngStream(113, seed))], plan,
+                       [RngStream(114, seed)], record_trace=True)[0]
     wT = sol.trace.w_points[-1]
     excess = quad.population_value(wT) - quad.population_value(quad.a)
     dec = anytime_average_regret_decomposition(sol.trace, quad.population_grad, quad.a)

@@ -9,7 +9,7 @@ import pytest
 
 from dpsimplex import sco, solvers
 from dpsimplex.errors import BudgetError, OracleError
-from dpsimplex.oracles import Dataset, TruncGeom, batch_gradient
+from dpsimplex.oracles import Dataset, PerSampleObjective, TruncGeom, batch_gradient
 from dpsimplex.privacy import (
     BrPlan,
     PrivacyParams,
@@ -172,6 +172,8 @@ def test_tape_takes_at_least_one_step_per_refill(monkeypatch):
 
 class DenseBilinear(BilinearObjective):
     """Reference batch gradients through the full ``A + mean(z) E``."""
+
+    batch_grad_xy = PerSampleObjective.batch_grad_xy  # the two methods below, one call each
 
     def batch_grad_x(self, x, y, zs):
         return (self.A + np.mean(zs) * self.E) @ y
@@ -387,7 +389,7 @@ def test_boosted_counts_include_inner_solves():
     for f, shard, dim, tag in inner:
         p = plan_anytime_sco(quarter, priv.epsilon, priv.delta, f.L0, f.L1, f.L2,
                              math.log(dim), "second_order")
-        s = solve_dp_sco(f, shard, p, RngStream(25).child(tag, 0, 0))
+        s = solve_dp_sco([f], [shard], p, [RngStream(25).child(tag, 0, 0)])[0]
         steps += p.T
         draws += p.K * s.refresh_count
     assert sol.steps_run == steps > cand.steps_run
@@ -439,6 +441,8 @@ class BadGradientBilinear(BilinearObjective):
         self.first_bad_call = 2 * calls_per_step + 1
         self.calls = 0
 
+    batch_grad_xy = PerSampleObjective.batch_grad_xy  # through the counted batch_grad_x
+
     def batch_grad_x(self, x, y, zs):
         self.calls += 1
         g = super().batch_grad_x(x, y, zs)
@@ -462,7 +466,7 @@ def run_with_bad_gradient(solver, bad):
         return solve_smd_bias_reduced(obj, data, plan, RngStream(52))
     f = FrozenYObjective(BadGradientBilinear(game, bad, calls_per_step=1), np.full(4, 0.25))
     plan = plan_anytime_sco(2000, 1.0, 1e-5, f.L0, f.L1, f.L2, math.log(4), "second_order")
-    return solve_dp_sco(f, data, plan, RngStream(52))
+    return solve_dp_sco([f], [data], plan, [RngStream(52)])[0]
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -534,7 +538,8 @@ def release_at_cap(solver, tau_scale):
     assert tau < 1.0 / (4.0 * f.L0 * q)  # the privacy cap binds, not the drift cap
     plan = ScoPlan(T=T, tau=tau, K=K, q=q, B_batch=B, mode="second_order",
                    epsilon=eps, delta=delta, L0=f.L0, n=n)
-    return lambda: solve_dp_sco(f, game.sample_dataset(n, RngStream(61)), plan, RngStream(62))
+    return lambda: solve_dp_sco([f], [game.sample_dataset(n, RngStream(61))], plan,
+                                [RngStream(62)])[0]
 
 
 @pytest.mark.parametrize("solver, module, draws, extra", [
