@@ -66,6 +66,17 @@ class PerSampleObjective:
         """``(batch_grad_x, batch_grad_y)`` in one call; subclasses may share work between them."""
         return self.batch_grad_x(x, y, zs), self.batch_grad_y(x, y, zs)
 
+    def batch_grad_xy_rows(
+        self, X: np.ndarray, Y: np.ndarray, batches
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``batch_grad_xy`` at each row ``(X[r], Y[r])`` on ``batches[r]``, as (R, d) arrays.
+
+        The default makes one call per row; an override that stacks the rows
+        must give each row the bits of that call.
+        """
+        gx, gy = zip(*map(self.batch_grad_xy, X, Y, batches))
+        return np.array(gx), np.array(gy)
+
     def batch_value(self, x: np.ndarray, y: np.ndarray, zs) -> float:
         return sum(self.value(x, y, z) for z in zs) / len(zs)
 
@@ -166,14 +177,20 @@ def sample_trunc_geom(tg: TruncGeom, rng: RngStream) -> int:
     return int(inverse_cdf(tg.cdf, rng.gen.random(1))[0])
 
 
-def batch_gradient(
-    obj: PerSampleObjective, x: SimplexPoint, y: SimplexPoint, batch
-) -> SaddleGradient:
-    """Mean saddle gradient over a batch: ``(mean grad_x, -mean grad_y)``."""
-    if len(batch) == 0:
+def batch_gradient(obj: PerSampleObjective, x, y, batch) -> SaddleGradient:
+    """Mean saddle gradient over a batch: ``(mean grad_x, -mean grad_y)``.
+
+    ``x`` and ``y`` are points and ``batch`` one batch, or (R, d) arrays of rows
+    and ``batch`` one batch per row; then ``g_x`` and ``g_y`` are (R, d) and row
+    r holds the bits of its own call (:meth:`PerSampleObjective.batch_grad_xy_rows`).
+    """
+    point = isinstance(x, SimplexPoint)
+    if point:
+        x, y, batch = x.coords[None], y.coords[None], [batch]
+    if min(map(len, batch)) == 0:
         raise ValueError("gradient batch must be nonempty")
-    gx, gy = obj.batch_grad_xy(x.coords, y.coords, batch)
-    return SaddleGradient(gx, -gy)
+    gx, gy = obj.batch_grad_xy_rows(x, y, batch)
+    return SaddleGradient(gx[0], -gy[0]) if point else SaddleGradient(gx, -gy)
 
 
 def _mean_one_hot(indices: np.ndarray, dim: int) -> np.ndarray:

@@ -157,12 +157,15 @@ class SsmdPlan:
     L0: float
     n: int
 
-    def validate(self) -> None:
+    def validate(self, privacy: bool = True) -> None:
+        """Check the schedule and, with ``privacy``, the step size against its privacy cap."""
         _require_positive(T=self.T, tau=self.tau, K=self.K, B_batch=self.B_batch)
         if self.T * self.B_batch > self.n:
             raise BudgetError(
                 f"schedule consumes {self.T * self.B_batch} samples but only {self.n} exist"
             )
+        if not privacy:
+            return
         cap = max_step_vertex_smd(self.B_batch, self.epsilon, self.delta, self.L0, self.T, self.K)
         if self.tau > cap * _REL_TOL:
             raise BudgetError(f"step size {self.tau} exceeds privacy cap {cap}")

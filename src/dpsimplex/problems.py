@@ -75,6 +75,17 @@ class BilinearObjective(PerSampleObjective):
         M = self._matrix(z) if j is None or i is None else None
         return self._grad_x(y, z, j, M), self._grad_y(x, z, i, M)
 
+    def batch_grad_xy_rows(self, X, Y, batches):
+        # below _GATHER_MIN_ENTRIES every row takes the dense product, so the rows share
+        # one (R, d_x, d_y) stack of A + z_r E; np.matmul gives each row the bits of
+        # M @ y and M.T @ x (einsum does not). A subclass keeps its per-row calls, so
+        # its overrides of the one-row methods are honoured.
+        if type(self) is not BilinearObjective or self.A.size >= _GATHER_MIN_ENTRIES:
+            return super().batch_grad_xy_rows(X, Y, batches)
+        M = _mean_signs(batches)[:, None, None] * self.E
+        M += self.A  # in place: one (R, d_x, d_y) allocation, and A + zE to the bit
+        return np.matmul(M, Y[:, :, None])[:, :, 0], np.matmul(X[:, None, :], M)[:, 0, :]
+
     def _support(self, p, share):
         """Indices of ``p``'s nonzeros if gathering them beats the dense product, else None."""
         if self.A.size >= _GATHER_MIN_ENTRIES:
@@ -102,6 +113,14 @@ def _mean_sign(zs) -> float:
     at a third of its cost."""
     zs = np.asarray(zs)
     return np.add.reduce(zs) / zs.size
+
+
+def _mean_signs(batches) -> np.ndarray:
+    """``_mean_sign`` of each batch; batches of one size reduce as one (R, B) array, row by row."""
+    if len({len(zs) for zs in batches}) > 1:
+        return np.array([_mean_sign(zs) for zs in batches])
+    zs = np.array(batches)
+    return np.add.reduce(zs, axis=1) / zs.shape[1]
 
 
 @dataclass(frozen=True)

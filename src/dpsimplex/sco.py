@@ -96,7 +96,10 @@ def solve_dp_sco(
 
     Row r minimizes ``objs[r]`` on ``datasets[r]`` with draws from ``rngs[r]``
     and gets the bytes a one-row call would; the rows share ``plan`` and step
-    as one (R, d) block, with one gradient call and one release audit per row.
+    as one (R, d) block, with one release audit per row. Rows that freeze one
+    block of the same saddle objective take each step's gradients in one
+    stacked call over their frozen partners; other rows call their own
+    objective (:func:`_row_gradients`).
     The sparsified surrogate is redrawn with K vertex draws on steps ``t <= q``
     and on multiples of ``q`` (step q counts once) and reused in between; a
     row returns a fresh K-draw sparsification of its final average.
@@ -111,6 +114,7 @@ def solve_dp_sco(
         if dataset.remaining < plan.T * plan.B_batch:
             raise BudgetError(f"plan needs {plan.T * plan.B_batch} fresh samples, "
                               f"dataset has {dataset.remaining}")
+    gradients = _row_gradients(objs)
     w = w_hat = None
     refreshes = 0
     draws = [rng.vertex_draws for rng in rngs]
@@ -126,8 +130,7 @@ def solve_dp_sco(
         if refresh:
             w_hat = w if exact_iterates else _sparsify_rows(w, plan.K, rngs)
             refreshes += 1
-        g = np.array([obj.batch_grad(p, dataset.take(plan.B_batch))
-                      for obj, p, dataset in zip(objs, w_hat, datasets)])
+        g = gradients(w_hat, [dataset.take(plan.B_batch) for dataset in datasets])
         if record_trace:
             recorded.append((x_t, w, g, refresh))
         return (-g,)
@@ -165,6 +168,26 @@ def _sparsify_rows(w: np.ndarray, k: int, rngs: list[RngStream]) -> np.ndarray:
     w_hat = np.array([sparsify(_point(row), k, rng).coords for row, rng in zip(w, rngs)])
     w_hat.setflags(write=False)
     return w_hat
+
+
+def _row_gradients(objs: list[ConvexObjective]):
+    """``(w, batches) -> g``, row r of g being ``objs[r].batch_grad(w[r], batches[r])``.
+
+    Rows that all freeze the same block of one saddle objective (boosting's
+    best responses) make one ``batch_grad_xy_rows`` call of that objective
+    over their stacked frozen partners; otherwise each row calls its own
+    objective.
+    """
+    kind, base = type(objs[0]), getattr(objs[0], "_obj", None)
+    if kind not in (FrozenYObjective, FrozenXObjective) or any(
+            type(obj) is not kind or obj._obj is not base for obj in objs):
+        return lambda w, batches: np.array(
+            [obj.batch_grad(p, zs) for obj, p, zs in zip(objs, w, batches)])
+    if kind is FrozenYObjective:
+        ys = np.array([obj._y for obj in objs])
+        return lambda w, batches: base.batch_grad_xy_rows(w, ys, batches)[0]
+    xs = np.array([obj._x for obj in objs])
+    return lambda w, batches: -base.batch_grad_xy_rows(xs, w, batches)[1]
 
 
 def _rounds(T: int, q: int):

@@ -143,13 +143,14 @@ def solve_smd_vertex(
 
     ``exact_iterates=True`` replaces every sampling stage with the identity,
     which reproduces the non-private baseline trajectory exactly and is used
-    by the coupling tests; such a run releases no vertices, so the privacy
-    precondition is not enforced for it. ``keep_x_draws=True`` records the
-    per-step x output vertices (the released categories used for
+    by the coupling tests; such a run releases no vertices, so its plan's
+    privacy cap is not enforced (its schedule is). ``keep_x_draws=True``
+    records the per-step x output vertices (the released categories used for
     synthetic-data generation).
     """
     if not exact_iterates:
         return solve_smd_vertex_batch(obj, [dataset], plan, [rng], keep_x_draws)[0]
+    plan.validate(privacy=False)
     _check_samples(dataset, plan)
 
     def exact_direction(x, y):
@@ -176,9 +177,10 @@ def solve_smd_vertex_batch(
     (:func:`_tape`), in the order x sparsification (K), y sparsification (K),
     x output vertex, y output vertex, and each block's K + 1 draws invert one
     CDF. The log-weights of all trials are one (R, d) array per block, the
-    sparsified points come from one ``bincount``, and each trial makes its own
-    gradient call, so no product is batched across trials. Each trial's counted
-    releases are audited on their own.
+    sparsified points come from one ``bincount``, and the trials share one
+    :func:`~dpsimplex.oracles.batch_gradient` call per step, one batch per
+    trial, which gives each trial the bits of its own call. Each trial's
+    counted releases are audited on their own.
     """
     if not rngs or len(rngs) != len(datasets):
         raise ValueError(f"need one stream per dataset, got {len(rngs)} and {len(datasets)}")
@@ -187,8 +189,6 @@ def solve_smd_vertex_batch(
         _check_samples(dataset, plan)
     K, B, rows = plan.K, plan.B_batch, len(rngs)
     draws = [rng.vertex_draws for rng in rngs]
-    dx = np.empty((rows, obj.d_x))
-    dy = np.empty((rows, obj.d_y))
     released: list[int] = []  # ints, not one array per step
 
     def sampled_step(u, x_t, y_t):
@@ -196,13 +196,10 @@ def solve_smd_vertex_batch(
         ys = inverse_cdf_rows(y_t.cumsum(axis=1), u[:, K + 1 :])
         x_hat = mean_one_hots(xs[:, :K], obj.d_x)
         y_hat = mean_one_hots(ys[:, :K], obj.d_y)
-        for r, dataset in enumerate(datasets):
-            g = batch_gradient(obj, _point(x_hat[r]), _point(y_hat[r]), dataset.take(B))
-            np.negative(g.g_x, out=dx[r])
-            np.negative(g.g_y, out=dy[r])
+        g = batch_gradient(obj, x_hat, y_hat, [dataset.take(B) for dataset in datasets])
         released.extend(xs[:, K].tolist())
         released.extend(ys[:, K].tolist())
-        return dx, dy
+        return -g.g_x, -g.g_y
 
     # a step's stream order is x's K draws, y's K, x's vertex, y's vertex; the tape
     # puts each block's K + 1 draws side by side

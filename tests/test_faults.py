@@ -1,4 +1,4 @@
-"""Faults in the mirror-descent loop and its step functions, each caught by a named check.
+"""Faults in the descent loop, its step functions and their gradients, each caught by a named check.
 
 Each case applies one fault by monkeypatch, with no source edit, and runs an
 existing test of the suite that must then fail. None of the checks is a byte
@@ -7,11 +7,15 @@ fault. Each check passes in its own module on the unbroken code.
 """
 import math
 
+import numpy as np
 import pytest
 
+import test_oracles
 import test_sco
 import test_solvers
-from dpsimplex import sco, simplex, solvers
+from dpsimplex import problems, sco, simplex, solvers
+from dpsimplex.problems import BilinearObjective
+from test_oracles import game  # noqa: F401  (the fixture test_oracles' checks take)
 from test_sco import quad  # noqa: F401  (the fixture test_sco's checks take)
 
 CHECK_FAILED = (AssertionError, pytest.fail.Exception)  # a failed assert or "DID NOT RAISE"
@@ -62,6 +66,38 @@ def rows_draw_from_row_0_stream(monkeypatch):
                         lambda w, k, rngs: sparsify_rows(w, k, rngs[:1] * len(rngs)))
 
 
+def gradient_rows_take_row_0_batch(monkeypatch):
+    """The batched vertex kernel's one gradient call gives every row row 0's batch."""
+    gradient = solvers.batch_gradient
+
+    def row_0_batch(obj, x, y, batch):
+        return gradient(obj, x, y, [batch[0]] * len(batch) if isinstance(batch, list) else batch)
+
+    monkeypatch.setattr(solvers, "batch_gradient", row_0_batch)
+
+
+def sco_rows_take_row_0_partner(monkeypatch):
+    """Every row of an SCO batch takes its gradient with row 0's frozen partner."""
+    row_gradients = sco._row_gradients
+    monkeypatch.setattr(sco, "_row_gradients", lambda objs: row_gradients(objs[:1] * len(objs)))
+
+
+def stacked_product_drops_mean_sign(monkeypatch):
+    """The stacked dense product builds every row's matrix as A, without z̄ E."""
+    monkeypatch.setattr(problems, "_mean_signs", lambda batches: np.zeros(len(batches)))
+
+
+def gather_drops_mean_sign(monkeypatch):
+    """The sparse support gather reads A's columns and rows without z̄ E."""
+    for name in ("_grad_x", "_grad_y"):
+        block = getattr(BilinearObjective, name)
+
+        def no_mean_sign(self, p, z, idx, M=None, block=block):
+            return block(self, p, z if idx is None else 0.0, idx, M)
+
+        monkeypatch.setattr(BilinearObjective, name, no_mean_sign)
+
+
 FAULTS = {
     "y_block_ascends": (
         y_block_ascends,
@@ -80,6 +116,29 @@ FAULTS = {
     "sco_rows_draw_from_row_0_stream": (
         rows_draw_from_row_0_stream,
         lambda request: test_sco.test_batched_rows_equal_one_row_runs(exact_iterates=False),
+    ),
+    "gradient_rows_take_row_0_batch": (
+        gradient_rows_take_row_0_batch,
+        lambda request: test_solvers.test_batched_kernel_equals_the_step_by_step_reference(
+            request.getfixturevalue("monkeypatch"), rows=3, K=2, past_chunk=0),
+    ),
+    "sco_rows_take_row_0_partner": (
+        sco_rows_take_row_0_partner,
+        lambda request: test_sco.test_batched_rows_equal_one_row_runs(exact_iterates=False),
+    ),
+    "sco_stacked_rows_take_row_0_partner": (
+        sco_rows_take_row_0_partner,
+        lambda request: test_sco.test_rows_sharing_a_saddle_objective_equal_one_row_runs(
+            request.getfixturevalue("monkeypatch"), sco.FrozenXObjective),
+    ),
+    "stacked_product_drops_mean_sign": (
+        stacked_product_drops_mean_sign,
+        lambda request: test_oracles.test_batch_gradient_singleton_flips_y_sign(
+            request.getfixturevalue("game")),
+    ),
+    "gather_drops_mean_sign": (
+        gather_drops_mean_sign,
+        lambda request: test_solvers.test_vertex_solver_sparse_gradients_match_dense_reference(),
     ),
     **{
         f"mwu_step_finiteness_check_dropped-{solver}": (

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dpsimplex import sco
 from dpsimplex.errors import OracleError
-from dpsimplex.oracles import check_objective
+from dpsimplex.oracles import PerSampleObjective, check_objective
 from dpsimplex.privacy import PrivacyParams
 from dpsimplex.problems import (
     BilinearObjective,
@@ -13,6 +14,7 @@ from dpsimplex.problems import (
     MatrixGame,
     MaxLossProblem,
     SeparableQuadratic,
+    SynthDataObjective,
     SynthDataProblem,
     dp_smoke_first_vertex,
     exact_gap_bilinear,
@@ -93,6 +95,67 @@ def test_fused_bilinear_gradient_equals_the_two_calls(d, support, gathers):
     gx, gy = obj.batch_grad_xy(x, y, zs)
     assert np.array_equal(gx, obj.batch_grad_x(x, y, zs))
     assert np.array_equal(gy, obj.batch_grad_y(x, y, zs))
+
+
+def stacked_rows(gen, rows, dim, k):
+    """(rows, dim) points: Dirichlet rows with k = 0, else means of k one-hots."""
+    if k == 0:
+        return gen.dirichlet(np.ones(dim), size=rows)
+    return np.array([np.bincount(gen.integers(0, dim, size=k), minlength=dim) / k
+                     for _ in range(rows)])
+
+
+@given(
+    family=st.sampled_from(["bilinear", "synth"]),
+    d_x=st.integers(1, 150),
+    d_y=st.integers(1, 150),
+    rows=st.integers(1, 80),
+    k=st.integers(0, 25),
+    n_z=st.integers(1, 40),
+    ragged=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_gradient_rows_equal_one_row_calls(family, d_x, d_y, rows, k, n_z, ragged, seed):
+    # d up to 150 puts A on both sides of _GATHER_MIN_ENTRIES: stacked below, per-row above
+    gen = np.random.default_rng(seed)
+    sizes = gen.integers(1, n_z + 1, size=rows) if ragged else [n_z] * rows
+    if family == "bilinear":
+        obj = BilinearObjective(gen.uniform(-1.0, 1.0, size=(d_x, d_y)),
+                                0.5 * (gen.integers(0, 2, size=(d_x, d_y)) * 2 - 1))
+        batches = [gen.integers(0, 2, size=n) * 2 - 1.0 for n in sizes]
+    else:  # the default per-row loop
+        obj = SynthDataObjective(gen.uniform(-1.0, 1.0, size=(d_y, d_x)))
+        batches = [gen.integers(0, d_x, size=n) for n in sizes]
+    X, Y = stacked_rows(gen, rows, d_x, k), stacked_rows(gen, rows, d_y, k)
+    gx, gy = obj.batch_grad_xy_rows(X, Y, batches)
+    assert gx.shape == (rows, d_x) and gy.shape == (rows, d_y)
+    for r in range(rows):
+        one_x, one_y = obj.batch_grad_xy(X[r], Y[r], batches[r])
+        assert np.array_equal(gx[r], one_x) and np.array_equal(gy[r], one_y)
+
+
+class DoubledBatchGradX(BilinearObjective):
+    """A subclass whose batch x-gradient is doubled and reached through batch_grad_xy."""
+
+    batch_grad_xy = PerSampleObjective.batch_grad_xy
+
+    def batch_grad_x(self, x, y, zs):
+        return 2.0 * super().batch_grad_x(x, y, zs)
+
+
+def test_gradient_rows_keep_a_subclass_override():
+    # both the saddle rows and the SCO rows of a shared base reach the override
+    game = MatrixGame.random(5, 4, RngStream(130))
+    doubled = DoubledBatchGradX(game.payoff, game.perturbation)
+    gen = np.random.default_rng(131)
+    X, Y = stacked_rows(gen, 3, 5, 0), stacked_rows(gen, 3, 4, 0)
+    batches = [gen.integers(0, 2, size=6) * 2 - 1.0 for _ in range(3)]
+    ref_x, ref_y = game.objective().batch_grad_xy_rows(X, Y, batches)
+    gx, gy = doubled.batch_grad_xy_rows(X, Y, batches)
+    assert np.array_equal(gx, 2.0 * ref_x) and np.array_equal(gy, ref_y)
+    gradients = sco._row_gradients([sco.FrozenYObjective(doubled, y) for y in Y])
+    assert np.array_equal(gradients(X, batches), 2.0 * ref_x)
 
 
 # ---- exact bilinear gap -----------------------------------------------------

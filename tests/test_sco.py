@@ -156,6 +156,33 @@ def test_batched_rows_equal_one_row_runs(exact_iterates):
         assert batch[r].refresh_count == one.refresh_count == batch.refresh_count
 
 
+@pytest.mark.parametrize("frozen", [FrozenYObjective, FrozenXObjective])
+def test_rows_sharing_a_saddle_objective_equal_one_row_runs(monkeypatch, frozen):
+    # boosting's rows freeze one block of the same objective and take each step's
+    # gradients in one stacked call; each row must still get its one-row bits
+    game = MatrixGame.random(6, 6, RngStream(124))
+    base = game.objective()
+    gen = RngStream(125).gen
+    objs = [frozen(base, gen.dirichlet(np.ones(6))) for _ in range(3)]
+    n = 600
+    plan = manual_plan(objs[0], n, T=23, q=5, K=3)
+
+    def run(rows):
+        return solve_dp_sco([objs[r] for r in rows],
+                            [game.sample_dataset(n, RngStream(126, r)) for r in rows], plan,
+                            [RngStream(127, r) for r in rows])
+
+    stacked_calls = []
+    rows_of = base.batch_grad_xy_rows
+    monkeypatch.setattr(base, "batch_grad_xy_rows",
+                        lambda *a: stacked_calls.append(1) or rows_of(*a))
+    batch = run(range(3))
+    assert len(stacked_calls) == plan.T  # one call per step covers the three rows
+    for r in range(3):
+        (one,) = run([r])
+        assert np.array_equal(batch[r].w_hat.coords, one.w_hat.coords)
+
+
 def test_exact_run_checks_its_schedule(quad):
     # exact runs skip only the privacy caps: a zero round length is still refused
     n = 100

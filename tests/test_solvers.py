@@ -146,6 +146,18 @@ def test_batched_kernel_equals_the_step_by_step_reference(monkeypatch, rows, K, 
             ref.vertex_draws, ref.steps_run, ref.samples_used)
 
 
+def test_exact_vertex_run_checks_its_schedule():
+    # exact runs skip only the privacy cap: an empty batch or zero sparsity is still refused
+    game = MatrixGame.random(3, 3, RngStream(80))
+    obj = game.objective()
+    for B_batch, K in ((0, 1), (20, 0)):
+        plan = SsmdPlan(T=5, tau=0.1, K=K, B_batch=B_batch, mode="quadratic",
+                        epsilon=1.0, delta=1e-5, L0=obj.L0, n=100)
+        with pytest.raises(BudgetError):
+            solve_smd_vertex(obj, game.sample_dataset(100, RngStream(81)), plan, RngStream(82),
+                             exact_iterates=True)
+
+
 def test_batch_needs_one_stream_per_dataset():
     game = MatrixGame.random(3, 3, RngStream(76))
     obj = game.objective()
