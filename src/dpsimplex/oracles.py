@@ -29,9 +29,10 @@ class PerSampleObjective:
       (0 for objectives linear or quadratic in each block),
     * ``B`` bounds the absolute value.
 
-    Implementations must be safe for concurrent read-only evaluation. The
-    ``batch_*`` methods default to per-sample loops; subclasses override them
-    when a vectorized form exists.
+    Implementations must be safe for concurrent read-only evaluation. The one
+    batch gradient is :meth:`batch_grad_xy_rows`, which takes R point pairs and
+    one batch per pair; it and ``batch_value`` default to per-sample loops, and
+    subclasses override them when a vectorized form exists.
     """
 
     d_x: int
@@ -50,32 +51,22 @@ class PerSampleObjective:
     def grad_y(self, x: np.ndarray, y: np.ndarray, z) -> np.ndarray:
         raise NotImplementedError
 
-    def batch_grad_x(self, x: np.ndarray, y: np.ndarray, zs) -> np.ndarray:
-        g = np.zeros(self.d_x)
-        for z in zs:
-            g += self.grad_x(x, y, z)
-        return g / len(zs)
-
-    def batch_grad_y(self, x: np.ndarray, y: np.ndarray, zs) -> np.ndarray:
-        g = np.zeros(self.d_y)
-        for z in zs:
-            g += self.grad_y(x, y, z)
-        return g / len(zs)
-
-    def batch_grad_xy(self, x: np.ndarray, y: np.ndarray, zs) -> tuple[np.ndarray, np.ndarray]:
-        """``(batch_grad_x, batch_grad_y)`` in one call; subclasses may share work between them."""
-        return self.batch_grad_x(x, y, zs), self.batch_grad_y(x, y, zs)
-
     def batch_grad_xy_rows(
         self, X: np.ndarray, Y: np.ndarray, batches
     ) -> tuple[np.ndarray, np.ndarray]:
-        """``batch_grad_xy`` at each row ``(X[r], Y[r])`` on ``batches[r]``, as (R, d) arrays.
+        """Mean ``grad_x`` and ``grad_y`` over ``batches[r]`` at each row ``(X[r], Y[r])``.
 
-        The default makes one call per row; an override that stacks the rows
-        must give each row the bits of that call.
+        Returns two (R, d_x) and (R, d_y) arrays. An override that stacks the
+        rows must give each row the bits it would get as a one-row call.
         """
-        gx, gy = zip(*map(self.batch_grad_xy, X, Y, batches))
-        return np.array(gx), np.array(gy)
+        gx, gy = np.zeros((len(batches), self.d_x)), np.zeros((len(batches), self.d_y))
+        for r, (x, y, zs) in enumerate(zip(X, Y, batches)):
+            for z in zs:
+                gx[r] += self.grad_x(x, y, z)
+                gy[r] += self.grad_y(x, y, z)
+            gx[r] /= len(zs)
+            gy[r] /= len(zs)
+        return gx, gy
 
     def batch_value(self, x: np.ndarray, y: np.ndarray, zs) -> float:
         return sum(self.value(x, y, z) for z in zs) / len(zs)
@@ -181,8 +172,8 @@ def batch_gradient(obj: PerSampleObjective, x, y, batch) -> SaddleGradient:
     """Mean saddle gradient over a batch: ``(mean grad_x, -mean grad_y)``.
 
     ``x`` and ``y`` are points and ``batch`` one batch, or (R, d) arrays of rows
-    and ``batch`` one batch per row; then ``g_x`` and ``g_y`` are (R, d) and row
-    r holds the bits of its own call (:meth:`PerSampleObjective.batch_grad_xy_rows`).
+    and ``batch`` one batch per row; then ``g_x`` and ``g_y`` are (R, d). Either
+    way it is one :meth:`PerSampleObjective.batch_grad_xy_rows` call.
     """
     point = isinstance(x, SimplexPoint)
     if point:
@@ -225,17 +216,13 @@ def bias_reduced_gradient(
     xs = sample_vertex_indices(x.coords, 2 * half, rng)
     ys = sample_vertex_indices(y.coords, 2 * half, rng)
 
-    x_plus = _mean_one_hot(xs, x.dim)
-    y_plus = _mean_one_hot(ys, y.dim)
-    x_minus = _mean_one_hot(xs[:half], x.dim)
-    y_minus = _mean_one_hot(ys[:half], y.dim)
-    x_first = _mean_one_hot(xs[:1], x.dim)
-    y_first = _mean_one_hot(ys[:1], y.dim)
+    counts = (2 * half, half, 1)  # one gradient call on all draws, the first half, the first draw
+    X = np.array([_mean_one_hot(xs[:k], x.dim) for k in counts])
+    Y = np.array([_mean_one_hot(ys[:k], y.dim) for k in counts])
+    (gx_plus, gx_minus, gx_first), (gy_plus, gy_minus, gy_first) = obj.batch_grad_xy_rows(
+        X, Y, [batch] * 3)
 
     scale = tg.C_M * half
-    gx_plus, gy_plus = obj.batch_grad_xy(x_plus, y_plus, batch)
-    gx_minus, gy_minus = obj.batch_grad_xy(x_minus, y_minus, batch)
-    gx_first, gy_first = obj.batch_grad_xy(x_first, y_first, batch)
     gx = scale * (gx_plus - gx_minus) + gx_first
     gy = -scale * (gy_plus - gy_minus) - gy_first
 

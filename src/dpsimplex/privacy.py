@@ -75,8 +75,15 @@ def adaptive_budget_ok(eps_list, eps: float, delta_prime: float) -> bool:
     arr = np.asarray(eps_list, dtype=np.float64)
     if arr.size and arr.min() < 0:
         raise ValueError("per-mechanism epsilons must be nonnegative")
-    s2 = float(np.sum(arr * arr))
-    return math.sqrt(2.0 * math.log(1.0 / delta_prime) * s2) + 0.5 * s2 <= eps
+    return _filter_ok(float(np.sum(arr * arr)), eps, delta_prime)
+
+
+def _filter_ok(s2: float, eps: float, delta: float) -> bool:
+    """The fully adaptive filter on ``s2 = sum eps_m^2``.
+
+    True iff ``sqrt(2 ln(1/delta) s2) + s2/2 <= eps``.
+    """
+    return math.sqrt(2.0 * math.log(1.0 / delta) * s2) + 0.5 * s2 <= eps
 
 
 def max_step_vertex_smd(
@@ -254,7 +261,7 @@ def audit_releases(plan: SsmdPlan | BrPlan | ScoPlan, releases: int) -> int:
     """
     if isinstance(plan, BrPlan):  # the filter's sum eps_m^2, in closed form
         s2 = releases * (9.0 * plan.tau * plan.alpha * plan.L0) ** 2
-        ok = math.sqrt(2.0 * math.log(1.0 / plan.delta) * s2) + 0.5 * s2 <= plan.epsilon
+        ok = _filter_ok(s2, plan.epsilon, plan.delta)
     else:  # no releases spend nothing; advanced composition needs at least one
         ok = not releases or 4.0 * plan.tau * plan.L0 / plan.B_batch <= (
             advanced_composition_eps(releases, plan.epsilon, plan.delta) * _REL_TOL)

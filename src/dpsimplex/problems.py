@@ -57,51 +57,39 @@ class BilinearObjective(PerSampleObjective):
     def grad_y(self, x, y, z):
         return self._matrix(z).T @ x
 
-    # The objective is linear in z, so batch means reduce to the mean matrix.
-    # The gradients read only the columns (rows) on the other point's support:
-    # O(d * support) instead of O(d_x * d_y) at the sparsified iterates. The dense
-    # product is cheaper below _GATHER_MIN_ENTRIES, and past a support of a fifth
-    # of the block for the x gradient's strided columns (half for the y gradient's rows).
-    # batch_grad_xy averages the batch once and builds the dense matrix at most once.
-    def batch_grad_x(self, x, y, zs):
-        return self._grad_x(y, _mean_sign(zs), self._support(y, 5))
-
-    def batch_grad_y(self, x, y, zs):
-        return self._grad_y(x, _mean_sign(zs), self._support(x, 2))
-
-    def batch_grad_xy(self, x, y, zs):
-        z = _mean_sign(zs)
-        j, i = self._support(y, 5), self._support(x, 2)
-        M = self._matrix(z) if j is None or i is None else None
-        return self._grad_x(y, z, j, M), self._grad_y(x, z, i, M)
-
+    # The objective is linear in z, so a batch mean reduces to the mean matrix A + z̄E.
+    # Below _GATHER_MIN_ENTRIES the rows share one (R, d_x, d_y) stack of it; np.matmul
+    # gives each row the bits of M @ y and M.T @ x (einsum does not). Above it, a row's
+    # gradients read only the columns (rows) on the other point's support: O(d * support)
+    # instead of O(d_x * d_y) at the sparsified iterates. A row builds its dense matrix
+    # once, and only when a support passes a fifth of the block for the x gradient's
+    # strided columns (half for the y gradient's rows).
     def batch_grad_xy_rows(self, X, Y, batches):
-        # below _GATHER_MIN_ENTRIES every row takes the dense product, so the rows share
-        # one (R, d_x, d_y) stack of A + z_r E; np.matmul gives each row the bits of
-        # M @ y and M.T @ x (einsum does not). A subclass keeps its per-row calls, so
-        # its overrides of the one-row methods are honoured.
-        if type(self) is not BilinearObjective or self.A.size >= _GATHER_MIN_ENTRIES:
-            return super().batch_grad_xy_rows(X, Y, batches)
-        M = _mean_signs(batches)[:, None, None] * self.E
-        M += self.A  # in place: one (R, d_x, d_y) allocation, and A + zE to the bit
-        return np.matmul(M, Y[:, :, None])[:, :, 0], np.matmul(X[:, None, :], M)[:, 0, :]
+        if self.A.size < _GATHER_MIN_ENTRIES:
+            M = _mean_signs(batches)[:, None, None] * self.E
+            M += self.A  # in place: one (R, d_x, d_y) allocation, and A + zE to the bit
+            return np.matmul(M, Y[:, :, None])[:, :, 0], np.matmul(X[:, None, :], M)[:, 0, :]
+        gx, gy = np.empty((len(batches), self.d_x)), np.empty((len(batches), self.d_y))
+        for r, (x, y, zs) in enumerate(zip(X, Y, batches)):
+            z = _mean_sign(zs)
+            j, i = self._support(y, 5), self._support(x, 2)
+            M = self._matrix(z) if j is None or i is None else None
+            gx[r], gy[r] = self._grad_x(y, z, j, M), self._grad_y(x, z, i, M)
+        return gx, gy
 
     def _support(self, p, share):
-        """Indices of ``p``'s nonzeros if gathering them beats the dense product, else None."""
-        if self.A.size >= _GATHER_MIN_ENTRIES:
-            idx = np.flatnonzero(p)
-            if share * idx.size <= p.size:
-                return idx
-        return None
+        """Indices of ``p``'s nonzeros if at most ``1/share`` of ``p`` is nonzero, else None."""
+        idx = np.flatnonzero(p)
+        return idx if share * idx.size <= p.size else None
 
-    def _grad_x(self, y, z, j, M=None):
+    def _grad_x(self, y, z, j, M):
         if j is None:
-            return (self._matrix(z) if M is None else M) @ y
+            return M @ y
         return (self.A[:, j] + z * self.E[:, j]) @ y[j]
 
-    def _grad_y(self, x, z, i, M=None):
+    def _grad_y(self, x, z, i, M):
         if i is None:
-            return (self._matrix(z) if M is None else M).T @ x
+            return M.T @ x
         return (self.A[i] + z * self.E[i]).T @ x[i]
 
     def batch_value(self, x, y, zs):
@@ -379,13 +367,13 @@ class SynthDataObjective(PerSampleObjective):
     def grad_y(self, x, y, z):
         return self.Q[:, int(z)] - self.Q @ x
 
-    def batch_grad_x(self, x, y, zs):
-        return -(self.Q.T @ y)
-
-    def batch_grad_y(self, x, y, zs):
-        idx = np.asarray(zs, dtype=np.int64)
+    def batch_grad_xy_rows(self, X, Y, batches):
+        gx = np.array([-(self.Q.T @ y) for y in Y])
+        idxs = [np.asarray(zs, dtype=np.int64) for zs in batches]
         # add.reduce and a divide are ndarray.mean's arithmetic, without its Python wrapper
-        return np.add.reduce(self.Q[:, idx], axis=1) / idx.size - self.Q @ x
+        gy = np.array([np.add.reduce(self.Q[:, idx], axis=1) / idx.size - self.Q @ x
+                       for x, idx in zip(X, idxs)])
+        return gx, gy
 
     def batch_value(self, x, y, zs):
         idx = np.asarray(zs, dtype=np.int64)

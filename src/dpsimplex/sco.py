@@ -263,7 +263,7 @@ class FrozenYObjective(ConvexObjective):
         return self._obj.grad_x(x, self._y, z)
 
     def batch_grad(self, x, zs):
-        return self._obj.batch_grad_x(x, self._y, zs)
+        return self._obj.batch_grad_xy_rows(x[None], self._y[None], [zs])[0][0]
 
     def batch_value(self, x, zs):
         return self._obj.batch_value(x, self._y, zs)
@@ -291,7 +291,7 @@ class FrozenXObjective(ConvexObjective):
         return -self._obj.grad_y(self._x, y, z)
 
     def batch_grad(self, y, zs):
-        return -self._obj.batch_grad_y(self._x, y, zs)
+        return -self._obj.batch_grad_xy_rows(self._x[None], y[None], [zs])[1][0]
 
     def batch_value(self, y, zs):
         return -self._obj.batch_value(self._x, y, zs)

@@ -443,6 +443,42 @@ def test_boosted_bytes_are_pinned_with_several_candidates_and_responses(tmp_path
         "9c2fbc58df218dc91009e3041ca0c1e74c3dd05ec103d301388ad1f0e28bf6ce")
 
 
+@pytest.mark.parametrize("algorithm, n, digest", [
+    ("smd_vertex", 20_000,
+     "96a872cc39060249ff461559d5af284914b665305970c22813825e7927ac4e8d"),
+    ("smd_bias_reduced", 200_000,
+     "a13aa942a19a3fcc6f78d5f73bb0c5f9c5f485591ec18958965058e795879046"),
+])
+def test_gathered_gradient_bytes_are_pinned(tmp_path, algorithm, n, digest):
+    # 110 x 110 lies above the bilinear game's _GATHER_MIN_ENTRIES, so the sparsified
+    # points' gradients gather their support's columns and rows (both blocks at K = 1,
+    # one or both at the bias-reduced solver's 2^(N+1) draws)
+    gen = np.random.Generator(np.random.PCG64([15, 110]))
+    payoff = gen.uniform(-1.0, 1.0, size=(110, 110))
+    cfg = tmp_path / "game.json"
+    cfg.write_text(json.dumps({
+        "version": 1, "problem": {"kind": "matrix_game", "payoff": payoff.tolist(),
+                                  "noise_scale": 0.5},
+        "algorithm": algorithm, "mode": "quadratic", "epsilon": 1.0, "delta": 1e-5,
+        "n_grid": [n], "trials": 2, "master_seed": 20250810,
+    }))
+    out = tmp_path / "game.csv"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_synth_bytes_are_pinned(tmp_path):
+    out = tmp_path / "synthetic.csv"
+    assert main(["synth", "--config", str(REPO / "configs" / "synth_example.json"),
+                 "--out", str(out)]) == EXIT_OK
+    digests = [hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in (out, tmp_path / "synthetic.csv.report.json")]
+    assert digests == [
+        "b53d937ceef50db5a5e07d95a9778f0341b0af5c3bc44334bed41f841915907d",
+        "9d96e6204b3103f244806b863f7d33bb2b9e61a4b6341dc9988bfb5110f7fdee",
+    ]
+
+
 # ---- verify --------------------------------------------------------------------
 
 

@@ -1,4 +1,5 @@
-"""Faults in the descent loop, its step functions and their gradients, each caught by a named check.
+"""Faults in the descent loop, its step functions, their gradients, the vertex sampler and the
+privacy planner, each caught by a named check.
 
 Each case applies one fault by monkeypatch, with no source edit, and runs an
 existing test of the suite that must then fail. None of the checks is a byte
@@ -10,15 +11,21 @@ import math
 import numpy as np
 import pytest
 
+import test_acceptance
 import test_oracles
 import test_sco
+import test_simplex
 import test_solvers
-from dpsimplex import problems, sco, simplex, solvers
+import test_verify
+from dpsimplex import privacy, problems, sco, simplex, solvers
+from dpsimplex.errors import BudgetError
+from dpsimplex.oracles import TruncGeom
 from dpsimplex.problems import BilinearObjective
 from test_oracles import game  # noqa: F401  (the fixture test_oracles' checks take)
 from test_sco import quad  # noqa: F401  (the fixture test_sco's checks take)
 
 CHECK_FAILED = (AssertionError, pytest.fail.Exception)  # a failed assert or "DID NOT RAISE"
+AUDIT_FAILED = CHECK_FAILED + (BudgetError,)  # or the post-run release audit stops the run
 
 
 def y_block_ascends(monkeypatch):
@@ -98,6 +105,57 @@ def gather_drops_mean_sign(monkeypatch):
         monkeypatch.setattr(BilinearObjective, name, no_mean_sign)
 
 
+def bias_reduced_scale_without_c_m(monkeypatch):
+    """The bias-reduced estimator scales its level difference by 2^N, not C_M 2^N.
+
+    ``pmf`` normalizes itself, so the level law stays the same.
+    """
+    monkeypatch.setattr(TruncGeom, "C_M", property(lambda tg: 1.0))
+
+    def pmf(tg):
+        weights = tg.p ** np.arange(tg.M + 1)
+        return weights / weights.sum()
+
+    monkeypatch.setattr(TruncGeom, "pmf", pmf)
+
+
+def vertex_smd_cap_doubled(monkeypatch):
+    """The vertex solver's step-size cap is twice what its 2T(K+1) releases allow."""
+    cap = privacy.max_step_vertex_smd
+    monkeypatch.setattr(privacy, "max_step_vertex_smd", lambda *args: 2.0 * cap(*args))
+
+
+def sco_sparsify_draws_one_extra(monkeypatch):
+    """Each SCO surrogate refresh draws one vertex more than it uses."""
+    sparsify = sco.sparsify
+
+    def extra_draw(x, k, rng):
+        simplex.sample_vertex_indices(x.coords, 1, rng)
+        return sparsify(x, k, rng)
+
+    monkeypatch.setattr(sco, "sparsify", extra_draw)
+
+
+def search_path_shifted_one_index(monkeypatch):
+    """``inverse_cdf``'s binary search returns the index after the right one (clamped)."""
+
+    def shifted(cdf, u):
+        if u.size >= simplex.GUIDE_BUCKETS:
+            table = simplex._guide_table(cdf)
+            if table[1] <= cdf.shape[0].bit_length():
+                return simplex._guide_search(cdf, u, table)
+        return np.minimum(cdf[:-1].searchsorted(u, side="left") + 1, cdf.shape[0] - 1)
+
+    monkeypatch.setattr(simplex, "inverse_cdf", shifted)
+
+
+def guide_search_shifted_one_index(monkeypatch):
+    """The guide-table search returns the index after the right one (clamped)."""
+    guide_search = simplex._guide_search
+    monkeypatch.setattr(simplex, "_guide_search", lambda cdf, u, table=None: np.minimum(
+        guide_search(cdf, u, table) + 1, cdf.shape[0] - 1))
+
+
 FAULTS = {
     "y_block_ascends": (
         y_block_ascends,
@@ -140,6 +198,28 @@ FAULTS = {
         gather_drops_mean_sign,
         lambda request: test_solvers.test_vertex_solver_sparse_gradients_match_dense_reference(),
     ),
+    "bias_reduced_scale_without_c_m": (
+        bias_reduced_scale_without_c_m,
+        lambda request: test_oracles.test_bias_reduced_mean_is_exact_on_a_nonlinear_objective(),
+    ),
+    "vertex_smd_cap_doubled": (
+        vertex_smd_cap_doubled,
+        lambda request: test_acceptance.test_criterion_6_privacy_precondition_audit(),
+        AUDIT_FAILED,
+    ),
+    "sco_sparsify_draws_one_extra": (
+        sco_sparsify_draws_one_extra,
+        lambda request: test_sco.test_solution_reports_steps_and_vertex_draws(
+            request.getfixturevalue("quad")),
+    ),
+    "inverse_cdf_search_shifted_one_index": (
+        search_path_shifted_one_index,
+        lambda request: test_simplex.test_sample_vertex_degenerate(),
+    ),
+    "inverse_cdf_guide_shifted_one_index": (
+        guide_search_shifted_one_index,
+        lambda request: test_verify.test_sparsified_means_are_unbiased_and_sum_to_one(),
+    ),
     **{
         f"mwu_step_finiteness_check_dropped-{solver}": (
             mwu_step_without_finiteness_check,
@@ -154,7 +234,7 @@ FAULTS = {
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("fault", FAULTS)
 def test_named_check_fails_under_loop_fault(monkeypatch, request, fault):
-    apply, check = FAULTS[fault]
+    apply, check, *caught = FAULTS[fault]
     apply(monkeypatch)
-    with pytest.raises(CHECK_FAILED):
+    with pytest.raises(caught[0] if caught else CHECK_FAILED):
         check(request)

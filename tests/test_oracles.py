@@ -184,8 +184,9 @@ def test_bias_reduced_level_zero_collapses(game):
     ys = sample_vertex_indices(y.coords, 2, replay)
     x_plus = np.bincount(xs, minlength=3) / 2
     y_plus = np.bincount(ys, minlength=2) / 2
-    assert np.allclose(g.g_x, game.batch_grad_x(x_plus, y_plus, batch))
-    assert np.allclose(g.g_y, -game.batch_grad_y(x_plus, y_plus, batch))
+    dense = game.A + np.mean(batch) * game.E
+    assert np.allclose(g.g_x, dense @ y_plus)
+    assert np.allclose(g.g_y, -(dense.T @ x_plus))
 
 
 def test_bias_reduced_at_vertices_is_exact(game):
@@ -280,6 +281,44 @@ def test_bias_reduced_second_moment_envelope():
         sq[r] = np.abs(g.g_x).max() ** 2
     cap = 64.0 * (obj.L0**2 + obj.L2**2 + tg.M * math.log(d) * obj.L1**2)
     assert sq.mean() <= cap
+
+
+def _separable_quadratic_component(c, a):
+    # f(x; z) = sum_j c_j (x_j - a_j)^2 with c >= 0; on the simplex |x_j - a_j| <= 1 + |a_j|
+    c, a = np.asarray(c, dtype=np.float64), np.asarray(a, dtype=np.float64)
+    reach = 1.0 + np.abs(a)
+    return ComponentLoss(
+        value=lambda x, z: float(c @ (x - a) ** 2),
+        grad=lambda x, z: 2.0 * c * (x - a),
+        L0=float((2.0 * c * reach).max()),
+        L1=float(2.0 * c.max()),
+        L2=0.0,
+        B=float(c @ reach**2),
+    )
+
+
+def test_bias_reduced_mean_is_exact_on_a_nonlinear_objective():
+    # The levels telescope, so the estimator's mean is the mean gradient at a pair
+    # sparsified with the top level's 2^(M+1) = 8 draws. The y block is -f_i at the
+    # sparsified x, and E (x_hat_j - a_j)^2 = (x_j - a_j)^2 + x_j (1 - x_j) / 8, so its
+    # mean is -(f_i(x) + sum_j c_j x_j (1 - x_j) / 8). (The x block is bilinear in the
+    # two independent sparsified points, so its mean is exact at any scale.)
+    comps = [([1.0, 2.0], [0.2, 0.5]), ([3.0, 0.5], [0.6, 0.1])]
+    obj = make_max_loss_objective(MaxLossProblem(
+        d_x=2, components=tuple(_separable_quadratic_component(c, a) for c, a in comps)))
+    x, y = point(0.3, 0.7), point(0.5, 0.5)
+    tg = TruncGeom(0.5, 2)
+    rng, level_rng = RngStream(20), RngStream(21)
+    reps = 4_000
+    samples = np.empty((reps, 2))
+    for r in range(reps):
+        N = sample_trunc_geom(tg, level_rng)
+        samples[r] = bias_reduced_gradient(obj, x, y, N, np.array([0.0]), tg, rng).g_y
+    p = x.coords
+    exact = -np.array([np.dot(c, (p - a) ** 2) + np.dot(c, p * (1.0 - p)) / 8.0
+                       for c, a in comps])
+    z = (samples.mean(axis=0) - exact) / (samples.std(axis=0, ddof=1) / math.sqrt(reps))
+    assert np.abs(z).max() < 4.0, f"y block {z} sigma off"
 
 
 # ---- objective self-checks -----------------------------------------------------

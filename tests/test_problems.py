@@ -6,9 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from dpsimplex import sco
 from dpsimplex.errors import OracleError
-from dpsimplex.oracles import PerSampleObjective, check_objective
+from dpsimplex.oracles import check_objective
 from dpsimplex.privacy import PrivacyParams
 from dpsimplex.problems import (
+    _GATHER_MIN_ENTRIES,
     BilinearObjective,
     ComponentLoss,
     MatrixGame,
@@ -65,9 +66,10 @@ def test_bilinear_batch_gradients_match_dense_reference(d_x, d_y, support, n_z, 
     dense = A + np.mean(zs) * E
     # a one-term sum plus exact zeros is exact; beyond that BLAS kernels may
     # round a sum differently by the column positions, within eps per term
+    gx, gy = obj.batch_grad_xy_rows(x[None], y[None], [zs])
     for got, ref, point in (
-        (obj.batch_grad_x(x, y, zs), dense @ y, y),
-        (obj.batch_grad_y(x, y, zs), dense.T @ x, x),
+        (gx[0], dense @ y, y),
+        (gy[0], dense.T @ x, x),
     ):
         if np.count_nonzero(point) == 1:
             assert np.array_equal(got, ref)
@@ -84,17 +86,41 @@ def test_bilinear_batch_gradients_match_dense_reference(d_x, d_y, support, n_z, 
     (200, 200, (False, False)),
 ])
 def test_fused_bilinear_gradient_equals_the_two_calls(d, support, gathers):
+    # the one fused call gives each block the bits of a separate per-block computation
     gen = np.random.default_rng(d * 1000 + support)
     obj = BilinearObjective(gen.uniform(-1.0, 1.0, size=(d, d)),
                             0.5 * (gen.integers(0, 2, size=(d, d)) * 2 - 1))
     x, y = (np.zeros(d) for _ in range(2))
     for p in (x, y):
         p[gen.choice(d, size=support, replace=False)] = gen.dirichlet(np.ones(support))
-    assert (obj._support(y, 5) is not None, obj._support(x, 2) is not None) == gathers
+    big = obj.A.size >= _GATHER_MIN_ENTRIES
+    assert (big and obj._support(y, 5) is not None,
+            big and obj._support(x, 2) is not None) == gathers
     zs = gen.integers(0, 2, size=7) * 2 - 1.0
-    gx, gy = obj.batch_grad_xy(x, y, zs)
-    assert np.array_equal(gx, obj.batch_grad_x(x, y, zs))
-    assert np.array_equal(gy, obj.batch_grad_y(x, y, zs))
+    gx, gy = obj.batch_grad_xy_rows(x[None], y[None], [zs])
+    ref_x, ref_y = bilinear_reference(obj, x, y, zs)
+    assert np.array_equal(gx[0], ref_x)
+    assert np.array_equal(gy[0], ref_y)
+
+
+def bilinear_reference(obj, x, y, zs):
+    """One row's bilinear batch gradient, built block by block the way the game builds it:
+    ``(A + z̄E) @ y`` and ``.T @ x``, or above _GATHER_MIN_ENTRIES the gather of the
+    support's columns (rows) while the support is at most a fifth (half) of the block."""
+    A, E, z = obj.A, obj.E, np.mean(zs)
+    dense = A + z * E
+    j, i = np.flatnonzero(y), np.flatnonzero(x)
+    big = A.size >= _GATHER_MIN_ENTRIES
+    gx = (A[:, j] + z * E[:, j]) @ y[j] if big and 5 * j.size <= y.size else dense @ y
+    gy = (A[i] + z * E[i]).T @ x[i] if big and 2 * i.size <= x.size else dense.T @ x
+    return gx, gy
+
+
+def synth_reference(obj, x, y, zs):
+    """One row's synthetic-data batch gradient: ``-Q^T y`` and the batch's mean query
+    column minus ``Q x``."""
+    idx = np.asarray(zs, dtype=np.int64)
+    return -(obj.Q.T @ y), np.add.reduce(obj.Q[:, idx], axis=1) / idx.size - obj.Q @ x
 
 
 def stacked_rows(gen, rows, dim, k):
@@ -124,24 +150,25 @@ def test_gradient_rows_equal_one_row_calls(family, d_x, d_y, rows, k, n_z, ragge
         obj = BilinearObjective(gen.uniform(-1.0, 1.0, size=(d_x, d_y)),
                                 0.5 * (gen.integers(0, 2, size=(d_x, d_y)) * 2 - 1))
         batches = [gen.integers(0, 2, size=n) * 2 - 1.0 for n in sizes]
-    else:  # the default per-row loop
+        reference = bilinear_reference
+    else:
         obj = SynthDataObjective(gen.uniform(-1.0, 1.0, size=(d_y, d_x)))
         batches = [gen.integers(0, d_x, size=n) for n in sizes]
+        reference = synth_reference
     X, Y = stacked_rows(gen, rows, d_x, k), stacked_rows(gen, rows, d_y, k)
     gx, gy = obj.batch_grad_xy_rows(X, Y, batches)
     assert gx.shape == (rows, d_x) and gy.shape == (rows, d_y)
     for r in range(rows):
-        one_x, one_y = obj.batch_grad_xy(X[r], Y[r], batches[r])
+        one_x, one_y = reference(obj, X[r], Y[r], batches[r])
         assert np.array_equal(gx[r], one_x) and np.array_equal(gy[r], one_y)
 
 
 class DoubledBatchGradX(BilinearObjective):
-    """A subclass whose batch x-gradient is doubled and reached through batch_grad_xy."""
+    """A subclass whose batch x-gradient is doubled."""
 
-    batch_grad_xy = PerSampleObjective.batch_grad_xy
-
-    def batch_grad_x(self, x, y, zs):
-        return 2.0 * super().batch_grad_x(x, y, zs)
+    def batch_grad_xy_rows(self, X, Y, batches):
+        gx, gy = super().batch_grad_xy_rows(X, Y, batches)
+        return 2.0 * gx, gy
 
 
 def test_gradient_rows_keep_a_subclass_override():

@@ -9,7 +9,7 @@ import pytest
 
 from dpsimplex import sco, solvers
 from dpsimplex.errors import BudgetError, OracleError
-from dpsimplex.oracles import Dataset, PerSampleObjective, TruncGeom, batch_gradient
+from dpsimplex.oracles import Dataset, TruncGeom, batch_gradient
 from dpsimplex.privacy import (
     BrPlan,
     PrivacyParams,
@@ -185,13 +185,10 @@ def test_tape_takes_at_least_one_step_per_refill(monkeypatch):
 class DenseBilinear(BilinearObjective):
     """Reference batch gradients through the full ``A + mean(z) E``."""
 
-    batch_grad_xy = PerSampleObjective.batch_grad_xy  # the two methods below, one call each
-
-    def batch_grad_x(self, x, y, zs):
-        return (self.A + np.mean(zs) * self.E) @ y
-
-    def batch_grad_y(self, x, y, zs):
-        return (self.A + np.mean(zs) * self.E).T @ x
+    def batch_grad_xy_rows(self, X, Y, batches):
+        dense = [self.A + np.mean(zs) * self.E for zs in batches]
+        return (np.array([M @ y for M, y in zip(dense, Y)]),
+                np.array([M.T @ x for M, x in zip(dense, X)]))
 
 
 def test_vertex_solver_sparse_gradients_match_dense_reference():
@@ -453,15 +450,13 @@ class BadGradientBilinear(BilinearObjective):
         self.first_bad_call = 2 * calls_per_step + 1
         self.calls = 0
 
-    batch_grad_xy = PerSampleObjective.batch_grad_xy  # through the counted batch_grad_x
-
-    def batch_grad_x(self, x, y, zs):
+    def batch_grad_xy_rows(self, X, Y, batches):
         self.calls += 1
-        g = super().batch_grad_x(x, y, zs)
+        gx, gy = super().batch_grad_xy_rows(X, Y, batches)
         if self.calls >= self.first_bad_call:
-            g = g.copy()
-            g[0] = self.bad
-        return g
+            gx = gx.copy()
+            gx[:, 0] = self.bad
+        return gx, gy
 
 
 def run_with_bad_gradient(solver, bad):
@@ -472,7 +467,7 @@ def run_with_bad_gradient(solver, bad):
         obj = BadGradientBilinear(game, bad, calls_per_step=1)
         return solve_smd_vertex(obj, data, small_plan(200, 10, 1, obj.L0), RngStream(52))
     if solver == "bias_reduced":
-        obj = BadGradientBilinear(game, bad, calls_per_step=3)
+        obj = BadGradientBilinear(game, bad, calls_per_step=1)
         plan = BrPlan(U=7.3, M=0, alpha=0.5, tau=1e-3, C=obj.L0**2,
                       epsilon=1.0, delta=1e-5, L0=obj.L0, n=100, ell=game.ell)
         return solve_smd_bias_reduced(obj, data, plan, RngStream(52))
