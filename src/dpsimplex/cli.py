@@ -466,7 +466,7 @@ def _run_boosted(run: _Run, n: int, stream: RngStream):
     return sol, json.dumps({"I": I, "J": J}, sort_keys=True)
 
 
-def _run_nonprivate(run: _Run, n: int, stream: RngStream):
+def _run_nonprivate(run: _Run, n: int, streams: list[RngStream]):
     game = run.problem
     T = run.overrides.get("T", 10_000)
     if T < 1:
@@ -476,7 +476,7 @@ def _run_nonprivate(run: _Run, n: int, stream: RngStream):
     if not (math.isfinite(tau) and tau > 0):
         raise ConfigError(f"nonprivate_smd needs a positive finite tau, got {tau}")
     sol = solve_smd_nonprivate(game.population(), T, tau, game.d_x, game.d_y)
-    return sol, json.dumps({"T": T, "tau": tau}, sort_keys=True)
+    return [(sol, json.dumps({"T": T, "tau": tau}, sort_keys=True))] * len(streams)
 
 
 def _run_dp_sco(run: _Run, n: int, stream: RngStream):
@@ -484,7 +484,7 @@ def _run_dp_sco(run: _Run, n: int, stream: RngStream):
     plan = _plan(run, n, obj.L0, lambda: plan_anytime_sco(
         n, p.epsilon, p.delta, obj.L0, obj.L1, obj.L2, math.log(obj.dim), run.mode))
     data = obj.sample_dataset(n, stream.child("data"))
-    return solve_dp_sco([obj], [data], plan, [stream.child("solve")])[0], _plan_json(plan)
+    return solve_dp_sco([obj], data, plan, [stream.child("solve")])[0], _plan_json(plan)
 
 
 def _each_trial(runner):
@@ -500,7 +500,7 @@ ALGORITHMS = {
     "smd_bias_reduced": ("matrix_game", BrPlan, _each_trial(_run_bias_reduced)),
     "boosted": ("matrix_game", None, _each_trial(_run_boosted)),
     "dp_sco": ("quadratic_sco", ScoPlan, _each_trial(_run_dp_sco)),
-    "nonprivate_smd": ("matrix_game", None, _each_trial(_run_nonprivate)),
+    "nonprivate_smd": ("matrix_game", None, _run_nonprivate),
 }
 
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DatasetError, OracleError
 from .rng import RngStream
-from .simplex import SimplexPoint, inverse_cdf, sample_vertex_indices
+from .simplex import SimplexPoint, inverse_cdf, mean_one_hots, release_rows
 
 
 class PerSampleObjective:
@@ -95,39 +95,45 @@ class SaddleGradient:
 class Dataset:
     """Ordered sample identifiers with a consumed-prefix cursor.
 
-    One solver run owns one view; fresh-batch requests beyond ``n`` raise
+    ``samples`` is a 1-d sequence or an (R, n) block of R rows sharing the
+    cursor, whose ``take(k)`` is the next k columns as one (R, k) view. One
+    solver run owns one view; fresh-batch requests beyond ``n`` raise
     :class:`DatasetError` so sample budgets can never be silently exceeded.
     """
 
     def __init__(self, samples):
         self._samples = np.asarray(samples)
-        if self._samples.ndim != 1:
-            raise ValueError("dataset samples must form a 1-d sequence")
+        if self._samples.ndim not in (1, 2):
+            raise ValueError("dataset samples must form a 1-d sequence or an (R, n) block")
         self.cursor = 0
 
     @property
-    def n(self) -> int:
-        return self._samples.size
+    def rows(self) -> int:  # a 1-d sequence is one row
+        return 1 if self._samples.ndim == 1 else self._samples.shape[0]
+
+    @property
+    def n(self) -> int:  # samples per row
+        return self._samples.shape[-1]
 
     @property
     def remaining(self) -> int:
         return self.n - self.cursor
 
     def take(self, k: int) -> np.ndarray:
-        """Consume the next ``k`` fresh samples."""
+        """Consume the next ``k`` fresh samples of every row."""
         if k < 1:
             raise ValueError(f"batch size must be >= 1, got {k}")
         if self.cursor + k > self.n:
             raise DatasetError(
                 f"requested {k} fresh samples with only {self.remaining} of {self.n} left"
             )
-        batch = self._samples[self.cursor : self.cursor + k]
+        batch = self._samples[..., self.cursor : self.cursor + k]
         self.cursor += k
         return batch
 
     def subset(self, start: int, stop: int) -> "Dataset":
-        """A fresh view of ``samples[start:stop]`` with its own cursor."""
-        return Dataset(self._samples[start:stop])
+        """A fresh view of ``samples[..., start:stop]`` with its own cursor."""
+        return Dataset(self._samples[..., start:stop])
 
 
 @dataclass(frozen=True)
@@ -184,10 +190,6 @@ def batch_gradient(obj: PerSampleObjective, x, y, batch) -> SaddleGradient:
     return SaddleGradient(gx[0], -gy[0]) if point else SaddleGradient(gx, -gy)
 
 
-def _mean_one_hot(indices: np.ndarray, dim: int) -> np.ndarray:
-    return np.bincount(indices, minlength=dim) / indices.size
-
-
 def bias_reduced_gradient(
     obj: PerSampleObjective,
     x: SimplexPoint,
@@ -213,12 +215,12 @@ def bias_reduced_gradient(
     if len(batch) == 0:
         raise ValueError("gradient batch must be nonempty")
     half = 2**N
-    xs = sample_vertex_indices(x.coords, 2 * half, rng)
-    ys = sample_vertex_indices(y.coords, 2 * half, rng)
+    xs = release_rows(x.coords[None], 2 * half, [rng])
+    ys = release_rows(y.coords[None], 2 * half, [rng])
 
     counts = (2 * half, half, 1)  # one gradient call on all draws, the first half, the first draw
-    X = np.array([_mean_one_hot(xs[:k], x.dim) for k in counts])
-    Y = np.array([_mean_one_hot(ys[:k], y.dim) for k in counts])
+    X = np.concatenate([mean_one_hots(xs[:, :k], x.dim) for k in counts])
+    Y = np.concatenate([mean_one_hots(ys[:, :k], y.dim) for k in counts])
     (gx_plus, gx_minus, gx_first), (gy_plus, gy_minus, gy_first) = obj.batch_grad_xy_rows(
         X, Y, [batch] * 3)
 

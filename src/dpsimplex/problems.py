@@ -104,11 +104,10 @@ def _mean_sign(zs) -> float:
 
 
 def _mean_signs(batches) -> np.ndarray:
-    """``_mean_sign`` of each batch; batches of one size reduce as one (R, B) array, row by row."""
-    if len({len(zs) for zs in batches}) > 1:
-        return np.array([_mean_sign(zs) for zs in batches])
-    zs = np.array(batches)
-    return np.add.reduce(zs, axis=1) / zs.shape[1]
+    """``_mean_sign`` of each batch; an (R, B) array (a row dataset's batch) reduces as it is."""
+    if isinstance(batches, np.ndarray):
+        return np.add.reduce(batches, axis=1) / batches.shape[1]
+    return np.array([_mean_sign(zs) for zs in batches])
 
 
 @dataclass(frozen=True)
@@ -569,9 +568,6 @@ class SeparableQuadratic(ConvexObjective):
 
     def batch_grad(self, x, zs):
         return 2.0 * self.c * (x - self.a) + float(np.mean(zs)) * self.eta
-
-    def batch_value(self, x, zs):
-        return self.value(x, float(np.mean(zs)))
 
     def population_value(self, x) -> float:
         return float(self.c @ (np.asarray(x) - self.a) ** 2)

@@ -10,8 +10,9 @@ privacy spend) by a factor of about ``q``.
 The online iterates are the package's one mirror-descent loop,
 :func:`~dpsimplex.simplex.mirror_descent`, run on one block of R rows, one
 per solve that shares the plan (boosting's I*J best responses per side are
-one call). The rows' running averages, drift check and cached surrogates
-live in the solver's step function.
+one call) and read one (R, B) batch of a row dataset per step. The rows'
+running averages, drift check and cached surrogates live in the solver's
+step function.
 """
 from __future__ import annotations
 
@@ -23,7 +24,8 @@ from .errors import BudgetError
 from .oracles import Dataset, PerSampleObjective
 from .privacy import ScoPlan, audit_releases
 from .rng import RngStream
-from .simplex import SimplexPoint, _point, mirror_descent, running_average, sparsify
+from .simplex import (SimplexPoint, _point, mean_one_hots, mirror_descent, release_rows,
+                      running_average, sparsify)
 
 
 class ConvexObjective:
@@ -51,9 +53,6 @@ class ConvexObjective:
         for z in zs:
             g += self.grad(x, z)
         return g / len(zs)
-
-    def batch_value(self, x: np.ndarray, zs) -> float:
-        return sum(self.value(x, z) for z in zs) / len(zs)
 
 
 @dataclass(frozen=True)
@@ -86,7 +85,7 @@ class ScoBatch(tuple):
 
 def solve_dp_sco(
     objs: list[ConvexObjective],
-    datasets: list[Dataset],
+    dataset: Dataset,
     plan: ScoPlan,
     rngs: list[RngStream],
     exact_iterates: bool = False,
@@ -94,26 +93,28 @@ def solve_dp_sco(
 ) -> ScoBatch:
     """Anytime mirror descent with a round-cached sparsified average, one run per row.
 
-    Row r minimizes ``objs[r]`` on ``datasets[r]`` with draws from ``rngs[r]``
-    and gets the bytes a one-row call would; the rows share ``plan`` and step
-    as one (R, d) block, with one release audit per row. Rows that freeze one
+    Row r minimizes ``objs[r]`` on row r of ``dataset`` (a 1-d dataset is one
+    row) with draws from ``rngs[r]`` and gets the bytes a one-row call would;
+    the rows share ``plan`` and step as one (R, d) block, with one ``take`` of
+    an (R, B) batch per step and one release audit per row. Rows that freeze one
     block of the same saddle objective take each step's gradients in one
     stacked call over their frozen partners; other rows call their own
     objective (:func:`_row_gradients`).
-    The sparsified surrogate is redrawn with K vertex draws on steps ``t <= q``
-    and on multiples of ``q`` (step q counts once) and reused in between; a
-    row returns a fresh K-draw sparsification of its final average.
+    The sparsified surrogates are redrawn with K vertex draws per row on steps
+    ``t <= q`` and on multiples of ``q`` (step q counts once) and reused in
+    between; a row returns a fresh K-draw sparsification of its final average.
     ``exact_iterates=True`` replaces all sampling with the identity, reducing
     the method to exact anytime mirror descent; such a run releases no
     vertices, so its plan's privacy caps are not enforced (its schedule is).
     """
-    if not objs or not len(objs) == len(datasets) == len(rngs):
-        raise ValueError("need one objective, dataset and stream per row")
+    rows = len(objs)
+    if not rows or not rows == dataset.rows == len(rngs):
+        raise ValueError("need one objective, dataset row and stream per row")
+    dim = objs[0].dim
     plan.validate(privacy=not exact_iterates)
-    for dataset in datasets:
-        if dataset.remaining < plan.T * plan.B_batch:
-            raise BudgetError(f"plan needs {plan.T * plan.B_batch} fresh samples, "
-                              f"dataset has {dataset.remaining}")
+    if dataset.remaining < plan.T * plan.B_batch:
+        raise BudgetError(f"plan needs {plan.T * plan.B_batch} fresh samples, "
+                          f"dataset has {dataset.remaining}")
     gradients = _row_gradients(objs)
     w = w_hat = None
     refreshes = 0
@@ -128,26 +129,26 @@ def solve_dp_sco(
             _check_drift(w_next, w, t)
         w = w_next
         if refresh:
-            w_hat = w if exact_iterates else _sparsify_rows(w, plan.K, rngs)
+            w_hat = w if exact_iterates else mean_one_hots(release_rows(w, plan.K, rngs), dim)
             refreshes += 1
-        g = gradients(w_hat, [dataset.take(plan.B_batch) for dataset in datasets])
+        g = gradients(w_hat, dataset.take(plan.B_batch).reshape(rows, -1))
         if record_trace:
             recorded.append((x_t, w, g, refresh))
         return (-g,)
 
-    mirror_descent((objs[0].dim,), len(objs), plan.tau, _rounds(plan.T, plan.q), step)
-    final = w if exact_iterates else _sparsify_rows(w, plan.K, rngs)
-    refreshes += 1  # the returned average is always a fresh sparsification
-    traces = [None] * len(objs)
+    mirror_descent((dim,), rows, plan.tau, _rounds(plan.T, plan.q), step)
+    final = [SimplexPoint(w[r] if exact_iterates else sparsify(_point(w[r]), plan.K, rng).coords)
+             for r, rng in enumerate(rngs)]  # a fresh sparsification, checked at the boundary
+    traces = [None] * rows
     if record_trace:
         xs, ws, gs, marks = (np.array(a) for a in zip(*recorded))
         traces = [ScoTrace(x_points=xs[:, r], w_points=ws[:, r], grads=gs[:, r], refreshed=marks)
-                  for r in range(len(objs))]
+                  for r in range(rows)]
     return ScoBatch(
         ScoSolution(
-            w_hat=SimplexPoint(final[r]),  # the released point is checked at the boundary
+            w_hat=final[r],
             samples_used=plan.T * plan.B_batch,
-            refresh_count=refreshes,
+            refresh_count=refreshes + 1,  # the returned point is a refresh too
             trace=traces[r],
             steps_run=plan.T,
             vertex_draws=audit_releases(plan, rng.vertex_draws - draws[r]),
@@ -163,20 +164,13 @@ def _check_drift(w_next: np.ndarray, w: np.ndarray, t: int) -> None:
         raise BudgetError(f"row {drift.argmax()}: average moved {drift.max()} > 2/{t}")
 
 
-def _sparsify_rows(w: np.ndarray, k: int, rngs: list[RngStream]) -> np.ndarray:
-    """Row r of ``w`` sparsified with ``k`` draws from ``rngs[r]``, as an (R, d) array."""
-    w_hat = np.array([sparsify(_point(row), k, rng).coords for row, rng in zip(w, rngs)])
-    w_hat.setflags(write=False)
-    return w_hat
-
-
 def _row_gradients(objs: list[ConvexObjective]):
     """``(w, batches) -> g``, row r of g being ``objs[r].batch_grad(w[r], batches[r])``.
 
-    Rows that all freeze the same block of one saddle objective (boosting's
-    best responses) make one ``batch_grad_xy_rows`` call of that objective
-    over their stacked frozen partners; otherwise each row calls its own
-    objective.
+    ``batches`` is one step's (R, B) block. Rows that all freeze the same block
+    of one saddle objective (boosting's best responses) make one
+    ``batch_grad_xy_rows`` call of that objective over their stacked frozen
+    partners; otherwise each row calls its own objective.
     """
     kind, base = type(objs[0]), getattr(objs[0], "_obj", None)
     if kind not in (FrozenYObjective, FrozenXObjective) or any(
@@ -265,9 +259,6 @@ class FrozenYObjective(ConvexObjective):
     def batch_grad(self, x, zs):
         return self._obj.batch_grad_xy_rows(x[None], self._y[None], [zs])[0][0]
 
-    def batch_value(self, x, zs):
-        return self._obj.batch_value(x, self._y, zs)
-
 
 class FrozenXObjective(ConvexObjective):
     """Negated y-block view of a saddle objective with the x argument frozen.
@@ -292,6 +283,3 @@ class FrozenXObjective(ConvexObjective):
 
     def batch_grad(self, y, zs):
         return -self._obj.batch_grad_xy_rows(self._x[None], y[None], [zs])[1][0]
-
-    def batch_value(self, y, zs):
-        return -self._obj.batch_value(self._x, y, zs)

@@ -14,8 +14,9 @@ build and the points solvers return; the loop builds none.
 Vertex draws, the bias-reduced level draw and ``verify`` all invert a CDF with
 one uniform per draw, through the package's one inversion, :func:`inverse_cdf`.
 Vertex uniforms come from :func:`vertex_uniforms`, which charges each one on the
-stream as a release. :func:`inverse_cdf_rows` and :func:`mean_one_hots` are the
-row-wise forms of the inversion and of :func:`sparsify`'s counts.
+stream as a release. :func:`release_rows` and :func:`mean_one_hots` release from
+and sparsify an (R, d) block, row r on its own stream; :func:`sample_vertex` and
+:func:`sparsify` are the one-point forms, and :func:`inverse_cdf_rows` inverts a tape.
 """
 from __future__ import annotations
 
@@ -193,11 +194,12 @@ def inverse_cdf_rows(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
 def mean_one_hots(indices: np.ndarray, dim: int) -> np.ndarray:
     """(R, dim) array whose row r averages the one-hots of ``indices[r]`` (R, k).
 
-    One ``bincount`` over the indices offset by ``r * dim``.
+    One ``bincount`` over the indices offset by ``r * dim`` (one row needs no offset).
     """
     rows, k = indices.shape
-    flat = (indices + np.arange(0, rows * dim, dim)[:, None]).ravel()
-    return np.bincount(flat, minlength=rows * dim).reshape(rows, dim) / k
+    if rows > 1:
+        indices = indices + np.arange(0, rows * dim, dim)[:, None]
+    return np.bincount(indices.ravel(), minlength=rows * dim).reshape(rows, dim) / k
 
 
 def vertex_uniforms(rng: RngStream, shape) -> np.ndarray:
@@ -214,6 +216,18 @@ def vertex_uniforms(rng: RngStream, shape) -> np.ndarray:
 def sample_vertex_indices(coords: np.ndarray, k: int, rng: RngStream) -> np.ndarray:
     """Draw ``k`` iid vertex indices from ``coords``; count them on ``rng.vertex_draws``."""
     return inverse_cdf(coords.cumsum(), vertex_uniforms(rng, k))
+
+
+def release_rows(points: np.ndarray, k: int, rngs: list[RngStream]) -> np.ndarray:
+    """(R, k) vertex indices: row r is ``sample_vertex_indices(points[r], k, rngs[r])``.
+
+    Each row draws and charges its ``k`` releases on its own stream, so a
+    stream gives the same draws in a block of (R, d) points as on its own.
+    """
+    out = np.empty((len(rngs), k), dtype=np.intp)
+    for r, rng in enumerate(rngs):
+        out[r] = sample_vertex_indices(points[r], k, rng)
+    return out
 
 
 def sample_vertex(x: SimplexPoint, rng: RngStream) -> int:

@@ -17,7 +17,7 @@ iterates step together as (R, d) raw arrays, and each trial draws from a tape
 on its own stream whose uniforms are charged on that stream as releases. A
 batched trial releases the bytes it would release run on its own. Boosting's
 I*J inner convex solves per side share one plan and run as one
-:func:`~dpsimplex.sco.solve_dp_sco` batch, one row per solve.
+:func:`~dpsimplex.sco.solve_dp_sco` batch, one row per solve of a view of its shards.
 """
 from __future__ import annotations
 
@@ -401,10 +401,10 @@ def solve_boosted(
         draws += sol.vertex_draws
 
     # x_ij approximately minimizes x -> F(x, y_i) and y_ij maximizes y -> F(x_i, y): all
-    # I*J solves of a side share its plan, so each side is one batch, row i*J + j
+    # I*J solves of a side share its plan, so each side is one batch: row i*J + j reads
+    # shard i*J + j of its part, one row of an (I*J, inner_size) view
     cells = [(i, j) for i in range(I) for j in range(J)]
-    shards = [[Dataset(part[k * inner_size : (k + 1) * inner_size]) for k in range(I * J)]
-              for part in parts[1:3]]
+    shards = [Dataset(part[: I * J * inner_size].reshape(I * J, -1)) for part in parts[1:3]]
     sx = solve_dp_sco([FrozenYObjective(obj, pairs[i][1]) for i, _ in cells], shards[0], plan_x,
                       [rng.child("inner_x", i, j) for i, j in cells])
     sy = solve_dp_sco([FrozenXObjective(obj, pairs[i][0]) for i, _ in cells], shards[1], plan_y,

@@ -174,6 +174,21 @@ def test_run_nonprivate_baseline(tmp_path):
     assert row[2] == "nonprivate_smd" and row[9] == "0"  # no vertex draws
 
 
+def test_nonprivate_baseline_solves_once_per_batch(tmp_path, monkeypatch):
+    # the baseline reads neither n nor a trial's stream: one solve serves a batch's trials
+    solves = []
+    solve = cli.solve_smd_nonprivate
+    monkeypatch.setattr(cli, "solve_smd_nonprivate", lambda *a: solves.append(1) or solve(*a))
+    cfg = tmp_path / "np.json"
+    write_config(cfg, algorithm="nonprivate_smd", overrides={"T": 500}, n_grid=[100, 200],
+                 trials=3)
+    out = tmp_path / "np.csv"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    assert len(solves) == 2  # one batch per n
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "453d5ec29ec14d612e34ef225f00364766751c79645574756f6d03959b70d4e5")  # a solve per trial
+
+
 def test_run_boosted_smoke(tmp_path):
     cfg = tmp_path / "b.json"
     write_config(

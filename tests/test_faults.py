@@ -19,7 +19,7 @@ import test_solvers
 import test_verify
 from dpsimplex import privacy, problems, sco, simplex, solvers
 from dpsimplex.errors import BudgetError
-from dpsimplex.oracles import TruncGeom
+from dpsimplex.oracles import Dataset, TruncGeom
 from dpsimplex.problems import BilinearObjective
 from test_oracles import game  # noqa: F401  (the fixture test_oracles' checks take)
 from test_sco import quad  # noqa: F401  (the fixture test_sco's checks take)
@@ -68,9 +68,20 @@ def drift_check_reads_row_0_only(monkeypatch):
 
 def rows_draw_from_row_0_stream(monkeypatch):
     """Every row of an SCO batch redraws its surrogate from row 0's stream."""
-    sparsify_rows = sco._sparsify_rows
-    monkeypatch.setattr(sco, "_sparsify_rows",
-                        lambda w, k, rngs: sparsify_rows(w, k, rngs[:1] * len(rngs)))
+    release_rows = sco.release_rows
+    monkeypatch.setattr(sco, "release_rows",
+                        lambda w, k, rngs: release_rows(w, k, rngs[:1] * len(rngs)))
+
+
+def sco_rows_read_row_0_batch(monkeypatch):
+    """Every row of an SCO batch reads row 0's columns of its row dataset."""
+    take = Dataset.take
+
+    def row_0_batch(self, k):
+        batch = take(self, k)
+        return batch if batch.ndim == 1 else np.broadcast_to(batch[:1], batch.shape)
+
+    monkeypatch.setattr(Dataset, "take", row_0_batch)
 
 
 def gradient_rows_take_row_0_batch(monkeypatch):
@@ -126,14 +137,14 @@ def vertex_smd_cap_doubled(monkeypatch):
 
 
 def sco_sparsify_draws_one_extra(monkeypatch):
-    """Each SCO surrogate refresh draws one vertex more than it uses."""
-    sparsify = sco.sparsify
+    """Each SCO surrogate refresh draws one vertex more per row than it uses."""
+    release_rows = sco.release_rows
 
-    def extra_draw(x, k, rng):
-        simplex.sample_vertex_indices(x.coords, 1, rng)
-        return sparsify(x, k, rng)
+    def extra_draw(w, k, rngs):
+        release_rows(w, 1, rngs)
+        return release_rows(w, k, rngs)
 
-    monkeypatch.setattr(sco, "sparsify", extra_draw)
+    monkeypatch.setattr(sco, "release_rows", extra_draw)
 
 
 def search_path_shifted_one_index(monkeypatch):
@@ -174,6 +185,10 @@ FAULTS = {
     "sco_rows_draw_from_row_0_stream": (
         rows_draw_from_row_0_stream,
         lambda request: test_sco.test_batched_rows_equal_one_row_runs(exact_iterates=False),
+    ),
+    "sco_rows_read_row_0_batch": (
+        sco_rows_read_row_0_batch,
+        lambda request: test_sco.test_batched_rows_equal_one_row_runs(exact_iterates=True),
     ),
     "gradient_rows_take_row_0_batch": (
         gradient_rows_take_row_0_batch,

@@ -48,6 +48,21 @@ def test_dataset_cursor_exhaustion():
         ds.take(1)
 
 
+def test_row_dataset_takes_column_views():
+    samples = np.arange(12.0).reshape(3, 4)
+    ds = Dataset(samples)
+    assert ds.rows == 3 and ds.n == 4 and Dataset(np.arange(4)).rows == 1
+    batch = ds.take(3)
+    assert batch.shape == (3, 3) and np.shares_memory(batch, samples)  # a view, no copy
+    assert np.array_equal(batch, samples[:, :3])
+    with pytest.raises(DatasetError):
+        ds.take(2)
+    assert ds.cursor == 3 and ds.remaining == 1  # the overdraw left the cursor alone
+    assert np.array_equal(ds.take(1), samples[:, 3:])
+    with pytest.raises(ValueError):
+        Dataset(np.zeros((2, 2, 2)))
+
+
 def test_dataset_rejects_bad_batch():
     with pytest.raises(ValueError):
         Dataset(np.arange(5)).take(0)

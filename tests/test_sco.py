@@ -28,6 +28,11 @@ def quad():
     return SeparableQuadratic(c, a, eta)
 
 
+def row_dataset(datasets):
+    """One row Dataset whose row r holds the samples of ``datasets[r]``."""
+    return Dataset(np.array([data.take(data.remaining) for data in datasets]))
+
+
 def manual_plan(obj, n, T, q, K, tau=None, eps=1.0, delta=1e-5):
     from dpsimplex.privacy import max_step_anytime_sco
 
@@ -48,7 +53,7 @@ def test_refresh_count_matches_schedule(quad):
     for T, q in ((60, 6), (60, 7), (50, 50), (9, 3)):
         plan = manual_plan(quad, n, T, q, K=2)
         data = quad.sample_dataset(n, RngStream(101))
-        sol = solve_dp_sco([quad], [data], plan, [RngStream(102)])[0]
+        sol = solve_dp_sco([quad], data, plan, [RngStream(102)])[0]
         expected = q + math.floor((T - q) / q) + 1
         assert abs(sol.refresh_count - expected) <= 1
         assert sol.samples_used == plan.T * plan.B_batch
@@ -60,7 +65,7 @@ def test_surrogate_cached_between_refreshes(quad):
     n = 1200
     plan = manual_plan(quad, n, T=40, q=8, K=3)
     data = Dataset(np.zeros(n))  # constant samples isolate the surrogate
-    sol = solve_dp_sco([quad], [data], plan, [RngStream(103)], record_trace=True)[0]
+    sol = solve_dp_sco([quad], data, plan, [RngStream(103)], record_trace=True)[0]
     tr = sol.trace
     for t in range(1, plan.T):
         if not tr.refreshed[t]:
@@ -73,7 +78,7 @@ def test_exact_iterates_reduce_to_plain_anytime_descent(quad):
     n, T = 900, 30
     plan = manual_plan(quad, n, T=T, q=T, K=1)
     data = quad.sample_dataset(n, RngStream(104))
-    sol = solve_dp_sco([quad], [data], plan, [RngStream(105)], exact_iterates=True)[0]
+    sol = solve_dp_sco([quad], data, plan, [RngStream(105)], exact_iterates=True)[0]
 
     ref_data = quad.sample_dataset(n, RngStream(104))
     logw = np.zeros(quad.dim)
@@ -91,7 +96,7 @@ def test_average_drift_assertion_is_active(quad):
     # the 2/t drift bound is asserted on every step of a normal run
     n = 800
     plan = manual_plan(quad, n, T=25, q=5, K=2)
-    sol = solve_dp_sco([quad], [quad.sample_dataset(n, RngStream(106))], plan, [RngStream(107)],
+    sol = solve_dp_sco([quad], quad.sample_dataset(n, RngStream(106)), plan, [RngStream(107)],
                        record_trace=True)[0]
     w = sol.trace.w_points
     for t in range(1, w.shape[0]):
@@ -108,7 +113,7 @@ def test_average_drift_violation_raises_budget_error(quad, monkeypatch):
     n = 800
     plan = manual_plan(quad, n, T=25, q=5, K=2)
     with pytest.raises(BudgetError):
-        solve_dp_sco([quad], [quad.sample_dataset(n, RngStream(106))], plan, [RngStream(107)])
+        solve_dp_sco([quad], quad.sample_dataset(n, RngStream(106)), plan, [RngStream(107)])
 
 
 def test_average_drift_violation_in_one_row_raises_budget_error(quad, monkeypatch):
@@ -126,7 +131,8 @@ def test_average_drift_violation_in_one_row_raises_budget_error(quad, monkeypatc
     n = 800
     plan = manual_plan(quad, n, T=25, q=5, K=2)
     with pytest.raises(BudgetError):
-        solve_dp_sco([quad] * 3, [quad.sample_dataset(n, RngStream(106, r)) for r in range(3)],
+        solve_dp_sco([quad] * 3, row_dataset(quad.sample_dataset(n, RngStream(106, r))
+                                             for r in range(3)),
                      plan, [RngStream(107, r) for r in range(3)])
 
 
@@ -142,8 +148,9 @@ def test_batched_rows_equal_one_row_runs(exact_iterates):
     assert plan.T % plan.q != 0
 
     def run(rows):
-        return solve_dp_sco([objs[r] for r in rows],
-                            [game.sample_dataset(n, RngStream(122, r)) for r in rows], plan,
+        data = [game.sample_dataset(n, RngStream(122, r)) for r in rows]
+        data = data[0] if len(data) == 1 else row_dataset(data)  # a one-row call reads 1-d data
+        return solve_dp_sco([objs[r] for r in rows], data, plan,
                             [RngStream(123, r) for r in rows], exact_iterates=exact_iterates)
 
     batch = run(range(3))
@@ -168,8 +175,9 @@ def test_rows_sharing_a_saddle_objective_equal_one_row_runs(monkeypatch, frozen)
     plan = manual_plan(objs[0], n, T=23, q=5, K=3)
 
     def run(rows):
-        return solve_dp_sco([objs[r] for r in rows],
-                            [game.sample_dataset(n, RngStream(126, r)) for r in rows], plan,
+        data = [game.sample_dataset(n, RngStream(126, r)) for r in rows]
+        data = data[0] if len(data) == 1 else row_dataset(data)  # a one-row call reads 1-d data
+        return solve_dp_sco([objs[r] for r in rows], data, plan,
                             [RngStream(127, r) for r in rows])
 
     stacked_calls = []
@@ -189,17 +197,17 @@ def test_exact_run_checks_its_schedule(quad):
     plan = ScoPlan(T=5, tau=0.01, K=1, q=0, B_batch=20, mode="second_order",
                    epsilon=1.0, delta=1e-5, L0=quad.L0, n=n)
     with pytest.raises(BudgetError):
-        solve_dp_sco([quad], [quad.sample_dataset(n, RngStream(115))], plan, [RngStream(116)],
+        solve_dp_sco([quad], quad.sample_dataset(n, RngStream(115)), plan, [RngStream(116)],
                      exact_iterates=True)
 
 
 def test_solution_reports_steps_and_vertex_draws(quad):
     n = 800
     plan = manual_plan(quad, n, T=25, q=5, K=2)
-    sol = solve_dp_sco([quad], [quad.sample_dataset(n, RngStream(106))], plan, [RngStream(107)])[0]
+    sol = solve_dp_sco([quad], quad.sample_dataset(n, RngStream(106)), plan, [RngStream(107)])[0]
     assert sol.steps_run == plan.T
     assert sol.vertex_draws == plan.K * sol.refresh_count
-    exact = solve_dp_sco([quad], [quad.sample_dataset(n, RngStream(106))], plan, [RngStream(107)],
+    exact = solve_dp_sco([quad], quad.sample_dataset(n, RngStream(106)), plan, [RngStream(107)],
                          exact_iterates=True)[0]
     assert exact.steps_run == plan.T and exact.vertex_draws == 0
 
@@ -215,7 +223,7 @@ def test_solver_validates_only_the_returned_point(quad, monkeypatch):
         n = 10 * T
         data = quad.sample_dataset(n, RngStream(108))
         before = len(checks)
-        sol = solve_dp_sco([quad], [data], manual_plan(quad, n, T, q=5, K=2), [RngStream(109)])[0]
+        sol = solve_dp_sco([quad], data, manual_plan(quad, n, T, q=5, K=2), [RngStream(109)])[0]
         assert sol.steps_run == T
         counts.append(len(checks) - before)
     assert counts[0] == counts[1] > 0
@@ -224,14 +232,24 @@ def test_solver_validates_only_the_returned_point(quad, monkeypatch):
 def test_solver_rejects_short_dataset(quad):
     plan = manual_plan(quad, 1000, T=50, q=5, K=2)
     with pytest.raises(BudgetError):
-        solve_dp_sco([quad], [quad.sample_dataset(100, RngStream(108))], plan, [RngStream(109)])
+        solve_dp_sco([quad], quad.sample_dataset(100, RngStream(108)), plan, [RngStream(109)])
+
+
+def test_solver_needs_one_dataset_row_per_objective(quad):
+    plan = manual_plan(quad, 100, T=10, q=5, K=2)
+    two_rows = row_dataset(quad.sample_dataset(100, RngStream(108, r)) for r in range(2))
+    with pytest.raises(ValueError):
+        solve_dp_sco([quad] * 3, two_rows, plan, [RngStream(109, r) for r in range(3)])
+    with pytest.raises(ValueError):
+        solve_dp_sco([quad], two_rows, plan, [RngStream(109)])
+    assert two_rows.cursor == 0  # refused before any batch was taken
 
 
 def test_planned_run_hits_low_risk(quad):
     n = 10**4
     plan = plan_anytime_sco(n, 1.0, 1e-5, quad.L0, quad.L1, quad.L2,
                             math.log(quad.dim), "second_order")
-    sol = solve_dp_sco([quad], [quad.sample_dataset(n, RngStream(110))], plan, [RngStream(111)])[0]
+    sol = solve_dp_sco([quad], quad.sample_dataset(n, RngStream(110)), plan, [RngStream(111)])[0]
     excess = quad.population_value(sol.w_hat.coords)
     assert excess <= 0.1 * quad.value_range()
 
@@ -243,7 +261,7 @@ def test_decomposition_coupling_vanishes_with_exact_gradients(quad):
     # deterministic samples + identity surrogate make g_t the exact gradient
     n, T = 600, 20
     plan = manual_plan(quad, n, T=T, q=T, K=1)
-    sol = solve_dp_sco([quad], [Dataset(np.zeros(n))], plan, [RngStream(112)],
+    sol = solve_dp_sco([quad], Dataset(np.zeros(n)), plan, [RngStream(112)],
                        exact_iterates=True, record_trace=True)[0]
     dec = anytime_average_regret_decomposition(
         sol.trace, quad.population_grad, quad.a
@@ -258,7 +276,7 @@ def test_decomposition_upper_bounds_excess_risk(quad, seed):
     n = 4000
     plan = plan_anytime_sco(n, 1.0, 1e-5, quad.L0, quad.L1, quad.L2,
                             math.log(quad.dim), "second_order")
-    sol = solve_dp_sco([quad], [quad.sample_dataset(n, RngStream(113, seed))], plan,
+    sol = solve_dp_sco([quad], quad.sample_dataset(n, RngStream(113, seed)), plan,
                        [RngStream(114, seed)], record_trace=True)[0]
     wT = sol.trace.w_points[-1]
     excess = quad.population_value(wT) - quad.population_value(quad.a)

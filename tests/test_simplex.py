@@ -12,6 +12,7 @@ from dpsimplex.simplex import (
     SimplexPoint,
     inverse_cdf,
     mwu_step,
+    release_rows,
     running_average,
     sample_vertex,
     sample_vertex_indices,
@@ -337,3 +338,23 @@ def test_running_average_drift_bound():
         if w is not None:
             assert np.abs(w_next - w).sum() <= 2.0 / t + 1e-12
         w = w_next
+
+
+# ---- release_rows ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("rows", [1, 3, 77])
+@pytest.mark.parametrize("k", [1, 31, GUIDE_BUCKETS])
+def test_release_rows_equal_row_by_row_draws(rows, k):
+    # row r is sample_vertex_indices on row r's stream: same draws, k charged per stream
+    points = np.random.default_rng([rows, k]).dirichlet(np.ones(30), size=rows)
+    if k >= GUIDE_BUCKETS:  # every row's draws take inverse_cdf's guide-table branch
+        assert all(simplex._guide_table(p.cumsum())[1] <= (30).bit_length() for p in points)
+    streams = [RngStream(140, r) for r in range(rows)]
+    released = release_rows(points, k, streams)
+    assert released.shape == (rows, k)
+    for r, stream in enumerate(streams):
+        own = RngStream(140, r)
+        assert np.array_equal(released[r], sample_vertex_indices(points[r], k, own))
+        assert stream.vertex_draws == own.vertex_draws == k
+        assert stream.gen.random() == own.gen.random()  # the streams end at the same draw

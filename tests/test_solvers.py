@@ -398,11 +398,34 @@ def test_boosted_counts_include_inner_solves():
     for f, shard, dim, tag in inner:
         p = plan_anytime_sco(quarter, priv.epsilon, priv.delta, f.L0, f.L1, f.L2,
                              math.log(dim), "second_order")
-        s = solve_dp_sco([f], [shard], p, [RngStream(25).child(tag, 0, 0)])[0]
+        s = solve_dp_sco([f], shard, p, [RngStream(25).child(tag, 0, 0)])[0]
         steps += p.T
         draws += p.K * s.refresh_count
     assert sol.steps_run == steps > cand.steps_run
     assert sol.vertex_draws == draws > cand.vertex_draws
+
+
+def test_boosted_takes_one_batch_per_sco_step(monkeypatch):
+    # each side's I*J inner solves read one row dataset: one take per step for all rows
+    takes = []
+    take = Dataset.take
+    monkeypatch.setattr(Dataset, "take", lambda self, k: takes.append(self.rows) or take(self, k))
+    solves = []
+    solve = solvers.solve_dp_sco
+
+    def counted(objs, dataset, plan, rngs):
+        before = len(takes)
+        batch = solve(objs, dataset, plan, rngs)
+        solves.append((len(objs), plan.T, takes[before:]))
+        return batch
+
+    monkeypatch.setattr(solvers, "solve_dp_sco", counted)
+    game = MatrixGame.random(5, 5, RngStream(23))
+    solve_boosted(game.objective(), game.sample_dataset(32_000, RngStream(24)), I=2, J=3,
+                  privacy=PrivacyParams(2.0, 1e-4), rng=RngStream(25))
+    assert len(solves) == 2
+    for rows, T, rows_taken in solves:
+        assert rows == 6 and rows_taken == [6] * T
 
 
 def test_boosted_rejects_small_shards():
@@ -473,7 +496,7 @@ def run_with_bad_gradient(solver, bad):
         return solve_smd_bias_reduced(obj, data, plan, RngStream(52))
     f = FrozenYObjective(BadGradientBilinear(game, bad, calls_per_step=1), np.full(4, 0.25))
     plan = plan_anytime_sco(2000, 1.0, 1e-5, f.L0, f.L1, f.L2, math.log(4), "second_order")
-    return solve_dp_sco([f], [data], plan, [RngStream(52)])[0]
+    return solve_dp_sco([f], data, plan, [RngStream(52)])[0]
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -545,7 +568,7 @@ def release_at_cap(solver, tau_scale):
     assert tau < 1.0 / (4.0 * f.L0 * q)  # the privacy cap binds, not the drift cap
     plan = ScoPlan(T=T, tau=tau, K=K, q=q, B_batch=B, mode="second_order",
                    epsilon=eps, delta=delta, L0=f.L0, n=n)
-    return lambda: solve_dp_sco([f], [game.sample_dataset(n, RngStream(61))], plan,
+    return lambda: solve_dp_sco([f], game.sample_dataset(n, RngStream(61)), plan,
                                 [RngStream(62)])[0]
 
 
@@ -564,13 +587,18 @@ def test_audit_composes_the_counted_releases(monkeypatch, solver, module, draws,
             return tape
 
         monkeypatch.setattr(module, "vertex_uniforms", tape_releasing_two_more_per_step)
-    else:
-        real = module.sparsify
+    else:  # the refreshes release through release_rows, the returned point through sparsify
+        real_rows, real = module.release_rows, module.sparsify
+
+        def rows_releasing_one_more(w, k, rngs):
+            real_rows(w, 1, rngs)
+            return real_rows(w, k, rngs)
 
         def sparsify_releasing_one_more(x, k, rng):
             sample_vertex(x, rng)
             return real(x, k, rng)
 
+        monkeypatch.setattr(module, "release_rows", rows_releasing_one_more)
         monkeypatch.setattr(module, "sparsify", sparsify_releasing_one_more)
     assert release_at_cap(solver, 0.5)().vertex_draws == draws + extra
     with pytest.raises(BudgetError, match="realized vertex releases"):
