@@ -484,7 +484,7 @@ def _run_dp_sco(run: _Run, n: int, stream: RngStream):
     plan = _plan(run, n, obj.L0, lambda: plan_anytime_sco(
         n, p.epsilon, p.delta, obj.L0, obj.L1, obj.L2, math.log(obj.dim), run.mode))
     data = obj.sample_dataset(n, stream.child("data"))
-    return solve_dp_sco([obj], data, plan, [stream.child("solve")])[0], _plan_json(plan)
+    return solve_dp_sco(obj, data, plan, [stream.child("solve")])[0], _plan_json(plan)
 
 
 def _each_trial(runner):

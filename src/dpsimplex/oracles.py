@@ -31,8 +31,8 @@ class PerSampleObjective:
 
     Implementations must be safe for concurrent read-only evaluation. The one
     batch gradient is :meth:`batch_grad_xy_rows`, which takes R point pairs and
-    one batch per pair; it and ``batch_value`` default to per-sample loops, and
-    subclasses override them when a vectorized form exists.
+    one batch per pair; it defaults to a per-sample loop, and subclasses
+    override it when a vectorized form exists.
     """
 
     d_x: int

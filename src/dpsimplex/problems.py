@@ -374,10 +374,6 @@ class SynthDataObjective(PerSampleObjective):
                        for x, idx in zip(X, idxs)])
         return gx, gy
 
-    def batch_value(self, x, y, zs):
-        idx = np.asarray(zs, dtype=np.int64)
-        return float(y @ (np.add.reduce(self.Q[:, idx], axis=1) / idx.size - self.Q @ x))
-
 
 @dataclass(frozen=True)
 class SynthDataProblem:
@@ -560,14 +556,8 @@ class SeparableQuadratic(ConvexObjective):
         self.L2 = 0.0
         self.B = float(c.sum() + np.abs(eta).sum())
 
-    def value(self, x, z):
-        return float(self.c @ (x - self.a) ** 2 + z * (self.eta @ x))
-
-    def grad(self, x, z):
-        return 2.0 * self.c * (x - self.a) + z * self.eta
-
-    def batch_grad(self, x, zs):
-        return 2.0 * self.c * (x - self.a) + float(np.mean(zs)) * self.eta
+    def batch_grad_rows(self, W, batches):
+        return 2.0 * self.c * (W - self.a) + _mean_signs(batches)[:, None] * self.eta
 
     def population_value(self, x) -> float:
         return float(self.c @ (np.asarray(x) - self.a) ** 2)

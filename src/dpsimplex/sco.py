@@ -8,11 +8,12 @@ cached for a whole round of ``q`` steps, cutting vertex releases (and hence
 privacy spend) by a factor of about ``q``.
 
 The online iterates are the package's one mirror-descent loop,
-:func:`~dpsimplex.simplex.mirror_descent`, run on one block of R rows, one
-per solve that shares the plan (boosting's I*J best responses per side are
-one call) and read one (R, B) batch of a row dataset per step. The rows'
-running averages, drift check and cached surrogates live in the solver's
-step function.
+:func:`~dpsimplex.simplex.mirror_descent`, run on one block of R rows of one
+objective that share the plan (boosting's I*J best responses per side are
+one call, the rows of one :class:`FrozenBlock`). Each step reads one (R, B)
+batch of a row dataset and takes one row-wise gradient. The rows' running
+averages, drift check and cached surrogates live in the solver's step
+function.
 """
 from __future__ import annotations
 
@@ -29,11 +30,12 @@ from .simplex import (SimplexPoint, _point, mean_one_hots, mirror_descent, relea
 
 
 class ConvexObjective:
-    """Per-sample convex loss on a single simplex.
+    """Per-sample convex loss on a single simplex, evaluated on R rows at once.
 
     Same constant conventions as the saddle interface, restricted to one
     block: ``|grad|_inf <= L0``, ``L1``/``L2`` bound first- and second-order
-    smoothness w.r.t. the 1-norm, ``B`` bounds the value.
+    smoothness w.r.t. the 1-norm, ``B`` bounds the value. ``rows`` is the row
+    count an objective is bound to, or None if it serves any.
     """
 
     dim: int
@@ -41,18 +43,14 @@ class ConvexObjective:
     L1: float
     L2: float
     B: float
+    rows: int | None = None
 
-    def value(self, x: np.ndarray, z) -> float:
+    def batch_grad_rows(self, W: np.ndarray, batches: np.ndarray) -> np.ndarray:
+        """Row r: the mean gradient over ``batches[r]`` at ``W[r]``, as an (R, dim) array.
+
+        A row gets the bits it would get as a one-row call.
+        """
         raise NotImplementedError
-
-    def grad(self, x: np.ndarray, z) -> np.ndarray:
-        raise NotImplementedError
-
-    def batch_grad(self, x: np.ndarray, zs) -> np.ndarray:
-        g = np.zeros(self.dim)
-        for z in zs:
-            g += self.grad(x, z)
-        return g / len(zs)
 
 
 @dataclass(frozen=True)
@@ -84,7 +82,7 @@ class ScoBatch(tuple):
 
 
 def solve_dp_sco(
-    objs: list[ConvexObjective],
+    obj: ConvexObjective,
     dataset: Dataset,
     plan: ScoPlan,
     rngs: list[RngStream],
@@ -93,13 +91,12 @@ def solve_dp_sco(
 ) -> ScoBatch:
     """Anytime mirror descent with a round-cached sparsified average, one run per row.
 
-    Row r minimizes ``objs[r]`` on row r of ``dataset`` (a 1-d dataset is one
-    row) with draws from ``rngs[r]`` and gets the bytes a one-row call would;
-    the rows share ``plan`` and step as one (R, d) block, with one ``take`` of
-    an (R, B) batch per step and one release audit per row. Rows that freeze one
-    block of the same saddle objective take each step's gradients in one
-    stacked call over their frozen partners; other rows call their own
-    objective (:func:`_row_gradients`).
+    Row r minimizes ``obj`` on row r of ``dataset`` (a 1-d dataset is one row)
+    with draws from ``rngs[r]`` and gets the bytes a one-row call would; the
+    rows share ``plan`` and step as one (R, d) block, with one ``take`` of an
+    (R, B) batch and one ``obj.batch_grad_rows`` call per step and one release
+    audit per row. Boosting's best responses are the rows of one
+    :class:`FrozenBlock`, one per frozen partner.
     The sparsified surrogates are redrawn with K vertex draws per row on steps
     ``t <= q`` and on multiples of ``q`` (step q counts once) and reused in
     between; a row returns a fresh K-draw sparsification of its final average.
@@ -107,15 +104,14 @@ def solve_dp_sco(
     the method to exact anytime mirror descent; such a run releases no
     vertices, so its plan's privacy caps are not enforced (its schedule is).
     """
-    rows = len(objs)
-    if not rows or not rows == dataset.rows == len(rngs):
-        raise ValueError("need one objective, dataset row and stream per row")
-    dim = objs[0].dim
+    rows = dataset.rows
+    if not rows or len(rngs) != rows or obj.rows not in (None, rows):
+        raise ValueError("need one dataset row and stream per row of the objective")
+    dim = obj.dim
     plan.validate(privacy=not exact_iterates)
     if dataset.remaining < plan.T * plan.B_batch:
         raise BudgetError(f"plan needs {plan.T * plan.B_batch} fresh samples, "
                           f"dataset has {dataset.remaining}")
-    gradients = _row_gradients(objs)
     w = w_hat = None
     refreshes = 0
     draws = [rng.vertex_draws for rng in rngs]
@@ -131,7 +127,7 @@ def solve_dp_sco(
         if refresh:
             w_hat = w if exact_iterates else mean_one_hots(release_rows(w, plan.K, rngs), dim)
             refreshes += 1
-        g = gradients(w_hat, dataset.take(plan.B_batch).reshape(rows, -1))
+        g = obj.batch_grad_rows(w_hat, dataset.take(plan.B_batch).reshape(rows, -1))
         if record_trace:
             recorded.append((x_t, w, g, refresh))
         return (-g,)
@@ -162,26 +158,6 @@ def _check_drift(w_next: np.ndarray, w: np.ndarray, t: int) -> None:
     drift = np.add.reduce(np.abs(w_next - w), axis=-1).ravel()  # one entry per row
     if drift.max() > 2.0 / t + 1e-12:
         raise BudgetError(f"row {drift.argmax()}: average moved {drift.max()} > 2/{t}")
-
-
-def _row_gradients(objs: list[ConvexObjective]):
-    """``(w, batches) -> g``, row r of g being ``objs[r].batch_grad(w[r], batches[r])``.
-
-    ``batches`` is one step's (R, B) block. Rows that all freeze the same block
-    of one saddle objective (boosting's best responses) make one
-    ``batch_grad_xy_rows`` call of that objective over their stacked frozen
-    partners; otherwise each row calls its own objective.
-    """
-    kind, base = type(objs[0]), getattr(objs[0], "_obj", None)
-    if kind not in (FrozenYObjective, FrozenXObjective) or any(
-            type(obj) is not kind or obj._obj is not base for obj in objs):
-        return lambda w, batches: np.array(
-            [obj.batch_grad(p, zs) for obj, p, zs in zip(objs, w, batches)])
-    if kind is FrozenYObjective:
-        ys = np.array([obj._y for obj in objs])
-        return lambda w, batches: base.batch_grad_xy_rows(w, ys, batches)[0]
-    xs = np.array([obj._x for obj in objs])
-    return lambda w, batches: -base.batch_grad_xy_rows(xs, w, batches)[1]
 
 
 def _rounds(T: int, q: int):
@@ -235,51 +211,31 @@ def anytime_average_regret_decomposition(
 
 
 # --------------------------------------------------------------------------
-# adapters used by the boosted saddle solver
+# the adapter used by the boosted saddle solver
 
 
-class FrozenYObjective(ConvexObjective):
-    """x-block view of a saddle objective with the y argument frozen."""
+class FrozenBlock(ConvexObjective):
+    """One block of a saddle objective with the other frozen at one partner per row.
 
-    def __init__(self, obj: PerSampleObjective, y: np.ndarray):
-        self._obj = obj
-        self._y = np.asarray(y, dtype=np.float64)
-        self.dim = obj.d_x
-        self.L0 = obj.L0
-        self.L1 = obj.L1
-        self.L2 = obj.L2
-        self.B = obj.B
-
-    def value(self, x, z):
-        return self._obj.value(x, self._y, z)
-
-    def grad(self, x, z):
-        return self._obj.grad_x(x, self._y, z)
-
-    def batch_grad(self, x, zs):
-        return self._obj.batch_grad_xy_rows(x[None], self._y[None], [zs])[0][0]
-
-
-class FrozenXObjective(ConvexObjective):
-    """Negated y-block view of a saddle objective with the x argument frozen.
-
-    Minimizing this objective maximizes ``y -> F(x, y)``.
+    With ``free="x"`` row r is ``x -> F(x, partners[r])``; with ``free="y"`` it
+    is ``y -> -F(partners[r], y)``, whose minimizer maximizes F. Each step's
+    rows take one ``batch_grad_xy_rows`` call of the base objective.
     """
 
-    def __init__(self, obj: PerSampleObjective, x: np.ndarray):
+    def __init__(self, obj: PerSampleObjective, free: str, partners: np.ndarray):
+        if free not in ("x", "y"):
+            raise ValueError(f"free block must be 'x' or 'y', got {free!r}")
         self._obj = obj
-        self._x = np.asarray(x, dtype=np.float64)
-        self.dim = obj.d_y
+        self._free = free
+        self._partners = np.asarray(partners, dtype=np.float64)
+        self.rows = len(self._partners)
+        self.dim = obj.d_x if free == "x" else obj.d_y
         self.L0 = obj.L0
         self.L1 = obj.L1
         self.L2 = obj.L2
         self.B = obj.B
 
-    def value(self, y, z):
-        return -self._obj.value(self._x, y, z)
-
-    def grad(self, y, z):
-        return -self._obj.grad_y(self._x, y, z)
-
-    def batch_grad(self, y, zs):
-        return -self._obj.batch_grad_xy_rows(self._x[None], y[None], [zs])[1][0]
+    def batch_grad_rows(self, W, batches):
+        if self._free == "x":
+            return self._obj.batch_grad_xy_rows(W, self._partners, batches)[0]
+        return -self._obj.batch_grad_xy_rows(self._partners, W, batches)[1]

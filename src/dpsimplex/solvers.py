@@ -17,7 +17,8 @@ iterates step together as (R, d) raw arrays, and each trial draws from a tape
 on its own stream whose uniforms are charged on that stream as releases. A
 batched trial releases the bytes it would release run on its own. Boosting's
 I*J inner convex solves per side share one plan and run as one
-:func:`~dpsimplex.sco.solve_dp_sco` batch, one row per solve of a view of its shards.
+:func:`~dpsimplex.sco.solve_dp_sco` batch: the rows of one
+:class:`~dpsimplex.sco.FrozenBlock`, one per solve, each reading its shard of one view.
 """
 from __future__ import annotations
 
@@ -46,7 +47,7 @@ from .privacy import (
     plan_bias_reduced,
 )
 from .rng import RngStream
-from .sco import FrozenXObjective, FrozenYObjective, solve_dp_sco
+from .sco import FrozenBlock, solve_dp_sco
 from .simplex import (
     SimplexPoint,
     _point,
@@ -405,9 +406,9 @@ def solve_boosted(
     # shard i*J + j of its part, one row of an (I*J, inner_size) view
     cells = [(i, j) for i in range(I) for j in range(J)]
     shards = [Dataset(part[: I * J * inner_size].reshape(I * J, -1)) for part in parts[1:3]]
-    sx = solve_dp_sco([FrozenYObjective(obj, pairs[i][1]) for i, _ in cells], shards[0], plan_x,
+    sx = solve_dp_sco(FrozenBlock(obj, "x", [pairs[i][1] for i, _ in cells]), shards[0], plan_x,
                       [rng.child("inner_x", i, j) for i, j in cells])
-    sy = solve_dp_sco([FrozenXObjective(obj, pairs[i][0]) for i, _ in cells], shards[1], plan_y,
+    sy = solve_dp_sco(FrozenBlock(obj, "y", [pairs[i][0] for i, _ in cells]), shards[1], plan_y,
                       [rng.child("inner_y", i, j) for i, j in cells])
     x_table = [[s.w_hat.coords for s in sx[i * J : (i + 1) * J]] for i in range(I)]
     y_table = [[s.w_hat.coords for s in sy[i * J : (i + 1) * J]] for i in range(I)]

@@ -235,7 +235,7 @@ def test_criterion_6_privacy_precondition_audit():
         plan = dps.plan_anytime_sco(n, eps, delta, quad.L0, quad.L1, quad.L2, math.log(d), mode)
         plan.validate()
         data = quad.sample_dataset(n, RngStream(17).child(checked))
-        sol = dps.solve_dp_sco([quad], data, plan, [RngStream(18).child(checked)])[0]
+        sol = dps.solve_dp_sco(quad, data, plan, [RngStream(18).child(checked)])[0]
         releases = plan.K * sol.refresh_count
         cap = plan.B_batch * eps / (8 * quad.L0 * math.sqrt(2 * releases * math.log(1 / delta)))
         if plan.tau > cap * (1 + 1e-9) or sol.samples_used > n:
@@ -313,7 +313,7 @@ def test_criterion_8_anytime_convex_solver():
             risks = []
             for trial in range(3):
                 data = quad.sample_dataset(n, r.child("d", mode, n, trial))
-                sol = dps.solve_dp_sco([quad], data, plan, [r.child("s", mode, n, trial)],
+                sol = dps.solve_dp_sco(quad, data, plan, [r.child("s", mode, n, trial)],
                                        record_trace=True)[0]
                 risks.append(quad.population_value(sol.w_hat.coords))
                 # conversion bound must dominate the excess of the dense average

@@ -438,6 +438,19 @@ def test_quickstart_bytes_are_pinned(tmp_path):
     ]
 
 
+def test_sco_example_bytes_are_pinned(tmp_path):
+    # dp_sco on the separable quadratic: its rows gradient must keep the per-row bits
+    out = tmp_path / "sco.csv"
+    assert main(["run", "--config", str(REPO / "configs" / "sco_example.json"),
+                 "--out", str(out)]) == EXIT_OK
+    digests = [hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in (out, tmp_path / "sco.csv.meta.json")]
+    assert digests == [
+        "be19ea415f2a198e5e79b099f663ea9c5f0b111df74f42812ae32bd33047863f",
+        "af70341ef2f2841bfe7a29d9f702b3379bcd987fb1d503667a3868fd11c863f8",
+    ]
+
+
 
 def test_boosted_bytes_are_pinned_with_several_candidates_and_responses(tmp_path):
     # beta = 0.5 gives I = 3 candidates and J = 6 best responses per side, so each

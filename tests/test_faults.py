@@ -96,8 +96,13 @@ def gradient_rows_take_row_0_batch(monkeypatch):
 
 def sco_rows_take_row_0_partner(monkeypatch):
     """Every row of an SCO batch takes its gradient with row 0's frozen partner."""
-    row_gradients = sco._row_gradients
-    monkeypatch.setattr(sco, "_row_gradients", lambda objs: row_gradients(objs[:1] * len(objs)))
+    init = sco.FrozenBlock.__init__
+
+    def row_0_partner(self, obj, free, partners):
+        partners = np.asarray(partners)
+        init(self, obj, free, np.broadcast_to(partners[:1], partners.shape))
+
+    monkeypatch.setattr(sco.FrozenBlock, "__init__", row_0_partner)
 
 
 def stacked_product_drops_mean_sign(monkeypatch):
@@ -184,11 +189,13 @@ FAULTS = {
     ),
     "sco_rows_draw_from_row_0_stream": (
         rows_draw_from_row_0_stream,
-        lambda request: test_sco.test_batched_rows_equal_one_row_runs(exact_iterates=False),
+        lambda request: test_sco.test_batched_rows_equal_one_row_runs(
+            exact_iterates=False, kind="frozen"),
     ),
     "sco_rows_read_row_0_batch": (
         sco_rows_read_row_0_batch,
-        lambda request: test_sco.test_batched_rows_equal_one_row_runs(exact_iterates=True),
+        lambda request: test_sco.test_batched_rows_equal_one_row_runs(
+            exact_iterates=True, kind="frozen"),
     ),
     "gradient_rows_take_row_0_batch": (
         gradient_rows_take_row_0_batch,
@@ -197,12 +204,13 @@ FAULTS = {
     ),
     "sco_rows_take_row_0_partner": (
         sco_rows_take_row_0_partner,
-        lambda request: test_sco.test_batched_rows_equal_one_row_runs(exact_iterates=False),
+        lambda request: test_sco.test_batched_rows_equal_one_row_runs(
+            exact_iterates=False, kind="frozen"),
     ),
     "sco_stacked_rows_take_row_0_partner": (
         sco_rows_take_row_0_partner,
         lambda request: test_sco.test_rows_sharing_a_saddle_objective_equal_one_row_runs(
-            request.getfixturevalue("monkeypatch"), sco.FrozenXObjective),
+            request.getfixturevalue("monkeypatch"), "y"),
     ),
     "stacked_product_drops_mean_sign": (
         stacked_product_drops_mean_sign,

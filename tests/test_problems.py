@@ -182,8 +182,8 @@ def test_gradient_rows_keep_a_subclass_override():
     loop_x, loop_y = PerSampleObjective.batch_grad_xy_rows(game.objective(), X, Y, batches)
     gx, gy = doubled.batch_grad_xy_rows(X, Y, batches)
     assert np.allclose(gx, 2.0 * loop_x) and np.allclose(gy, loop_y)  # the per-sample loop
-    gradients = sco._row_gradients([sco.FrozenYObjective(doubled, y) for y in Y])
-    assert np.array_equal(gradients(X, batches), 2.0 * ref_x)
+    frozen = sco.FrozenBlock(doubled, "x", Y)
+    assert np.array_equal(frozen.batch_grad_rows(X, batches), 2.0 * ref_x)
 
 
 # ---- exact bilinear gap -----------------------------------------------------

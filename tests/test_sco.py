@@ -9,12 +9,7 @@ from dpsimplex.privacy import ScoPlan, plan_anytime_sco
 from dpsimplex.problems import SeparableQuadratic
 from dpsimplex.rng import RngStream
 from dpsimplex.simplex import SimplexPoint
-from dpsimplex.sco import (
-    FrozenXObjective,
-    FrozenYObjective,
-    anytime_average_regret_decomposition,
-    solve_dp_sco,
-)
+from dpsimplex.sco import FrozenBlock, anytime_average_regret_decomposition, solve_dp_sco
 from dpsimplex.problems import BilinearObjective, MatrixGame
 
 
@@ -53,7 +48,7 @@ def test_refresh_count_matches_schedule(quad):
     for T, q in ((60, 6), (60, 7), (50, 50), (9, 3)):
         plan = manual_plan(quad, n, T, q, K=2)
         data = quad.sample_dataset(n, RngStream(101))
-        sol = solve_dp_sco([quad], data, plan, [RngStream(102)])[0]
+        sol = solve_dp_sco(quad, data, plan, [RngStream(102)])[0]
         expected = q + math.floor((T - q) / q) + 1
         assert abs(sol.refresh_count - expected) <= 1
         assert sol.samples_used == plan.T * plan.B_batch
@@ -65,7 +60,7 @@ def test_surrogate_cached_between_refreshes(quad):
     n = 1200
     plan = manual_plan(quad, n, T=40, q=8, K=3)
     data = Dataset(np.zeros(n))  # constant samples isolate the surrogate
-    sol = solve_dp_sco([quad], data, plan, [RngStream(103)], record_trace=True)[0]
+    sol = solve_dp_sco(quad, data, plan, [RngStream(103)], record_trace=True)[0]
     tr = sol.trace
     for t in range(1, plan.T):
         if not tr.refreshed[t]:
@@ -78,7 +73,7 @@ def test_exact_iterates_reduce_to_plain_anytime_descent(quad):
     n, T = 900, 30
     plan = manual_plan(quad, n, T=T, q=T, K=1)
     data = quad.sample_dataset(n, RngStream(104))
-    sol = solve_dp_sco([quad], data, plan, [RngStream(105)], exact_iterates=True)[0]
+    sol = solve_dp_sco(quad, data, plan, [RngStream(105)], exact_iterates=True)[0]
 
     ref_data = quad.sample_dataset(n, RngStream(104))
     logw = np.zeros(quad.dim)
@@ -87,7 +82,7 @@ def test_exact_iterates_reduce_to_plain_anytime_descent(quad):
         e = np.exp(logw - logw.max())
         x_t = e / e.sum()
         w = x_t if t == 1 else ((t - 1) * w + x_t) / t
-        g = quad.batch_grad(w, ref_data.take(plan.B_batch))
+        g = quad.batch_grad_rows(w[None], ref_data.take(plan.B_batch)[None])[0]
         logw = logw - plan.tau * g
     assert np.allclose(sol.w_hat.coords, w, atol=1e-14)
 
@@ -96,7 +91,7 @@ def test_average_drift_assertion_is_active(quad):
     # the 2/t drift bound is asserted on every step of a normal run
     n = 800
     plan = manual_plan(quad, n, T=25, q=5, K=2)
-    sol = solve_dp_sco([quad], quad.sample_dataset(n, RngStream(106)), plan, [RngStream(107)],
+    sol = solve_dp_sco(quad, quad.sample_dataset(n, RngStream(106)), plan, [RngStream(107)],
                        record_trace=True)[0]
     w = sol.trace.w_points
     for t in range(1, w.shape[0]):
@@ -113,7 +108,7 @@ def test_average_drift_violation_raises_budget_error(quad, monkeypatch):
     n = 800
     plan = manual_plan(quad, n, T=25, q=5, K=2)
     with pytest.raises(BudgetError):
-        solve_dp_sco([quad], quad.sample_dataset(n, RngStream(106)), plan, [RngStream(107)])
+        solve_dp_sco(quad, quad.sample_dataset(n, RngStream(106)), plan, [RngStream(107)])
 
 
 def test_average_drift_violation_in_one_row_raises_budget_error(quad, monkeypatch):
@@ -131,27 +126,32 @@ def test_average_drift_violation_in_one_row_raises_budget_error(quad, monkeypatc
     n = 800
     plan = manual_plan(quad, n, T=25, q=5, K=2)
     with pytest.raises(BudgetError):
-        solve_dp_sco([quad] * 3, row_dataset(quad.sample_dataset(n, RngStream(106, r))
-                                             for r in range(3)),
+        solve_dp_sco(quad, row_dataset(quad.sample_dataset(n, RngStream(106, r))
+                                       for r in range(3)),
                      plan, [RngStream(107, r) for r in range(3)])
 
 
-@pytest.mark.parametrize("exact_iterates", [False, True])
-def test_batched_rows_equal_one_row_runs(exact_iterates):
-    # rows with their own frozen partner, shard and stream step as one block; each
+@pytest.mark.parametrize("exact_iterates, kind", [
+    (False, "frozen"), (True, "frozen"), (False, "quad"), (True, "quad"),
+], ids=["False", "True", "quad-False", "quad-True"])
+def test_batched_rows_equal_one_row_runs(exact_iterates, kind):
+    # rows with their own shard, stream and (frozen) partner step as one block; each
     # row must get the bits a one-row call with the same inputs gets
     game = MatrixGame.random(6, 6, RngStream(120))
-    gen = RngStream(121).gen
-    objs = [FrozenYObjective(game.objective(), gen.dirichlet(np.ones(6))) for _ in range(3)]
+    base = game.objective()
+    partners = RngStream(121).gen.dirichlet(np.ones(6), size=3)
+    quad = SeparableQuadratic(np.linspace(0.5, 1.5, 6), np.full(6, 1 / 6),
+                              np.linspace(-0.3, 0.3, 6))
     n = 600
-    plan = manual_plan(objs[0], n, T=23, q=5, K=3)
+    plan = manual_plan(base if kind == "frozen" else quad, n, T=23, q=5, K=3)
     assert plan.T % plan.q != 0
 
     def run(rows):
         data = [game.sample_dataset(n, RngStream(122, r)) for r in rows]
         data = data[0] if len(data) == 1 else row_dataset(data)  # a one-row call reads 1-d data
-        return solve_dp_sco([objs[r] for r in rows], data, plan,
-                            [RngStream(123, r) for r in rows], exact_iterates=exact_iterates)
+        obj = FrozenBlock(base, "x", partners[list(rows)]) if kind == "frozen" else quad
+        return solve_dp_sco(obj, data, plan, [RngStream(123, r) for r in rows],
+                            exact_iterates=exact_iterates)
 
     batch = run(range(3))
     assert len(batch) == 3
@@ -163,21 +163,20 @@ def test_batched_rows_equal_one_row_runs(exact_iterates):
         assert batch[r].refresh_count == one.refresh_count == batch.refresh_count
 
 
-@pytest.mark.parametrize("frozen", [FrozenYObjective, FrozenXObjective])
-def test_rows_sharing_a_saddle_objective_equal_one_row_runs(monkeypatch, frozen):
+@pytest.mark.parametrize("free", ["x", "y"])
+def test_rows_sharing_a_saddle_objective_equal_one_row_runs(monkeypatch, free):
     # boosting's rows freeze one block of the same objective and take each step's
     # gradients in one stacked call; each row must still get its one-row bits
     game = MatrixGame.random(6, 6, RngStream(124))
     base = game.objective()
-    gen = RngStream(125).gen
-    objs = [frozen(base, gen.dirichlet(np.ones(6))) for _ in range(3)]
+    partners = RngStream(125).gen.dirichlet(np.ones(6), size=3)
     n = 600
-    plan = manual_plan(objs[0], n, T=23, q=5, K=3)
+    plan = manual_plan(base, n, T=23, q=5, K=3)
 
     def run(rows):
         data = [game.sample_dataset(n, RngStream(126, r)) for r in rows]
         data = data[0] if len(data) == 1 else row_dataset(data)  # a one-row call reads 1-d data
-        return solve_dp_sco([objs[r] for r in rows], data, plan,
+        return solve_dp_sco(FrozenBlock(base, free, partners[list(rows)]), data, plan,
                             [RngStream(127, r) for r in rows])
 
     stacked_calls = []
@@ -197,17 +196,17 @@ def test_exact_run_checks_its_schedule(quad):
     plan = ScoPlan(T=5, tau=0.01, K=1, q=0, B_batch=20, mode="second_order",
                    epsilon=1.0, delta=1e-5, L0=quad.L0, n=n)
     with pytest.raises(BudgetError):
-        solve_dp_sco([quad], quad.sample_dataset(n, RngStream(115)), plan, [RngStream(116)],
+        solve_dp_sco(quad, quad.sample_dataset(n, RngStream(115)), plan, [RngStream(116)],
                      exact_iterates=True)
 
 
 def test_solution_reports_steps_and_vertex_draws(quad):
     n = 800
     plan = manual_plan(quad, n, T=25, q=5, K=2)
-    sol = solve_dp_sco([quad], quad.sample_dataset(n, RngStream(106)), plan, [RngStream(107)])[0]
+    sol = solve_dp_sco(quad, quad.sample_dataset(n, RngStream(106)), plan, [RngStream(107)])[0]
     assert sol.steps_run == plan.T
     assert sol.vertex_draws == plan.K * sol.refresh_count
-    exact = solve_dp_sco([quad], quad.sample_dataset(n, RngStream(106)), plan, [RngStream(107)],
+    exact = solve_dp_sco(quad, quad.sample_dataset(n, RngStream(106)), plan, [RngStream(107)],
                          exact_iterates=True)[0]
     assert exact.steps_run == plan.T and exact.vertex_draws == 0
 
@@ -223,7 +222,7 @@ def test_solver_validates_only_the_returned_point(quad, monkeypatch):
         n = 10 * T
         data = quad.sample_dataset(n, RngStream(108))
         before = len(checks)
-        sol = solve_dp_sco([quad], data, manual_plan(quad, n, T, q=5, K=2), [RngStream(109)])[0]
+        sol = solve_dp_sco(quad, data, manual_plan(quad, n, T, q=5, K=2), [RngStream(109)])[0]
         assert sol.steps_run == T
         counts.append(len(checks) - before)
     assert counts[0] == counts[1] > 0
@@ -232,24 +231,30 @@ def test_solver_validates_only_the_returned_point(quad, monkeypatch):
 def test_solver_rejects_short_dataset(quad):
     plan = manual_plan(quad, 1000, T=50, q=5, K=2)
     with pytest.raises(BudgetError):
-        solve_dp_sco([quad], quad.sample_dataset(100, RngStream(108)), plan, [RngStream(109)])
+        solve_dp_sco(quad, quad.sample_dataset(100, RngStream(108)), plan, [RngStream(109)])
 
 
 def test_solver_needs_one_dataset_row_per_objective(quad):
     plan = manual_plan(quad, 100, T=10, q=5, K=2)
     two_rows = row_dataset(quad.sample_dataset(100, RngStream(108, r)) for r in range(2))
     with pytest.raises(ValueError):
-        solve_dp_sco([quad] * 3, two_rows, plan, [RngStream(109, r) for r in range(3)])
+        solve_dp_sco(quad, two_rows, plan, [RngStream(109, r) for r in range(3)])
     with pytest.raises(ValueError):
-        solve_dp_sco([quad], two_rows, plan, [RngStream(109)])
+        solve_dp_sco(quad, two_rows, plan, [RngStream(109)])
+    three_partners = FrozenBlock(MatrixGame.random(20, 20, RngStream(117)).objective(), "x",
+                                 np.full((3, 20), 0.05))
+    streams = [RngStream(109, r) for r in range(2)]
+    with pytest.raises(ValueError):
+        solve_dp_sco(three_partners, two_rows, plan, streams)
     assert two_rows.cursor == 0  # refused before any batch was taken
+    assert [s.vertex_draws for s in streams] == [0, 0]  # and before any release
 
 
 def test_planned_run_hits_low_risk(quad):
     n = 10**4
     plan = plan_anytime_sco(n, 1.0, 1e-5, quad.L0, quad.L1, quad.L2,
                             math.log(quad.dim), "second_order")
-    sol = solve_dp_sco([quad], quad.sample_dataset(n, RngStream(110)), plan, [RngStream(111)])[0]
+    sol = solve_dp_sco(quad, quad.sample_dataset(n, RngStream(110)), plan, [RngStream(111)])[0]
     excess = quad.population_value(sol.w_hat.coords)
     assert excess <= 0.1 * quad.value_range()
 
@@ -261,7 +266,7 @@ def test_decomposition_coupling_vanishes_with_exact_gradients(quad):
     # deterministic samples + identity surrogate make g_t the exact gradient
     n, T = 600, 20
     plan = manual_plan(quad, n, T=T, q=T, K=1)
-    sol = solve_dp_sco([quad], Dataset(np.zeros(n)), plan, [RngStream(112)],
+    sol = solve_dp_sco(quad, Dataset(np.zeros(n)), plan, [RngStream(112)],
                        exact_iterates=True, record_trace=True)[0]
     dec = anytime_average_regret_decomposition(
         sol.trace, quad.population_grad, quad.a
@@ -276,7 +281,7 @@ def test_decomposition_upper_bounds_excess_risk(quad, seed):
     n = 4000
     plan = plan_anytime_sco(n, 1.0, 1e-5, quad.L0, quad.L1, quad.L2,
                             math.log(quad.dim), "second_order")
-    sol = solve_dp_sco([quad], quad.sample_dataset(n, RngStream(113, seed)), plan,
+    sol = solve_dp_sco(quad, quad.sample_dataset(n, RngStream(113, seed)), plan,
                        [RngStream(114, seed)], record_trace=True)[0]
     wT = sol.trace.w_points[-1]
     excess = quad.population_value(wT) - quad.population_value(quad.a)
@@ -294,7 +299,7 @@ def test_decomposition_requires_trace(quad):
         anytime_average_regret_decomposition(None, quad.population_grad, quad.a)
 
 
-# ---- frozen-block adapters ------------------------------------------------------
+# ---- frozen-block adapter ------------------------------------------------------
 
 
 def test_frozen_adapters_expose_expected_gradients():
@@ -302,10 +307,6 @@ def test_frozen_adapters_expose_expected_gradients():
     obj = BilinearObjective(A, np.zeros_like(A))
     x = np.array([0.3, 0.7])
     y = np.array([0.6, 0.4])
-    z = 1.0
-    fy = FrozenYObjective(obj, y)
-    assert np.allclose(fy.grad(x, z), A @ y)
-    assert fy.value(x, z) == pytest.approx(float(x @ A @ y))
-    fx = FrozenXObjective(obj, x)
-    assert np.allclose(fx.grad(y, z), -(A.T @ x))
-    assert fx.value(y, z) == pytest.approx(-float(x @ A @ y))
+    z = np.array([[1.0]])
+    assert np.allclose(FrozenBlock(obj, "x", y[None]).batch_grad_rows(x[None], z), A @ y)
+    assert np.allclose(FrozenBlock(obj, "y", x[None]).batch_grad_rows(y[None], z), -(A.T @ x))

@@ -23,7 +23,7 @@ from dpsimplex.privacy import (
 )
 from dpsimplex.problems import BilinearObjective, MatrixGame, exact_gap_bilinear
 from dpsimplex.rng import RngStream
-from dpsimplex.sco import FrozenXObjective, FrozenYObjective, solve_dp_sco
+from dpsimplex.sco import FrozenBlock, solve_dp_sco
 from dpsimplex.simplex import (
     SimplexPoint,
     mwu_step,
@@ -392,13 +392,13 @@ def test_boosted_counts_include_inner_solves():
     cand, _ = solve_smd_bias_reduced(obj, parts[0], plan, RngStream(25).child("candidate", 0))
     steps, draws = cand.steps_run, cand.vertex_draws
     inner = (
-        (FrozenYObjective(obj, cand.y.coords), parts[1], obj.d_x, "inner_x"),
-        (FrozenXObjective(obj, cand.x.coords), parts[2], obj.d_y, "inner_y"),
+        (FrozenBlock(obj, "x", cand.y.coords[None]), parts[1], obj.d_x, "inner_x"),
+        (FrozenBlock(obj, "y", cand.x.coords[None]), parts[2], obj.d_y, "inner_y"),
     )
     for f, shard, dim, tag in inner:
         p = plan_anytime_sco(quarter, priv.epsilon, priv.delta, f.L0, f.L1, f.L2,
                              math.log(dim), "second_order")
-        s = solve_dp_sco([f], shard, p, [RngStream(25).child(tag, 0, 0)])[0]
+        s = solve_dp_sco(f, shard, p, [RngStream(25).child(tag, 0, 0)])[0]
         steps += p.T
         draws += p.K * s.refresh_count
     assert sol.steps_run == steps > cand.steps_run
@@ -413,10 +413,10 @@ def test_boosted_takes_one_batch_per_sco_step(monkeypatch):
     solves = []
     solve = solvers.solve_dp_sco
 
-    def counted(objs, dataset, plan, rngs):
+    def counted(obj, dataset, plan, rngs):
         before = len(takes)
-        batch = solve(objs, dataset, plan, rngs)
-        solves.append((len(objs), plan.T, takes[before:]))
+        batch = solve(obj, dataset, plan, rngs)
+        solves.append((obj.rows, plan.T, takes[before:]))
         return batch
 
     monkeypatch.setattr(solvers, "solve_dp_sco", counted)
@@ -494,9 +494,9 @@ def run_with_bad_gradient(solver, bad):
         plan = BrPlan(U=7.3, M=0, alpha=0.5, tau=1e-3, C=obj.L0**2,
                       epsilon=1.0, delta=1e-5, L0=obj.L0, n=100, ell=game.ell)
         return solve_smd_bias_reduced(obj, data, plan, RngStream(52))
-    f = FrozenYObjective(BadGradientBilinear(game, bad, calls_per_step=1), np.full(4, 0.25))
+    f = FrozenBlock(BadGradientBilinear(game, bad, calls_per_step=1), "x", np.full((1, 4), 0.25))
     plan = plan_anytime_sco(2000, 1.0, 1e-5, f.L0, f.L1, f.L2, math.log(4), "second_order")
-    return solve_dp_sco([f], data, plan, [RngStream(52)])[0]
+    return solve_dp_sco(f, data, plan, [RngStream(52)])[0]
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -561,14 +561,14 @@ def release_at_cap(solver, tau_scale):
                         epsilon=eps, delta=delta, L0=obj.L0, n=n)
         return lambda: solve_smd_vertex(obj, game.sample_dataset(n, RngStream(61)), plan,
                                         RngStream(62))
-    f = FrozenYObjective(game.objective(), np.full(4, 0.25))
+    f = FrozenBlock(game.objective(), "x", np.full((1, 4), 0.25))
     n, T, q, K = 1200, 60, 6, 30  # 16 refreshes: q + T/q, as the planned cap counts them
     B = n // T
     tau = tau_scale * max_step_anytime_sco(B, eps, delta, f.L0, T, K, q)
     assert tau < 1.0 / (4.0 * f.L0 * q)  # the privacy cap binds, not the drift cap
     plan = ScoPlan(T=T, tau=tau, K=K, q=q, B_batch=B, mode="second_order",
                    epsilon=eps, delta=delta, L0=f.L0, n=n)
-    return lambda: solve_dp_sco([f], game.sample_dataset(n, RngStream(61)), plan,
+    return lambda: solve_dp_sco(f, game.sample_dataset(n, RngStream(61)), plan,
                                 [RngStream(62)])[0]
 
 
