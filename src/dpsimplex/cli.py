@@ -16,9 +16,10 @@ Subcommands
     ``wall_time_ms`` column is written as 0 (real timings go to stderr) so
     repeated runs produce identical files.
 
-``verify --suite <name|all> --reps R --out report.json``
+``verify --suite <name|all> --reps R --out report.json [--seed S]``
     Run the sparsification verification suites and write a JSON report with
-    measured vs bound values. Exit code 5 if any suite fails.
+    measured vs bound values. Exit code 5 if any suite fails; R below 2 or
+    S outside [0, 2^64) is a config error, raised before any suite runs.
 
 ``synth --config cfg.json --out synthetic.csv``
     Private synthetic-data generation for a categorical problem; writes the
@@ -571,6 +572,10 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.suite != "all" and args.suite not in SUITE_NAMES:
         raise ConfigError(f"unknown suite {args.suite!r}; choose 'all' or one of {SUITE_NAMES}")
+    if args.reps < 2:
+        raise ConfigError(f"--reps must be at least 2, got {args.reps}")
+    if not 0 <= args.seed < 2**64:  # RngStream masks to 64 bits: -1 would draw as 2^64-1
+        raise ConfigError(f"--seed must lie in [0, 2^64), got {args.seed}")
     rng = RngStream(args.seed)
     if args.suite == "all":
         reports = run_all_suites(args.reps, rng)

@@ -6,9 +6,16 @@ the advertised rates. Each suite reports the measured statistic, the analytic
 bound, and a 3-sigma Monte-Carlo allowance; a suite passes when
 ``measured <= bound + slack``. Failing is a report outcome, not an exception.
 
-The kernel, ``_sparsified_means``, inverts each CDF by the guide table of
+The kernel, ``_sparsified_counts``, inverts each CDF by the guide table of
 :func:`~dpsimplex.simplex.inverse_cdf`, not by the solvers' binary search, and
 counts no releases; the alias method is faster but would change the draws.
+It returns the (reps, d) integer vertex counts, reps·d bytes (uint8 for
+T < 256). No suite builds the (reps, d) float64 array of empirical means:
+each walks the counts in blocks of ``BLOCK_ROWS`` rows, ``counts[s:s+B] / T``
+(1.6 MB at d = 50), and holds the counts plus about one block. Per-rep
+statistics are computed per block and concatenated; column means and
+standard deviations equal numpy's whole-array ``mean(axis=0)`` and
+``std(axis=0, ddof=1)`` bit for bit (``_bias_sigma``).
 
 Test functions and their constants on the simplex (gradients w.r.t. the
 1-norm, so Lipschitz constants are sup-norm bounds):
@@ -32,6 +39,7 @@ from .rng import RngStream
 from .simplex import inverse_cdf
 
 MIN_REPS = 10_000
+BLOCK_ROWS = 4096  # rows of empirical means held as float64 at once (1.6 MB at d = 50)
 
 SUITE_NAMES = (
     "value_bias",
@@ -91,15 +99,13 @@ def _fixed_sequence(d: int, T: int, rng: RngStream) -> np.ndarray:
     return rng.gen.dirichlet(np.ones(d), size=T)
 
 
-def _sparsified_means(xs: np.ndarray, reps: int, rng: RngStream) -> np.ndarray:
-    """For each rep draw one vertex per sequence element and average.
+def _sparsified_counts(xs: np.ndarray, reps: int, rng: RngStream) -> np.ndarray:
+    """For each rep draw one vertex per sequence element and count the draws.
 
-    Returns an array of shape (reps, d): row r is the empirical mean of T iid
-    one-hot draws, one from each distribution in ``xs``. Element t takes one
-    uniform per rep, in rep order, from ``rng`` and inverts its CDF with
-    ``inverse_cdf``. Counts are kept as integers and divided by T once, so
-    an entry is k / T correctly rounded (for the power-of-two T of every
-    suite, the exact sum of k terms 1 / T).
+    Returns an integer array of shape (reps, d): row r counts how often each
+    vertex came up in T iid one-hot draws, one from each distribution in
+    ``xs``. Element t takes one uniform per rep, in rep order, from ``rng``
+    and inverts its CDF with ``inverse_cdf``.
     """
     T, d = xs.shape
     counts = np.zeros((reps, d), dtype=np.min_scalar_type(T))
@@ -110,11 +116,74 @@ def _sparsified_means(xs: np.ndarray, reps: int, rng: RngStream) -> np.ndarray:
         idx = inverse_cdf(cdfs[t], rng.gen.random(reps))
         idx += row_starts
         flat[idx] += 1  # one index per row, so no target repeats
-    return counts / T
+    return counts
+
+
+def _sparsified_means(xs: np.ndarray, reps: int, rng: RngStream) -> np.ndarray:
+    """The (reps, d) empirical means: an entry is k / T correctly rounded."""
+    return _sparsified_counts(xs, reps, rng) / xs.shape[0]
+
+
+def _blocks(counts: np.ndarray, T: int):
+    """Yield the empirical means ``counts / T`` in blocks of ``BLOCK_ROWS`` rows."""
+    for start in range(0, counts.shape[0], BLOCK_ROWS):
+        yield counts[start:start + BLOCK_ROWS] / T
+
+
+def _per_rep(counts: np.ndarray, T: int, stat) -> np.ndarray:
+    """``stat`` of each block of empirical means, concatenated into one (reps,) vector."""
+    return np.concatenate([stat(abar) for abar in _blocks(counts, T)])
+
+
+def _grad_errors(counts: np.ndarray, T: int, grad, at: np.ndarray):
+    """Yield ``grad(abar) - grad(at)`` for each block of empirical means abar."""
+    g_at = grad(at)
+    for abar in _blocks(counts, T):
+        err = grad(abar)
+        err -= g_at
+        yield err
+
+
+def _column_sum(blocks) -> np.ndarray:
+    """The column sums of the stacked row blocks, bit for bit numpy's ``sum(axis=0)``.
+
+    numpy adds the rows of an axis-0 reduction one after another (pairwise
+    summation runs only along the fast axis), so adding the running sum into
+    the first row of the next block continues the same sum. The blocks are
+    consumed in place.
+    """
+    total = None
+    for block in blocks:
+        if total is not None:
+            block[0] += total
+        total = np.add.reduce(block, axis=0)
+    return total
 
 
 def _mean_sigma(per_rep: np.ndarray) -> float:
     return float(per_rep.std(ddof=1)) / math.sqrt(per_rep.shape[0])
+
+
+def _bias_sigma(counts: np.ndarray, T: int, grad, at: np.ndarray) -> tuple[float, float]:
+    """The largest |column mean| of ``grad(abar) - grad(at)`` and its sigma.
+
+    Equal bit for bit to ``diffs.mean(axis=0)`` and ``diffs.std(axis=0,
+    ddof=1)`` of the whole (reps, d) array: the second pass recomputes each
+    block from the counts and follows numpy's variance steps (subtract the
+    mean, square in place, sum, divide by reps - 1, square root).
+    """
+    reps = counts.shape[0]
+    bias = _column_sum(_grad_errors(counts, T, grad, at)) / reps
+    squares = (np.square(np.subtract(err, bias, out=err), out=err)
+               for err in _grad_errors(counts, T, grad, at))
+    std = np.sqrt(_column_sum(squares) / (reps - 1))
+    return float(np.abs(bias).max()), float(std.max()) / math.sqrt(reps)
+
+
+def _sup_sq_errors(counts: np.ndarray, T: int, grad, at: np.ndarray) -> np.ndarray:
+    """``max_j |grad(abar) - grad(at)|_j^2`` for each rep."""
+    return np.concatenate([np.abs(err, out=err).max(axis=1) ** 2
+                           for err in _grad_errors(counts, T, grad, at)])
 
 
 # ---- suites ----------------------------------------------------------------
@@ -123,9 +192,8 @@ def _mean_sigma(per_rep: np.ndarray) -> float:
 def _suite_value_bias(reps, rng, d=50, T=64):
     L1 = 2.0
     xs = _fixed_sequence(d, T, rng.child("seq"))
-    abar = _sparsified_means(xs, reps, rng.child("draws"))
-    xbar = xs.mean(axis=0)
-    stat = _quad_value(abar) - _quad_value(xbar)
+    counts = _sparsified_counts(xs, reps, rng.child("draws"))
+    stat = _per_rep(counts, T, _quad_value) - _quad_value(xs.mean(axis=0))
     measured = abs(float(stat.mean()))
     bound = 2.0 * L1 / T
     sigma = _mean_sigma(stat)
@@ -135,14 +203,9 @@ def _suite_value_bias(reps, rng, d=50, T=64):
 def _suite_grad_bias_second_order(reps, rng, d=50, K=64):
     L2 = 6.0
     x = rng.child("point").gen.dirichlet(np.ones(d))
-    abar = _sparsified_means(np.tile(x, (K, 1)), reps, rng.child("draws"))
-    diffs = _cubic_grad(abar)
-    del abar
-    diffs -= _cubic_grad(x)
-    bias = diffs.mean(axis=0)
-    measured = float(np.abs(bias).max())
+    counts = _sparsified_counts(np.tile(x, (K, 1)), reps, rng.child("draws"))
+    measured, sigma = _bias_sigma(counts, K, _cubic_grad, x)
     bound = 2.0 * L2 / K
-    sigma = float(diffs.std(axis=0, ddof=1).max()) / math.sqrt(reps)
     return measured, bound, sigma, {"d": d, "K": K, "L2": L2}
 
 
@@ -150,23 +213,17 @@ def _suite_grad_bias_first_order(reps, rng, d=50, K=64):
     L1 = 2.0
     c = 1.0 / d  # kink sits where coordinates concentrate, so the bias is real
     x = rng.child("point").gen.dirichlet(np.ones(d))
-    abar = _sparsified_means(np.tile(x, (K, 1)), reps, rng.child("draws"))
-    diffs = _hinge_grad(abar, c)
-    del abar
-    diffs -= _hinge_grad(x, c)
-    bias = diffs.mean(axis=0)
-    measured = float(np.abs(bias).max())
+    counts = _sparsified_counts(np.tile(x, (K, 1)), reps, rng.child("draws"))
+    measured, sigma = _bias_sigma(counts, K, lambda p: _hinge_grad(p, c), x)
     bound = 4.0 * L1 / math.sqrt(K)
-    sigma = float(diffs.std(axis=0, ddof=1).max()) / math.sqrt(reps)
     return measured, bound, sigma, {"d": d, "K": K, "L1": L1, "kink": c}
 
 
 def _suite_value_tail(reps, rng, d=50, T=64):
     L0, L1, D = 2.0, 2.0, 2.0
     xs = _fixed_sequence(d, T, rng.child("seq"))
-    abar = _sparsified_means(xs, reps, rng.child("draws"))
-    xbar = xs.mean(axis=0)
-    dev = _quad_value(abar) - _quad_value(xbar)
+    counts = _sparsified_counts(xs, reps, rng.child("draws"))
+    dev = _per_rep(counts, T, _quad_value) - _quad_value(xs.mean(axis=0))
     lam2 = 1.0 / T  # sum of squared uniform averaging weights
     details = {}
     rows = []
@@ -185,11 +242,9 @@ def _suite_max_error_moment(reps, rng, d=50, T=64, M=16):
     L0, L1, D = 2.0, 2.0, 2.0
     cs = (rng.child("family").gen.integers(0, 2, size=(M, d)) * 2 - 1).astype(float)
     xs = _fixed_sequence(d, T, rng.child("seq"))
-    abar = _sparsified_means(xs, reps, rng.child("draws"))
-    xbar = xs.mean(axis=0)
-    fa = (abar @ cs.T) ** 2
-    fx = (xbar @ cs.T) ** 2
-    stat = np.max(np.abs(fa - fx) ** 2, axis=1)
+    counts = _sparsified_counts(xs, reps, rng.child("draws"))
+    fx = (xs.mean(axis=0) @ cs.T) ** 2
+    stat = _per_rep(counts, T, lambda abar: np.max(np.abs((abar @ cs.T) ** 2 - fx) ** 2, axis=1))
     measured = float(stat.mean())
     lam2 = 1.0 / T
     bound = 0.5 * L1**2 * D**4 * lam2**2 + 2.0 * L0**2 * D**2 * (4.0 + math.log(M)) * lam2
@@ -200,12 +255,8 @@ def _suite_max_error_moment(reps, rng, d=50, T=64, M=16):
 def _suite_grad_error_moment_second_order(reps, rng, d=50, T=64):
     L1, L2 = 6.0, 6.0
     xs = _fixed_sequence(d, T, rng.child("seq"))
-    abar = _sparsified_means(xs, reps, rng.child("draws"))
-    xbar = xs.mean(axis=0)
-    err = _cubic_grad(abar)
-    del abar
-    err -= _cubic_grad(xbar)
-    stat = np.abs(err, out=err).max(axis=1) ** 2
+    counts = _sparsified_counts(xs, reps, rng.child("draws"))
+    stat = _sup_sq_errors(counts, T, _cubic_grad, xs.mean(axis=0))
     measured = float(stat.mean())
     bound = 8.0 * L2**2 / T**2 + 8.0 * L1**2 * (4.0 + math.log(d)) / T
     sigma = _mean_sigma(stat)
@@ -215,12 +266,8 @@ def _suite_grad_error_moment_second_order(reps, rng, d=50, T=64):
 def _suite_grad_error_moment_first_order(reps, rng, d=50, T=64):
     L0, L1 = 2.0, 2.0
     xs = _fixed_sequence(d, T, rng.child("seq"))
-    abar = _sparsified_means(xs, reps, rng.child("draws"))
-    xbar = xs.mean(axis=0)
-    err = _quad_grad(abar)
-    del abar
-    err -= _quad_grad(xbar)
-    stat = np.abs(err, out=err).max(axis=1) ** 2
+    counts = _sparsified_counts(xs, reps, rng.child("draws"))
+    stat = _sup_sq_errors(counts, T, _quad_grad, xs.mean(axis=0))
     measured = float(stat.mean())
     logd = 4.0 + math.log(d)
     bound = 8.0 * math.sqrt(2.0) * L1**2 / (T**1.5 * math.sqrt(logd)) + 8.0 * math.sqrt(

@@ -530,6 +530,25 @@ def test_verify_unknown_suite(tmp_path):
     assert main(["verify", "--suite", "bogus", "--out", str(tmp_path / "x.json")]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("flags", [
+    ["--reps", "1"], ["--reps", "0"], ["--reps", "-5"],
+    ["--seed", "-1"], ["--seed", str(2**64)],
+], ids=["reps_1", "reps_0", "reps_negative", "seed_negative", "seed_2_64"])
+@pytest.mark.parametrize("suite", ["all", "value_bias"])
+def test_verify_bad_reps_or_seed_exits_2_before_any_suite(tmp_path, capsys, monkeypatch,
+                                                          flags, suite):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a suite ran")
+
+    monkeypatch.setattr(cli, "run_all_suites", unreachable)
+    monkeypatch.setattr(cli, "verify_maurey_suite", unreachable)
+    out = tmp_path / "rep.json"
+    assert main(["verify", "--suite", suite, "--out", str(out), *flags]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_verify_deterministic_bytes(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     main(["verify", "--suite", "value_tail", "--reps", "20000", "--out", str(a), "--seed", "7"])

@@ -1,5 +1,5 @@
-"""Faults in the descent loop, its step functions, their gradients, the vertex sampler and the
-privacy planner, each caught by a named check.
+"""Faults in the descent loop, its step functions, their gradients, the vertex sampler, the
+privacy planner and verify's block statistics, each caught by a named check.
 
 Each case applies one fault by monkeypatch, with no source edit, and runs an
 existing test of the suite that must then fail. None of the checks is a byte
@@ -17,7 +17,7 @@ import test_sco
 import test_simplex
 import test_solvers
 import test_verify
-from dpsimplex import privacy, problems, sco, simplex, solvers
+from dpsimplex import privacy, problems, sco, simplex, solvers, verify
 from dpsimplex.errors import BudgetError
 from dpsimplex.oracles import Dataset, TruncGeom
 from dpsimplex.problems import BilinearObjective
@@ -172,6 +172,13 @@ def guide_search_shifted_one_index(monkeypatch):
         guide_search(cdf, u, table) + 1, cdf.shape[0] - 1))
 
 
+def block_walk_drops_final_partial_block(monkeypatch):
+    """verify's row-block walk stops before a final block shorter than ``BLOCK_ROWS``."""
+    blocks = verify._blocks
+    monkeypatch.setattr(verify, "_blocks", lambda counts, T: blocks(
+        counts[:len(counts) - len(counts) % verify.BLOCK_ROWS], T))
+
+
 FAULTS = {
     "y_block_ascends": (
         y_block_ascends,
@@ -242,6 +249,11 @@ FAULTS = {
     "inverse_cdf_guide_shifted_one_index": (
         guide_search_shifted_one_index,
         lambda request: test_verify.test_sparsified_means_are_unbiased_and_sum_to_one(),
+    ),
+    "verify_block_walk_drops_final_partial_block": (
+        block_walk_drops_final_partial_block,
+        lambda request: test_verify.test_blocked_statistics_equal_the_whole_array_formulas(
+            "grad_bias_first_order", 2 * verify.BLOCK_ROWS + 3),
     ),
     **{
         f"mwu_step_finiteness_check_dropped-{solver}": (

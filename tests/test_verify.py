@@ -1,15 +1,25 @@
 import hashlib
 import json
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dpsimplex import verify
 from dpsimplex.rng import RngStream
 from dpsimplex.simplex import GUIDE_BUCKETS, _guide_search, inverse_cdf
 from dpsimplex.verify import (
+    BLOCK_ROWS,
     MIN_REPS,
     SUITE_NAMES,
+    _cubic_grad,
+    _fixed_sequence,
+    _hinge_grad,
+    _mean_sigma,
+    _quad_grad,
+    _quad_value,
     _sparsified_means,
     run_all_suites,
     verify_maurey_suite,
@@ -161,3 +171,143 @@ def test_single_suite_report_is_pinned():
     report = verify_maurey_suite("grad_bias_first_order", FAST_REPS, RngStream(2))
     assert _report_digest([report]) == (
         "31f429e7dcae1bebe0caf7c765ac833ebbd1b258af35c42efe1752fc5f2fd274")
+
+
+# ---- the block statistics --------------------------------------------------
+#
+# The suites as they were written on the whole (reps, d) array of empirical
+# means: the reference the row-block statistics must equal bit for bit.
+
+
+def _whole_value_bias(reps, rng, d=50, T=64):
+    L1 = 2.0
+    xs = _fixed_sequence(d, T, rng.child("seq"))
+    abar = _sparsified_means(xs, reps, rng.child("draws"))
+    xbar = xs.mean(axis=0)
+    stat = _quad_value(abar) - _quad_value(xbar)
+    measured = abs(float(stat.mean()))
+    bound = 2.0 * L1 / T
+    sigma = _mean_sigma(stat)
+    return measured, bound, sigma, {"d": d, "T": T, "L1": L1, "mean": float(stat.mean())}
+
+
+def _whole_grad_bias_second_order(reps, rng, d=50, K=64):
+    L2 = 6.0
+    x = rng.child("point").gen.dirichlet(np.ones(d))
+    abar = _sparsified_means(np.tile(x, (K, 1)), reps, rng.child("draws"))
+    diffs = _cubic_grad(abar) - _cubic_grad(x)
+    bias = diffs.mean(axis=0)
+    measured = float(np.abs(bias).max())
+    bound = 2.0 * L2 / K
+    sigma = float(diffs.std(axis=0, ddof=1).max()) / math.sqrt(reps)
+    return measured, bound, sigma, {"d": d, "K": K, "L2": L2}
+
+
+def _whole_grad_bias_first_order(reps, rng, d=50, K=64):
+    L1 = 2.0
+    c = 1.0 / d
+    x = rng.child("point").gen.dirichlet(np.ones(d))
+    abar = _sparsified_means(np.tile(x, (K, 1)), reps, rng.child("draws"))
+    diffs = _hinge_grad(abar, c) - _hinge_grad(x, c)
+    bias = diffs.mean(axis=0)
+    measured = float(np.abs(bias).max())
+    bound = 4.0 * L1 / math.sqrt(K)
+    sigma = float(diffs.std(axis=0, ddof=1).max()) / math.sqrt(reps)
+    return measured, bound, sigma, {"d": d, "K": K, "L1": L1, "kink": c}
+
+
+def _whole_value_tail(reps, rng, d=50, T=64):
+    L0, L1, D = 2.0, 2.0, 2.0
+    xs = _fixed_sequence(d, T, rng.child("seq"))
+    abar = _sparsified_means(xs, reps, rng.child("draws"))
+    xbar = xs.mean(axis=0)
+    dev = _quad_value(abar) - _quad_value(xbar)
+    lam2 = 1.0 / T
+    details = {}
+    rows = []
+    for beta in (1.0, 2.0):
+        threshold = 0.5 * L1 * D * D * lam2 + beta * math.sqrt(2.0) * L0 * D * math.sqrt(lam2)
+        freq = float((dev >= threshold).mean())
+        bound = math.exp(-beta * beta)
+        sigma = math.sqrt(bound * (1.0 - bound) / reps)
+        details[f"beta={beta:g}"] = {"freq": freq, "bound": bound, "sigma": sigma}
+        rows.append((freq - bound, freq, bound, sigma))
+    _, freq, bound, sigma = max(rows)
+    return freq, bound, sigma, details
+
+
+def _whole_max_error_moment(reps, rng, d=50, T=64, M=16):
+    L0, L1, D = 2.0, 2.0, 2.0
+    cs = (rng.child("family").gen.integers(0, 2, size=(M, d)) * 2 - 1).astype(float)
+    xs = _fixed_sequence(d, T, rng.child("seq"))
+    abar = _sparsified_means(xs, reps, rng.child("draws"))
+    xbar = xs.mean(axis=0)
+    fa = (abar @ cs.T) ** 2
+    fx = (xbar @ cs.T) ** 2
+    stat = np.max(np.abs(fa - fx) ** 2, axis=1)
+    measured = float(stat.mean())
+    lam2 = 1.0 / T
+    bound = 0.5 * L1**2 * D**4 * lam2**2 + 2.0 * L0**2 * D**2 * (4.0 + math.log(M)) * lam2
+    sigma = _mean_sigma(stat)
+    return measured, bound, sigma, {"d": d, "T": T, "M": M}
+
+
+def _whole_grad_error_moment_second_order(reps, rng, d=50, T=64):
+    L1, L2 = 6.0, 6.0
+    xs = _fixed_sequence(d, T, rng.child("seq"))
+    abar = _sparsified_means(xs, reps, rng.child("draws"))
+    xbar = xs.mean(axis=0)
+    err = _cubic_grad(abar) - _cubic_grad(xbar)
+    stat = np.abs(err).max(axis=1) ** 2
+    measured = float(stat.mean())
+    bound = 8.0 * L2**2 / T**2 + 8.0 * L1**2 * (4.0 + math.log(d)) / T
+    sigma = _mean_sigma(stat)
+    return measured, bound, sigma, {"d": d, "T": T, "L1": L1, "L2": L2}
+
+
+def _whole_grad_error_moment_first_order(reps, rng, d=50, T=64):
+    L0, L1 = 2.0, 2.0
+    xs = _fixed_sequence(d, T, rng.child("seq"))
+    abar = _sparsified_means(xs, reps, rng.child("draws"))
+    xbar = xs.mean(axis=0)
+    err = _quad_grad(abar) - _quad_grad(xbar)
+    stat = np.abs(err).max(axis=1) ** 2
+    measured = float(stat.mean())
+    logd = 4.0 + math.log(d)
+    bound = 8.0 * math.sqrt(2.0) * L1**2 / (T**1.5 * math.sqrt(logd)) + 8.0 * math.sqrt(
+        2.0
+    ) * (L0**2 + L1**2) * math.sqrt(logd) / math.sqrt(T)
+    sigma = _mean_sigma(stat)
+    return measured, bound, sigma, {"d": d, "T": T, "L0": L0, "L1": L1}
+
+
+_WHOLE_ARRAY_SUITES = {
+    "value_bias": _whole_value_bias,
+    "grad_bias_second_order": _whole_grad_bias_second_order,
+    "grad_bias_first_order": _whole_grad_bias_first_order,
+    "value_tail": _whole_value_tail,
+    "max_error_moment": _whole_max_error_moment,
+    "grad_error_moment_second_order": _whole_grad_error_moment_second_order,
+    "grad_error_moment_first_order": _whole_grad_error_moment_first_order,
+}
+
+
+@pytest.mark.parametrize("reps", [2, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
+                                  2 * BLOCK_ROWS + 3])
+@pytest.mark.parametrize("name", SUITE_NAMES)
+def test_blocked_statistics_equal_the_whole_array_formulas(name, reps):
+    # measured, bound, sigma and details, each float bit for bit
+    blocked = verify._SUITES[name](reps, RngStream(11).child(name))
+    assert blocked == _WHOLE_ARRAY_SUITES[name](reps, RngStream(11).child(name))
+
+
+@pytest.mark.parametrize("name", SUITE_NAMES)
+def test_suite_memory_peak_stays_under_16_mb(name):
+    # 10^5 x 50 counts take 5 MB; one (reps, d) float64 array would add 40 MB
+    tracemalloc.start()
+    try:
+        verify_maurey_suite(name, 100_000, RngStream(12))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, f"{name}: traced peak {peak / 2**20:.1f} MB"
