@@ -64,6 +64,7 @@ import numpy as np
 
 from . import __version__
 from .errors import BudgetError, ConfigError, DatasetError, DpSimplexError, OracleError
+from .oracles import Dataset
 from .privacy import (
     BrPlan,
     Mode,
@@ -99,7 +100,7 @@ EXIT_DATASET = 4
 EXIT_ORACLE = 5
 
 MAX_GRID_CELLS = 100_000  # (n, trial) cells are built before the first trial; shipped grids: 6
-# trials of one n stepped as one batch: a batch holds this many datasets and
+# trials of one n stepped as one batch: a batch holds this many dataset rows and
 # (trials, d) iterates at once, whatever the grid
 BATCH_TRIALS = 8
 
@@ -444,7 +445,8 @@ def _run_smd_vertex(run: _Run, n: int, streams: list[RngStream]):
     obj = game.objective()
     plan = _plan(run, n, obj.L0, lambda: plan_vertex_smd(
         n, p.epsilon, p.delta, obj.L0, obj.L1, obj.L2, game.ell, run.mode))
-    data = [game.sample_dataset(n, stream.child("data")) for stream in streams]
+    data = Dataset(np.array([game.sample_dataset(n, stream.child("data")).take(n)
+                             for stream in streams]))  # row r: trial r's samples
     sols = solve_smd_vertex_batch(obj, data, plan, [stream.child("solve") for stream in streams])
     return [(sol, _plan_json(plan)) for sol in sols]
 

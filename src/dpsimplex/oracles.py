@@ -68,8 +68,25 @@ class PerSampleObjective:
             gy[r] /= len(zs)
         return gx, gy
 
+    def frozen_grad_rows(self, free: str, partners: np.ndarray):
+        """``grad(W, batches)``: block ``free``'s gradient rows with the other block frozen.
+
+        Row r is the mean gradient of block ``free`` (``"x"`` or ``"y"``) over
+        ``batches[r]`` at ``W[r]`` and ``partners[r]``, an (R, d) array. This one
+        takes one :meth:`batch_grad_xy_rows` call per use and keeps the block asked
+        for; an objective whose frozen rows repeat may serve them from a table.
+        """
+        return lambda W, batches: free_block_rows(self, free, W, partners, batches)
+
     def batch_value(self, x: np.ndarray, y: np.ndarray, zs) -> float:
         return sum(self.value(x, y, z) for z in zs) / len(zs)
+
+
+def free_block_rows(obj: PerSampleObjective, free: str, W, partners, batches) -> np.ndarray:
+    """Block ``free`` of one ``obj.batch_grad_xy_rows`` call at ``W`` and ``partners``."""
+    if free == "x":
+        return obj.batch_grad_xy_rows(W, partners, batches)[0]
+    return obj.batch_grad_xy_rows(partners, W, batches)[1]
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import OracleError
-from .oracles import Dataset, PerSampleObjective, PopulationObjective, batch_gradient
+from .oracles import (Dataset, PerSampleObjective, PopulationObjective, batch_gradient,
+                      free_block_rows)
 from .privacy import PrivacyParams, SsmdPlan, advanced_composition_eps, plan_vertex_smd
 from .rng import RngStream
 from .sco import ConvexObjective
@@ -32,7 +33,13 @@ _GATHER_MIN_ENTRIES = 10_000
 
 
 class BilinearObjective(PerSampleObjective):
-    """f(x, y; z) = x^T (A + z E) y with z in {-1, +1}."""
+    """f(x, y; z) = x^T (A + z E) y with z in {-1, +1}.
+
+    With one block frozen at a partner, a row's gradient is (A + z̄E) times that
+    partner: it depends on the partner and the batch mean z̄ alone, not on the
+    free iterate. ``frozen_grad_rows`` therefore serves a table keyed by
+    (row, z̄) (:class:`_MeanKeyedRows`).
+    """
 
     def __init__(self, payoff: np.ndarray, perturbation: np.ndarray):
         self.A = np.asarray(payoff, dtype=np.float64)
@@ -94,6 +101,63 @@ class BilinearObjective(PerSampleObjective):
 
     def batch_value(self, x, y, zs):
         return float(x @ self._matrix(np.mean(zs)) @ y)
+
+    def frozen_grad_rows(self, free, partners):
+        return _MeanKeyedRows(self, free, np.asarray(partners))
+
+
+class _MeanKeyedRows:
+    """A bilinear game's frozen-block gradient rows, each computed once per (row, z̄).
+
+    A mean is a key only if it is (2k - B)/B exactly for an integer 0 <= k <= B,
+    the mean of B signs, so the table holds at most R (B + 1) rows of the free
+    block, stored as their keys first occur (222 KB for boosting's 77 rows of
+    30 with B = 11). Each call sends the rows whose key is new, and the rows
+    whose mean is no key, through one call of the objective's own
+    ``batch_grad_xy_rows``, so an override supplies the values; the other rows
+    are read from the table. A new batch size starts the table over.
+    """
+
+    def __init__(self, obj: BilinearObjective, free: str, partners: np.ndarray):
+        self._obj, self._free, self._partners = obj, free, partners
+        self._B = None
+
+    def __call__(self, W, batches):
+        batches = np.asarray(batches)
+        rows, B = batches.shape
+        if B != self._B:
+            self._B, self._stored = B, 0
+            self._slot = np.full((B + 1, rows), -1)  # (k, row) -> its row in _store, or -1
+            self._store = np.empty((0, W.shape[1]))
+        k, exact = _sign_count(_mean_signs(batches), B)
+        slot = np.where(exact, self._slot[k, np.arange(rows)], -1)
+        hit = slot >= 0
+        if hit.all():
+            return self._store[slot]
+        todo = np.flatnonzero(~hit)
+        g = free_block_rows(self._obj, self._free, W[todo], self._partners[todo], batches[todo])
+        out = np.empty((rows, g.shape[1]))
+        out[hit] = self._store[slot[hit]]
+        out[todo] = g
+        new = exact[todo]
+        keep, n = todo[new], self._stored
+        if n + keep.size > len(self._store):
+            store = np.empty((min(max(2 * len(self._store), n + keep.size), rows * (B + 1)),
+                              g.shape[1]))
+            store[:n] = self._store[:n]
+            self._store = store
+        self._store[n : n + keep.size] = g[new]
+        self._slot[k[keep], keep] = np.arange(n, n + keep.size)
+        self._stored += keep.size
+        return out
+
+
+def _sign_count(z: np.ndarray, B: int):
+    """Each mean's k with z = (2k - B)/B exactly and 0 <= k <= B (0 where there is none),
+    and whether there is one."""
+    k = np.clip(np.rint((z + 1.0) * (B / 2.0)), 0, B)
+    exact = (2.0 * k - B) / B == z
+    return np.where(exact, k, 0).astype(np.intp), exact
 
 
 def _mean_sign(zs) -> float:

@@ -218,24 +218,28 @@ class FrozenBlock(ConvexObjective):
     """One block of a saddle objective with the other frozen at one partner per row.
 
     With ``free="x"`` row r is ``x -> F(x, partners[r])``; with ``free="y"`` it
-    is ``y -> -F(partners[r], y)``, whose minimizer maximizes F. Each step's
-    rows take one ``batch_grad_xy_rows`` call of the base objective.
+    is ``y -> -F(partners[r], y)``, whose minimizer maximizes F. The rows' gradients
+    come from the base objective's ``frozen_grad_rows``, made once per block (one
+    block per solve in boosting). By default each step takes one
+    ``batch_grad_xy_rows`` call. A bilinear game keeps a table keyed by (row, batch
+    mean z̄) instead: a row's gradient depends on its partner and z̄ alone, and a
+    step calls ``batch_grad_xy_rows`` only for rows whose key is new or whose z̄ is
+    not a mean of B signs (:class:`~dpsimplex.problems.BilinearObjective`).
     """
 
     def __init__(self, obj: PerSampleObjective, free: str, partners: np.ndarray):
         if free not in ("x", "y"):
             raise ValueError(f"free block must be 'x' or 'y', got {free!r}")
-        self._obj = obj
         self._free = free
-        self._partners = np.asarray(partners, dtype=np.float64)
-        self.rows = len(self._partners)
+        partners = np.asarray(partners, dtype=np.float64)
+        self.rows = len(partners)
         self.dim = obj.d_x if free == "x" else obj.d_y
         self.L0 = obj.L0
         self.L1 = obj.L1
         self.L2 = obj.L2
         self.B = obj.B
+        self._grad = obj.frozen_grad_rows(free, partners)
 
     def batch_grad_rows(self, W, batches):
-        if self._free == "x":
-            return self._obj.batch_grad_xy_rows(W, self._partners, batches)[0]
-        return -self._obj.batch_grad_xy_rows(self._partners, W, batches)[1]
+        g = self._grad(W, batches)
+        return g if self._free == "x" else -g

@@ -12,8 +12,9 @@ a violation raises :class:`~dpsimplex.errors.BudgetError` instead of a result.
 The saddle solvers run the package's one mirror-descent loop,
 :func:`~dpsimplex.simplex.mirror_descent`, on the x and y blocks; each
 supplies only its schedule and its per-step estimator. The trials of one n
-share their plan and run as one batch (:func:`solve_smd_vertex_batch`): their
-iterates step together as (R, d) raw arrays, and each trial draws from a tape
+share their plan and run as one batch (:func:`solve_smd_vertex_batch`) on one
+row dataset: their iterates step together as (R, d) raw arrays, each step
+takes one (R, B) batch, and each trial draws from a tape
 on its own stream whose uniforms are charged on that stream as releases. A
 batched trial releases the bytes it would release run on its own. Boosting's
 I*J inner convex solves per side share one plan and run as one
@@ -150,7 +151,7 @@ def solve_smd_vertex(
     synthetic-data generation).
     """
     if not exact_iterates:
-        return solve_smd_vertex_batch(obj, [dataset], plan, [rng], keep_x_draws)[0]
+        return solve_smd_vertex_batch(obj, dataset, plan, [rng], keep_x_draws)[0]
     plan.validate(privacy=False)
     _check_samples(dataset, plan)
 
@@ -166,28 +167,28 @@ def solve_smd_vertex(
 
 def solve_smd_vertex_batch(
     obj: PerSampleObjective,
-    datasets: list[Dataset],
+    dataset: Dataset,
     plan: SsmdPlan,
     rngs: list[RngStream],
     keep_x_draws: bool = False,
 ) -> list[SaddleSolution]:
     """:func:`solve_smd_vertex` for trials that share ``plan``, stepped together.
 
-    Trial r reads ``datasets[r]`` and ``rngs[r]`` only, and gets the bytes a
-    run of its own would: its draws come from a tape on its own stream
-    (:func:`_tape`), in the order x sparsification (K), y sparsification (K),
-    x output vertex, y output vertex, and each block's K + 1 draws invert one
-    CDF. The log-weights of all trials are one (R, d) array per block, the
-    sparsified points come from one ``bincount``, and the trials share one
-    :func:`~dpsimplex.oracles.batch_gradient` call per step, one batch per
-    trial, which gives each trial the bits of its own call. Each trial's
-    counted releases are audited on their own.
+    Trial r reads row r of ``dataset`` (a 1-d dataset is one row) and
+    ``rngs[r]`` only, and gets the bytes a run of its own would: its draws come
+    from a tape on its own stream (:func:`_tape`), in the order x
+    sparsification (K), y sparsification (K), x output vertex, y output vertex,
+    and each block's K + 1 draws invert one CDF. The log-weights of all trials
+    are one (R, d) array per block, the sparsified points come from one
+    ``bincount``, and the trials share one ``take`` of an (R, B) batch and one
+    :func:`~dpsimplex.oracles.batch_gradient` call per step, which gives each
+    trial the bits of its own call. Each trial's counted releases are audited
+    on their own.
     """
-    if not rngs or len(rngs) != len(datasets):
-        raise ValueError(f"need one stream per dataset, got {len(rngs)} and {len(datasets)}")
+    if not rngs or len(rngs) != dataset.rows:
+        raise ValueError(f"need one stream per dataset row, got {len(rngs)} and {dataset.rows}")
     plan.validate()
-    for dataset in datasets:
-        _check_samples(dataset, plan)
+    _check_samples(dataset, plan)
     K, B, rows = plan.K, plan.B_batch, len(rngs)
     draws = [rng.vertex_draws for rng in rngs]
     released: list[int] = []  # ints, not one array per step
@@ -197,7 +198,7 @@ def solve_smd_vertex_batch(
         ys = inverse_cdf_rows(y_t.cumsum(axis=1), u[:, K + 1 :])
         x_hat = mean_one_hots(xs[:, :K], obj.d_x)
         y_hat = mean_one_hots(ys[:, :K], obj.d_y)
-        g = batch_gradient(obj, x_hat, y_hat, [dataset.take(B) for dataset in datasets])
+        g = batch_gradient(obj, x_hat, y_hat, dataset.take(B).reshape(rows, -1))
         released.extend(xs[:, K].tolist())
         released.extend(ys[:, K].tolist())
         return -g.g_x, -g.g_y

@@ -1,5 +1,6 @@
-"""Faults in the descent loop, its step functions, their gradients, the vertex sampler, the
-privacy planner and verify's block statistics, each caught by a named check.
+"""Faults in the descent loop, its step functions, their gradients (the frozen-row table among
+them), the vertex sampler, the privacy planner and verify's block statistics, each caught by a
+named check.
 
 Each case applies one fault by monkeypatch, with no source edit, and runs an
 existing test of the suite that must then fail. None of the checks is a byte
@@ -89,7 +90,7 @@ def gradient_rows_take_row_0_batch(monkeypatch):
     gradient = solvers.batch_gradient
 
     def row_0_batch(obj, x, y, batch):
-        return gradient(obj, x, y, [batch[0]] * len(batch) if isinstance(batch, list) else batch)
+        return gradient(obj, x, y, np.broadcast_to(batch[:1], batch.shape))
 
     monkeypatch.setattr(solvers, "batch_gradient", row_0_batch)
 
@@ -179,6 +180,17 @@ def block_walk_drops_final_partial_block(monkeypatch):
         counts[:len(counts) - len(counts) % verify.BLOCK_ROWS], T))
 
 
+def frozen_table_keyed_by_row_only(monkeypatch):
+    """The bilinear frozen-row table keys a row by the row alone, without its batch mean."""
+    sign_count = problems._sign_count
+
+    def row_only(z, B):
+        k, exact = sign_count(z, B)
+        return np.zeros_like(k), exact
+
+    monkeypatch.setattr(problems, "_sign_count", row_only)
+
+
 FAULTS = {
     "y_block_ascends": (
         y_block_ascends,
@@ -218,6 +230,11 @@ FAULTS = {
         sco_rows_take_row_0_partner,
         lambda request: test_sco.test_rows_sharing_a_saddle_objective_equal_one_row_runs(
             request.getfixturevalue("monkeypatch"), "y"),
+    ),
+    "frozen_table_keyed_by_row_only": (
+        frozen_table_keyed_by_row_only,
+        lambda request: test_sco.test_frozen_table_rows_equal_direct_calls(
+            request.getfixturevalue("monkeypatch"), "y", 3, "mixed"),
     ),
     "stacked_product_drops_mean_sign": (
         stacked_product_drops_mean_sign,

@@ -165,8 +165,9 @@ def test_batched_rows_equal_one_row_runs(exact_iterates, kind):
 
 @pytest.mark.parametrize("free", ["x", "y"])
 def test_rows_sharing_a_saddle_objective_equal_one_row_runs(monkeypatch, free):
-    # boosting's rows freeze one block of the same objective and take each step's
-    # gradients in one stacked call; each row must still get its one-row bits
+    # boosting's rows freeze one block of the same objective; a step takes one stacked
+    # call for the rows whose (row, batch mean) key is new; each row must still get its
+    # one-row bits
     game = MatrixGame.random(6, 6, RngStream(124))
     base = game.objective()
     partners = RngStream(125).gen.dirichlet(np.ones(6), size=3)
@@ -179,15 +180,79 @@ def test_rows_sharing_a_saddle_objective_equal_one_row_runs(monkeypatch, free):
         return solve_dp_sco(FrozenBlock(base, free, partners[list(rows)]), data, plan,
                             [RngStream(127, r) for r in rows])
 
-    stacked_calls = []
+    stacked_calls = []  # the frozen partners of each call's rows
     rows_of = base.batch_grad_xy_rows
     monkeypatch.setattr(base, "batch_grad_xy_rows",
-                        lambda *a: stacked_calls.append(1) or rows_of(*a))
+                        lambda *a: stacked_calls.append(a[1] if free == "x" else a[0])
+                        or rows_of(*a))
     batch = run(range(3))
-    assert len(stacked_calls) == plan.T  # one call per step covers the three rows
+    samples = np.array([game.sample_dataset(n, RngStream(126, r)).take(n) for r in range(3)])
+    sums = samples[:, : plan.T * plan.B_batch].reshape(3, plan.T, -1).sum(axis=2)
+    seen, new_rows = set(), []  # per step with a new key, the rows that have one
+    for t in range(plan.T):
+        new = [r for r in range(3) if (r, sums[r, t]) not in seen]
+        seen.update((r, sums[r, t]) for r in new)
+        if new:
+            new_rows.append(new)
+    assert len(stacked_calls) == len(new_rows) < plan.T
+    for partners_of_call, new in zip(stacked_calls, new_rows):
+        assert np.array_equal(partners_of_call, partners[new])
     for r in range(3):
         (one,) = run([r])
         assert np.array_equal(batch[r].w_hat.coords, one.w_hat.coords)
+
+
+@pytest.mark.parametrize("free", ["x", "y"])
+@pytest.mark.parametrize("rows, samples", [
+    (1, "signs"), (1, "reals"), (3, "signs"), (3, "reals"), (3, "mixed"),
+])
+def test_frozen_table_rows_equal_direct_calls(monkeypatch, free, rows, samples):
+    # a bilinear game serves frozen rows from a table keyed by (row, batch mean); at every
+    # step its rows must be the bits of a direct batch_grad_xy_rows call. A mean of B signs
+    # is computed once per row; any other mean ("reals", and row 1 of "mixed") every step
+    game = MatrixGame.random(6, 5, RngStream(128))
+    base = game.objective()
+    partners = RngStream(129).gen.dirichlet(np.ones(5 if free == "x" else 6), size=rows)
+    n = 600
+    plan = manual_plan(base, n, T=40, q=5, K=3)
+    reals = [samples == "reals" or (samples == "mixed" and r == 1) for r in range(rows)]
+    data = np.array([RngStream(130, r).gen.uniform(-1.0, 1.0, size=n) if reals[r]
+                     else game.sample_dataset(n, RngStream(130, r)).take(n) for r in range(rows)])
+    computed = []  # rows per call of the objective
+    rows_of = base.batch_grad_xy_rows
+    monkeypatch.setattr(base, "batch_grad_xy_rows",
+                        lambda X, Y, zs: computed.append(len(zs)) or rows_of(X, Y, zs))
+    checked = []
+
+    class Checked(FrozenBlock):
+        def batch_grad_rows(self, W, batches):
+            g = super().batch_grad_rows(W, batches)
+            X, Y = (W, partners) if free == "x" else (partners, W)
+            gx, gy = BilinearObjective.batch_grad_xy_rows(base, X, Y, batches)
+            assert np.array_equal(g, gx if free == "x" else -gy)
+            checked.append(len(g))
+            return g
+
+    solve_dp_sco(Checked(base, free, partners), Dataset(data[0] if rows == 1 else data), plan,
+                 [RngStream(131, r) for r in range(rows)])
+    assert checked == [rows] * plan.T
+    sums = data[:, : plan.T * plan.B_batch].reshape(rows, plan.T, -1).sum(axis=2)
+    assert sum(computed) == sum(plan.T if reals[r] else len(set(sums[r])) for r in range(rows))
+    assert (len(computed) == plan.T) == any(reals)
+
+
+def test_frozen_table_starts_over_at_a_new_batch_size():
+    # the table's key k stands for the mean (2k - B)/B, so a call with another B must
+    # not read rows stored under the old one
+    base = MatrixGame.random(4, 3, RngStream(132)).objective()
+    partners = RngStream(133).gen.dirichlet(np.ones(3), size=2)
+    W = RngStream(134).gen.dirichlet(np.ones(4), size=2)
+    block = FrozenBlock(base, "x", partners)
+    for batches in ([[1.0, -1.0], [1.0, 1.0]],  # k = 1 and 2 stand for means 0 and 1
+                    [[-1.0, -1.0, -1.0, 1.0], [-1.0, -1.0, 1.0, 1.0]],  # and here -0.5 and 0
+                    [[1.0, 1.0], [-1.0, -1.0]]):
+        direct = base.batch_grad_xy_rows(W, partners, np.array(batches))[0]
+        assert np.array_equal(block.batch_grad_rows(W, batches), direct)
 
 
 def test_exact_run_checks_its_schedule(quad):

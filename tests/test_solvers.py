@@ -133,9 +133,10 @@ def test_batched_kernel_equals_the_step_by_step_reference(monkeypatch, rows, K, 
     obj = game.objective()
     T = 4 + past_chunk
     plan = small_plan(40 * T, T, K, obj.L0)
-    sols = solve_smd_vertex_batch(
-        obj, [game.sample_dataset(40 * T, RngStream(71, r)) for r in range(rows)], plan,
-        [RngStream(72, r) for r in range(rows)], keep_x_draws=True)
+    data = Dataset(np.array([game.sample_dataset(40 * T, RngStream(71, r)).take(40 * T)
+                             for r in range(rows)]))  # row r: trial r's samples
+    sols = solve_smd_vertex_batch(obj, data, plan, [RngStream(72, r) for r in range(rows)],
+                                  keep_x_draws=True)
     for r, sol in enumerate(sols):
         ref = reference_smd_vertex(obj, game.sample_dataset(40 * T, RngStream(71, r)), plan,
                                    RngStream(72, r))
@@ -163,9 +164,9 @@ def test_batch_needs_one_stream_per_dataset():
     obj = game.objective()
     plan = small_plan(100, 10, 1, obj.L0)
     with pytest.raises(ValueError, match="one stream per dataset"):
-        solve_smd_vertex_batch(obj, [], plan, [])
+        solve_smd_vertex_batch(obj, Dataset(np.zeros((0, 100))), plan, [])
     with pytest.raises(ValueError, match="one stream per dataset"):
-        solve_smd_vertex_batch(obj, [game.sample_dataset(100, RngStream(79))], plan,
+        solve_smd_vertex_batch(obj, game.sample_dataset(100, RngStream(79)), plan,
                                [RngStream(77), RngStream(78)])
 
 
