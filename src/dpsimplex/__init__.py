@@ -4,17 +4,21 @@ Library layout:
 
 * :mod:`dpsimplex.simplex` - simplex points, the one mirror-descent loop, vertex
   sampling and sparsification
-* :mod:`dpsimplex.oracles` - per-sample objectives, datasets, truncated
-  geometric levels and the bias-reduced gradient estimator
+* :mod:`dpsimplex.oracles` - the saddle objective interface, datasets,
+  truncated geometric levels and the bias-reduced gradient estimator
 * :mod:`dpsimplex.privacy` - budgets, composition rules, the exponential
   mechanism and the schedule planners
 * :mod:`dpsimplex.solvers` - the private saddle-point solvers and the
   non-private baseline
 * :mod:`dpsimplex.sco` - the private convex solver with anytime averaging
-* :mod:`dpsimplex.problems` - benchmark problems and evaluation oracles
+* :mod:`dpsimplex.problems` - benchmark problems, synthetic-data generation and
+  the exact bilinear duality gap
 * :mod:`dpsimplex.verify` - Monte-Carlo verification of the sparsification
   bounds
 * :mod:`dpsimplex.cli` - seeded experiment runner
+
+The package carries what its solvers and its CLI run. Reference oracles that
+tests compare against live with the tests.
 """
 
 __version__ = "0.1.0"
@@ -35,7 +39,6 @@ from .oracles import (
     TruncGeom,
     batch_gradient,
     bias_reduced_gradient,
-    check_objective,
     sample_trunc_geom,
 )
 from .privacy import (
@@ -55,21 +58,13 @@ from .privacy import (
 )
 from .problems import (
     BilinearObjective,
-    ComponentLoss,
     GapReport,
     MatrixGame,
-    MaxLossProblem,
-    NashReport,
     SeparableQuadratic,
     SynthDataProblem,
     SynthReport,
-    dp_smoke_first_vertex,
     exact_gap_bilinear,
-    gap_general,
-    make_max_loss_objective,
     make_synth_data_objective,
-    nash_value_bruteforce,
-    smoothed_max_bilinear,
     synth_data_generate,
 )
 from .rng import RngStream
@@ -77,7 +72,6 @@ from .sco import (
     ConvexObjective,
     ScoBatch,
     ScoSolution,
-    anytime_average_regret_decomposition,
     solve_dp_sco,
 )
 from .simplex import (
@@ -105,7 +99,6 @@ __all__ = [
     "BrPlan",
     "BrRunTrace",
     "BudgetError",
-    "ComponentLoss",
     "ConfigError",
     "ConvexObjective",
     "Dataset",
@@ -113,8 +106,6 @@ __all__ = [
     "DpSimplexError",
     "GapReport",
     "MatrixGame",
-    "MaxLossProblem",
-    "NashReport",
     "OracleError",
     "PerSampleObjective",
     "PlannerError",
@@ -136,22 +127,16 @@ __all__ = [
     "TruncGeom",
     "adaptive_budget_ok",
     "advanced_composition_eps",
-    "anytime_average_regret_decomposition",
     "batch_gradient",
     "bias_reduced_gradient",
     "boosting_shape",
-    "check_objective",
-    "dp_smoke_first_vertex",
     "exact_gap_bilinear",
     "exp_mech_sample",
-    "gap_general",
-    "make_max_loss_objective",
     "make_synth_data_objective",
     "max_step_anytime_sco",
     "max_step_vertex_smd",
     "max_stop_weight_bias_reduced",
     "mwu_step",
-    "nash_value_bruteforce",
     "plan_anytime_sco",
     "plan_bias_reduced",
     "plan_vertex_smd",
@@ -159,7 +144,6 @@ __all__ = [
     "running_average",
     "sample_trunc_geom",
     "sample_vertex",
-    "smoothed_max_bilinear",
     "solve_boosted",
     "solve_dp_sco",
     "solve_smd_bias_reduced",

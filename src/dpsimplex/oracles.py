@@ -1,4 +1,8 @@
-"""Per-sample objectives, dataset bookkeeping and gradient estimators.
+"""The saddle objective interface, dataset bookkeeping and gradient estimators.
+
+An objective supplies its own batch gradient and batch value. The per-sample
+loop that the vectorized gradients are checked against is test code
+(``tests/reference.py``).
 
 The saddle-gradient convention throughout the package is the monotone-operator
 sign: the y block of every estimator is the *negated* y-gradient, so both
@@ -20,8 +24,8 @@ from .simplex import SimplexPoint, inverse_cdf, mean_one_hots, release_rows
 class PerSampleObjective:
     """Convex-concave per-sample objective on a product of simplices.
 
-    Subclasses provide per-sample value and partial gradients together with
-    the constants consumed by the planners:
+    Subclasses provide the batch gradient and value together with the
+    constants consumed by the planners:
 
     * ``L0`` bounds gradient sup-norms (Lipschitz constant w.r.t. the 1-norm),
     * ``L1`` bounds the gradient's Lipschitz constant w.r.t. the 1-norm,
@@ -31,8 +35,7 @@ class PerSampleObjective:
 
     Implementations must be safe for concurrent read-only evaluation. The one
     batch gradient is :meth:`batch_grad_xy_rows`, which takes R point pairs and
-    one batch per pair; it defaults to a per-sample loop, and subclasses
-    override it when a vectorized form exists.
+    one batch per pair.
     """
 
     d_x: int
@@ -42,15 +45,6 @@ class PerSampleObjective:
     L2: float
     B: float
 
-    def value(self, x: np.ndarray, y: np.ndarray, z) -> float:
-        raise NotImplementedError
-
-    def grad_x(self, x: np.ndarray, y: np.ndarray, z) -> np.ndarray:
-        raise NotImplementedError
-
-    def grad_y(self, x: np.ndarray, y: np.ndarray, z) -> np.ndarray:
-        raise NotImplementedError
-
     def batch_grad_xy_rows(
         self, X: np.ndarray, Y: np.ndarray, batches
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -59,14 +53,7 @@ class PerSampleObjective:
         Returns two (R, d_x) and (R, d_y) arrays. An override that stacks the
         rows must give each row the bits it would get as a one-row call.
         """
-        gx, gy = np.zeros((len(batches), self.d_x)), np.zeros((len(batches), self.d_y))
-        for r, (x, y, zs) in enumerate(zip(X, Y, batches)):
-            for z in zs:
-                gx[r] += self.grad_x(x, y, z)
-                gy[r] += self.grad_y(x, y, z)
-            gx[r] /= len(zs)
-            gy[r] /= len(zs)
-        return gx, gy
+        raise NotImplementedError
 
     def frozen_grad_rows(self, free: str, partners: np.ndarray):
         """``grad(W, batches)``: block ``free``'s gradient rows with the other block frozen.
@@ -79,7 +66,8 @@ class PerSampleObjective:
         return lambda W, batches: free_block_rows(self, free, W, partners, batches)
 
     def batch_value(self, x: np.ndarray, y: np.ndarray, zs) -> float:
-        return sum(self.value(x, y, z) for z in zs) / len(zs)
+        """Mean value over the batch ``zs`` at ``(x, y)``."""
+        raise NotImplementedError
 
 
 def free_block_rows(obj: PerSampleObjective, free: str, W, partners, batches) -> np.ndarray:
@@ -147,10 +135,6 @@ class Dataset:
         batch = self._samples[..., self.cursor : self.cursor + k]
         self.cursor += k
         return batch
-
-    def subset(self, start: int, stop: int) -> "Dataset":
-        """A fresh view of ``samples[..., start:stop]`` with its own cursor."""
-        return Dataset(self._samples[..., start:stop])
 
 
 @dataclass(frozen=True)
@@ -251,43 +235,3 @@ def bias_reduced_gradient(
             "estimator exceeded its Lipschitz envelope; objective constants are wrong"
         )
     return SaddleGradient(gx, gy)
-
-
-def check_objective(
-    obj: PerSampleObjective,
-    zs,
-    rng: RngStream,
-    points: int = 5,
-    rel_tol: float = 1e-4,
-) -> None:
-    """Spot-check gradient bounds and finite-difference consistency.
-
-    Verifies ``|grad|_inf <= L0`` and that directional derivatives of the
-    value match the analytic gradients to ``rel_tol`` relative accuracy at
-    random simplex points. Raises ``AssertionError`` on failure.
-    """
-    gen = rng.gen
-    h = 1e-6
-    for _ in range(points):
-        x = gen.dirichlet(np.ones(obj.d_x))
-        y = gen.dirichlet(np.ones(obj.d_y))
-        z = zs[int(gen.integers(len(zs)))]
-        gx = obj.grad_x(x, y, z)
-        gy = obj.grad_y(x, y, z)
-        if not np.abs(gx).max() <= obj.L0 * (1 + 1e-9):
-            raise AssertionError("grad_x exceeds L0")
-        if not np.abs(gy).max() <= obj.L0 * (1 + 1e-9):
-            raise AssertionError("grad_y exceeds L0")
-
-        dx = gen.dirichlet(np.ones(obj.d_x)) - x
-        dy = gen.dirichlet(np.ones(obj.d_y)) - y
-        num = (obj.value(x + h * dx, y, z) - obj.value(x - h * dx, y, z)) / (2 * h)
-        ana = float(gx @ dx)
-        scale = max(1.0, abs(ana))
-        if not abs(num - ana) <= rel_tol * scale:
-            raise AssertionError(f"x-directional derivative off: {num} vs {ana}")
-        num = (obj.value(x, y + h * dy, z) - obj.value(x, y - h * dy, z)) / (2 * h)
-        ana = float(gy @ dy)
-        scale = max(1.0, abs(ana))
-        if not abs(num - ana) <= rel_tol * scale:
-            raise AssertionError(f"y-directional derivative off: {num} vs {ana}")

@@ -1,26 +1,37 @@
-"""Benchmark problems and evaluation oracles.
+"""Benchmark problems and the exact duality gap.
 
-Houses the stochastic matrix-game, synthetic-data and maximal-loss problem
-families together with the oracles the tests and the CLI evaluate against:
-exact bilinear duality gaps, a generic inner-solver gap estimator, a
-self-certifying game-value oracle, and a small empirical privacy smoke test.
+Houses the stochastic matrix-game, synthetic-data and separable-quadratic
+problem families the CLI runs, private synthetic-data generation, and the
+exact bilinear duality gap the CLI evaluates with. The reference oracles the
+tests compare against (a generic gap estimator, a game-value oracle, a privacy
+smoke test, the maximal-loss family) are test code (``tests/reference.py``).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .errors import OracleError
-from .oracles import (Dataset, PerSampleObjective, PopulationObjective, batch_gradient,
-                      free_block_rows)
-from .privacy import PrivacyParams, SsmdPlan, advanced_composition_eps, plan_vertex_smd
+from .oracles import Dataset, PerSampleObjective, PopulationObjective, free_block_rows
+from .privacy import PrivacyParams, SsmdPlan, plan_vertex_smd
 from .rng import RngStream
 from .sco import ConvexObjective
 from .simplex import SimplexPoint
 from .solvers import solve_smd_vertex
+
+
+def _check_squares(**constants: float) -> None:
+    """Raise ValueError unless each of a problem's constants has a finite square.
+
+    The planners square the constants (``L0**2`` in the bias-reduced and convex
+    schedules), so a constant past about 1.3e154 is refused where the problem is
+    built instead of overflowing in a planner.
+    """
+    for name, value in constants.items():
+        if not math.isfinite(value * value):
+            raise ValueError(f"{name} = {value:g} is too large: the planners need its square")
 
 
 # --------------------------------------------------------------------------
@@ -191,8 +202,11 @@ class MatrixGame:
         E = np.asarray(self.perturbation, dtype=np.float64)
         if A.ndim != 2 or A.shape != E.shape:
             raise ValueError("payoff and perturbation must be matrices of equal shape")
-        if not (np.all(np.isfinite(A)) and np.all(np.isfinite(E))):
+        # each matrix's largest |entry|: NaN or inf exactly when an entry is not finite
+        extremes = [float(max(M.max(initial=0.0), -M.min(initial=0.0))) for M in (A, E)]
+        if not all(map(math.isfinite, extremes)):
             raise ValueError("game matrices must be finite")
+        _check_squares(L0=extremes[0] + extremes[1])
         object.__setattr__(self, "payoff", A)
         object.__setattr__(self, "perturbation", E)
 
@@ -257,7 +271,7 @@ class MatrixGame:
 
 
 # --------------------------------------------------------------------------
-# duality-gap oracles
+# the exact duality gap
 
 
 @dataclass(frozen=True)
@@ -285,109 +299,6 @@ def exact_gap_bilinear(A: np.ndarray, x, y) -> GapReport:
         raise ValueError(f"payoff shape {A.shape} does not match points ({x.size}, {y.size})")
     gap = float((A.T @ x).max() - (A @ y).min())
     return GapReport(gap_estimate=gap, inner_error_bound=0.0, method="exact_bilinear")
-
-
-def _entropic_best_response(grad, d: int, L0: float, T: int, ascend: bool) -> np.ndarray:
-    tau = math.sqrt(math.log(d) / T) / max(L0, 1e-12)
-    logw = np.zeros(d)
-    acc = np.zeros(d)
-    sign = 1.0 if ascend else -1.0
-    for _ in range(T):
-        p = np.exp(logw - logw.max())
-        p /= p.sum()
-        acc += p
-        logw = logw + sign * tau * grad(p)
-    return acc / T
-
-
-def gap_general(pop: PopulationObjective, x, y, inner_T: int) -> GapReport:
-    """Duality-gap estimate via non-private inner mirror ascent/descent.
-
-    Each inner problem runs ``inner_T`` averaged entropic steps; the reported
-    ``inner_error_bound = 2 L0 sqrt((log d_x + log d_y) / inner_T)`` covers
-    both inner solves.
-    """
-    if inner_T < 1:
-        raise ValueError("inner_T must be >= 1")
-    x = x.coords if isinstance(x, SimplexPoint) else np.asarray(x, dtype=np.float64)
-    y = y.coords if isinstance(y, SimplexPoint) else np.asarray(y, dtype=np.float64)
-    v = _entropic_best_response(lambda p: pop.grad_y(x, p), pop.d_y, pop.L0, inner_T, True)
-    w = _entropic_best_response(lambda p: pop.grad_x(p, y), pop.d_x, pop.L0, inner_T, False)
-    gap = pop.value(x, v) - pop.value(w, y)
-    ell = math.log(pop.d_x) + math.log(pop.d_y)
-    bound = 2.0 * pop.L0 * math.sqrt(ell / inner_T)
-    return GapReport(gap_estimate=float(gap), inner_error_bound=bound, method="inner_mirror_ascent")
-
-
-@dataclass(frozen=True)
-class NashReport:
-    value: float
-    x: SimplexPoint
-    y: SimplexPoint
-    certified_gap: float
-    iterations: int
-
-
-def nash_value_bruteforce(
-    A: np.ndarray,
-    max_iters: int = 10**6,
-    target_gap: float = 1e-3,
-    check_every: int = 2000,
-) -> NashReport:
-    """Game value by extragradient self-play, certified by the exact gap.
-
-    Runs entropic mirror-prox (the extrapolated form of mirror-descent
-    self-play, whose averaged iterates converge at rate ~ ell * L / T on
-    bilinear games) and certifies the averaged pair with
-    :func:`exact_gap_bilinear` every ``check_every`` iterations. Raises
-    :class:`OracleError` if the target gap is not certified within
-    ``max_iters``.
-    """
-    A = np.asarray(A, dtype=np.float64)
-    d_x, d_y = A.shape
-    if d_x > 50 or d_y > 50:
-        raise ValueError("game-value oracle is limited to 50x50 payoffs")
-    L = float(np.abs(A).max())
-    if L == 0.0:
-        x = SimplexPoint.uniform(d_x)
-        y = SimplexPoint.uniform(d_y)
-        return NashReport(0.0, x, y, 0.0, 0)
-    tau = 1.0 / (2.0 * L)
-    x = np.full(d_x, 1.0 / d_x)
-    y = np.full(d_y, 1.0 / d_y)
-    x_acc = np.zeros(d_x)
-    y_acc = np.zeros(d_y)
-    for it in range(1, max_iters + 1):
-        ux = x * np.exp(-tau * (A @ y))
-        ux /= ux.sum()
-        uy = y * np.exp(tau * (A.T @ x))
-        uy /= uy.sum()
-        x = x * np.exp(-tau * (A @ uy))
-        x /= x.sum()
-        y = y * np.exp(tau * (A.T @ ux))
-        y /= y.sum()
-        x_acc += ux
-        y_acc += uy
-        if it % check_every == 0 or it == max_iters:
-            xb, yb = x_acc / it, y_acc / it
-            gap = exact_gap_bilinear(A, xb, yb).gap_estimate
-            if gap <= target_gap:
-                xp = SimplexPoint(xb)
-                yp = SimplexPoint(yb)
-                return NashReport(float(xb @ A @ yb), xp, yp, gap, it)
-    raise OracleError(f"could not certify gap <= {target_gap} within {max_iters} iterations")
-
-
-def smoothed_max_bilinear(A: np.ndarray, x: np.ndarray, lam: float) -> float:
-    """Softmax smoothing of ``max_y x^T A y``: ``lam * LSE((A^T x) / lam)``.
-
-    Sandwiched between the true max and the true max plus ``lam * log(d_y)``.
-    """
-    if lam <= 0:
-        raise ValueError("smoothing parameter must be positive")
-    scores = (np.asarray(A, dtype=np.float64).T @ np.asarray(x, dtype=np.float64)) / lam
-    top = scores.max()
-    return float(lam * (top + np.log(np.exp(scores - top).sum())))
 
 
 # --------------------------------------------------------------------------
@@ -529,66 +440,6 @@ def synth_data_generate(
 
 
 # --------------------------------------------------------------------------
-# maximal-loss problems
-
-
-@dataclass(frozen=True)
-class ComponentLoss:
-    """One convex component of a maximal-loss problem."""
-
-    value: Callable[[np.ndarray, float], float]
-    grad: Callable[[np.ndarray, float], np.ndarray]
-    L0: float
-    L1: float
-    L2: float
-    B: float
-
-
-@dataclass(frozen=True)
-class MaxLossProblem:
-    d_x: int
-    components: tuple[ComponentLoss, ...]
-
-    def __post_init__(self):
-        if len(self.components) < 1:
-            raise ValueError("need at least one component loss")
-
-
-class MaxLossObjective(PerSampleObjective):
-    """Composite f(x, y; z) = sum_i y_i f_i(x; z) for minimizing the maximal loss.
-
-    If every component is L0-Lipschitz, L1-smooth and bounded by B, the
-    composite is max(L0, B)-Lipschitz, max(L0, L1)-smooth, and
-    max(L1, L2)-second-order-smooth on the joint block.
-    """
-
-    def __init__(self, problem: MaxLossProblem):
-        self._parts = problem.components
-        self.d_x = problem.d_x
-        self.d_y = len(problem.components)
-        self.L0 = max(max(c.L0 for c in self._parts), max(c.B for c in self._parts))
-        self.L1 = max(max(c.L0 for c in self._parts), max(c.L1 for c in self._parts))
-        self.L2 = max(max(c.L1 for c in self._parts), max(c.L2 for c in self._parts))
-        self.B = max(c.B for c in self._parts)
-
-    def value(self, x, y, z):
-        return float(sum(y[i] * c.value(x, z) for i, c in enumerate(self._parts)))
-
-    def grad_x(self, x, y, z):
-        g = np.zeros(self.d_x)
-        for i, c in enumerate(self._parts):
-            g += y[i] * c.grad(x, z)
-        return g
-
-    def grad_y(self, x, y, z):
-        return np.array([c.value(x, z) for c in self._parts])
-
-
-def make_max_loss_objective(p: MaxLossProblem) -> MaxLossObjective:
-    return MaxLossObjective(p)
-
-
-# --------------------------------------------------------------------------
 # separable quadratic testbed for the convex solver
 
 
@@ -619,6 +470,7 @@ class SeparableQuadratic(ConvexObjective):
         self.L1 = float(2.0 * c.max())
         self.L2 = 0.0
         self.B = float(c.sum() + np.abs(eta).sum())
+        _check_squares(L0=self.L0, L1=self.L1, B=self.B)
 
     def batch_grad_rows(self, W, batches):
         return 2.0 * self.c * (W - self.a) + _mean_signs(batches)[:, None] * self.eta
@@ -642,101 +494,3 @@ class SeparableQuadratic(ConvexObjective):
     def sample_dataset(self, n: int, rng: RngStream) -> Dataset:
         signs = rng.gen.integers(0, 2, size=n) * 2 - 1
         return Dataset(signs.astype(np.float64))
-
-
-# --------------------------------------------------------------------------
-# empirical privacy smoke test
-
-
-@dataclass(frozen=True)
-class SmokeReport:
-    """Estimated privacy loss of the first data-dependent vertex release."""
-
-    loss_estimate: float
-    exact_conditional_loss: float
-    eps_budget: float
-    mc_slack: float
-    freq_a: np.ndarray
-    freq_b: np.ndarray
-
-
-def first_release_distribution(
-    obj: PerSampleObjective, batch, tau: float
-) -> np.ndarray:
-    """Exact law of the first data-dependent x-vertex for K = 1 schedules.
-
-    With one sparsification draw per player, the first-step surrogate pair is
-    a uniform vertex pair, so the released vertex distribution is the uniform
-    mixture of the post-update softmax rows.
-    """
-    rows = _first_release_rows(obj, batch, tau)
-    return rows.mean(axis=0)
-
-
-def _first_release_rows(obj: PerSampleObjective, batch, tau: float) -> np.ndarray:
-    rows = np.empty((obj.d_x * obj.d_y, obj.d_x))
-    k = 0
-    for i in range(obj.d_x):
-        for j in range(obj.d_y):
-            g = batch_gradient(
-                obj, SimplexPoint.vertex(obj.d_x, i), SimplexPoint.vertex(obj.d_y, j), batch
-            )
-            z = -tau * g.g_x
-            e = np.exp(z - z.max())
-            rows[k] = e / e.sum()
-            k += 1
-    return rows
-
-
-def dp_smoke_first_vertex(
-    obj: PerSampleObjective,
-    data_a,
-    data_b,
-    plan: SsmdPlan,
-    runs: int,
-    rng: RngStream,
-) -> SmokeReport:
-    """Monte-Carlo privacy-loss estimate on a fixed neighboring dataset pair.
-
-    Simulates the release of the first data-dependent vertex ``runs`` times
-    under each dataset and compares the worst empirical log-frequency ratio
-    against the per-mechanism budget implied by advanced composition over all
-    ``2 T (K+1)`` vertex releases of the schedule. Requires ``K = 1``.
-    """
-    if plan.K != 1:
-        raise ValueError("the smoke test models the single-draw schedule (K = 1)")
-    data_a = np.asarray(data_a)
-    data_b = np.asarray(data_b)
-    batch_a = data_a[: plan.B_batch]
-    batch_b = data_b[: plan.B_batch]
-
-    rows_a = _first_release_rows(obj, batch_a, plan.tau)
-    rows_b = _first_release_rows(obj, batch_b, plan.tau)
-    counts = []
-    for label, rows in (("a", rows_a), ("b", rows_b)):
-        sub = rng.child("smoke", label)
-        combos = sub.gen.integers(0, rows.shape[0], size=runs)
-        u = sub.gen.random(runs)
-        cdf = np.cumsum(rows, axis=1)
-        picked = (u[:, None] > cdf[combos]).sum(axis=1)
-        counts.append(np.bincount(np.minimum(picked, obj.d_x - 1), minlength=obj.d_x))
-    freq_a = counts[0] / runs
-    freq_b = counts[1] / runs
-
-    with np.errstate(divide="ignore"):
-        ratios = np.abs(np.log(freq_a) - np.log(freq_b))
-    loss = float(np.nanmax(np.where(np.isfinite(ratios), ratios, np.nan)))
-    exact = float(np.abs(np.log(rows_a) - np.log(rows_b)).max())
-
-    mechanisms = 2 * plan.T * (plan.K + 1)
-    eps_budget = advanced_composition_eps(mechanisms, plan.epsilon, plan.delta)
-    p_floor = max(min(freq_a.min(), freq_b.min()), 1.0 / runs)
-    mc_slack = 3.0 * math.sqrt(2.0 * (1.0 - p_floor) / (p_floor * runs))
-    return SmokeReport(
-        loss_estimate=loss,
-        exact_conditional_loss=exact,
-        eps_budget=eps_budget,
-        mc_slack=mc_slack,
-        freq_a=freq_a,
-        freq_b=freq_b,
-    )

@@ -35,8 +35,10 @@ class RngStream:
 
     A stream must not be shared between concurrent consumers; derive children
     with :meth:`child` instead. The underlying numpy ``Generator`` is exposed
-    as ``gen``; ``vertex_draws`` counts the vertex releases drawn from it by
-    :func:`~dpsimplex.simplex.sample_vertex_indices` (a child starts at 0).
+    as ``gen``; ``vertex_draws`` counts the vertex releases drawn from it. The
+    count is taken in :func:`~dpsimplex.simplex.vertex_uniforms`, which every
+    release goes through: the vertex kernel's tape and ``release_rows`` alike
+    (a child starts at 0).
     """
 
     __slots__ = ("seed", "stream_id", "gen", "vertex_draws")

@@ -13,7 +13,8 @@ objective that share the plan (boosting's I*J best responses per side are
 one call, the rows of one :class:`FrozenBlock`). Each step reads one (R, B)
 batch of a row dataset and takes one row-wise gradient. The rows' running
 averages, drift check and cached surrogates live in the solver's step
-function.
+function, which keeps no trajectory: a run returns its released points and
+its counts.
 """
 from __future__ import annotations
 
@@ -54,23 +55,12 @@ class ConvexObjective:
 
 
 @dataclass(frozen=True)
-class ScoTrace:
-    """Recorded trajectory for regret diagnostics: one row per step."""
-
-    x_points: np.ndarray  # online iterates x^t, shape (T, d)
-    w_points: np.ndarray  # running averages w^t, shape (T, d)
-    grads: np.ndarray     # gradient estimates g^t, shape (T, d)
-    refreshed: np.ndarray  # bool, whether the cached surrogate was redrawn at step t
-
-
-@dataclass(frozen=True)
 class ScoSolution:
     """Final sparsified average plus resource accounting."""
 
     w_hat: SimplexPoint
     samples_used: int
     refresh_count: int
-    trace: ScoTrace | None = None
     steps_run: int = 0
     vertex_draws: int = 0
 
@@ -87,7 +77,6 @@ def solve_dp_sco(
     plan: ScoPlan,
     rngs: list[RngStream],
     exact_iterates: bool = False,
-    record_trace: bool = False,
 ) -> ScoBatch:
     """Anytime mirror descent with a round-cached sparsified average, one run per row.
 
@@ -115,7 +104,6 @@ def solve_dp_sco(
     w = w_hat = None
     refreshes = 0
     draws = [rng.vertex_draws for rng in rngs]
-    recorded = []  # (x_t, w_t, g_t, refreshed) per step, (R, d) each, with record_trace
 
     def step(item, x_t):
         nonlocal w, w_hat, refreshes
@@ -128,24 +116,16 @@ def solve_dp_sco(
             w_hat = w if exact_iterates else mean_one_hots(release_rows(w, plan.K, rngs), dim)
             refreshes += 1
         g = obj.batch_grad_rows(w_hat, dataset.take(plan.B_batch).reshape(rows, -1))
-        if record_trace:
-            recorded.append((x_t, w, g, refresh))
         return (-g,)
 
     mirror_descent((dim,), rows, plan.tau, _rounds(plan.T, plan.q), step)
     final = [SimplexPoint(w[r] if exact_iterates else sparsify(_point(w[r]), plan.K, rng).coords)
              for r, rng in enumerate(rngs)]  # a fresh sparsification, checked at the boundary
-    traces = [None] * rows
-    if record_trace:
-        xs, ws, gs, marks = (np.array(a) for a in zip(*recorded))
-        traces = [ScoTrace(x_points=xs[:, r], w_points=ws[:, r], grads=gs[:, r], refreshed=marks)
-                  for r in range(rows)]
     return ScoBatch(
         ScoSolution(
             w_hat=final[r],
             samples_used=plan.T * plan.B_batch,
             refresh_count=refreshes + 1,  # the returned point is a refresh too
-            trace=traces[r],
             steps_run=plan.T,
             vertex_draws=audit_releases(plan, rng.vertex_draws - draws[r]),
         )
@@ -171,43 +151,6 @@ def _rounds(T: int, q: int):
 
 
 _audit_refreshes = audit_releases  # the name perfbench/layertrace.py traces it by
-
-
-@dataclass(frozen=True)
-class RegretDecomposition:
-    """The two terms of the anytime conversion bound for a recorded run."""
-
-    regret_term: float    # sum_t <g_t, x_t - comparator>
-    coupling_term: float  # sum_t <grad F(w_t) - g_t, x_t - comparator>
-    steps: int
-
-    @property
-    def bound(self) -> float:
-        """(regret + coupling) / T, an upper bound on F(w_T) - F(comparator)."""
-        return (self.regret_term + self.coupling_term) / self.steps
-
-
-def anytime_average_regret_decomposition(
-    trace: ScoTrace,
-    population_grad,
-    comparator: np.ndarray,
-) -> RegretDecomposition:
-    """Split a recorded run into its linear-regret and gradient-coupling parts.
-
-    ``population_grad`` maps a point to the exact expected gradient there.
-    With exact gradients the coupling term vanishes; in general the two terms
-    divided by T upper-bound the excess value of the final average at the
-    comparator.
-    """
-    if trace is None or trace.x_points.size == 0:
-        raise ValueError("regret decomposition needs a recorded trajectory")
-    T = trace.x_points.shape[0]
-    diffs = trace.x_points - comparator
-    regret = float(np.sum(trace.grads * diffs))
-    coupling = 0.0
-    for t in range(T):
-        coupling += float((population_grad(trace.w_points[t]) - trace.grads[t]) @ diffs[t])
-    return RegretDecomposition(regret_term=regret, coupling_term=coupling, steps=T)
 
 
 # --------------------------------------------------------------------------

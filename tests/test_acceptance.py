@@ -14,10 +14,11 @@ import dpsimplex as dps
 from dpsimplex.cli import main as cli_main
 from dpsimplex.oracles import TruncGeom
 from dpsimplex.privacy import SsmdPlan, max_step_vertex_smd
-from dpsimplex.problems import SeparableQuadratic, dp_smoke_first_vertex
+from dpsimplex.problems import SeparableQuadratic
 from dpsimplex.rng import RngStream
-from dpsimplex.sco import anytime_average_regret_decomposition
 from dpsimplex.solvers import score_candidate_pairs, select_pair
+from reference import (anytime_average_regret_decomposition, dp_smoke_first_vertex,
+                       nash_value_bruteforce, solve_recorded)
 
 
 def report(criterion: str, passed: bool, detail: str) -> None:
@@ -90,7 +91,7 @@ def test_criterion_3_nonprivate_baseline():
         gap = dps.exact_gap_bilinear(game.payoff, sol.x, sol.y).gap_estimate
         bound = 3 * pop.L0 * math.sqrt(ell / T)
         worst_margin = min(worst_margin, bound - gap)
-        nash = dps.nash_value_bruteforce(game.payoff)
+        nash = nash_value_bruteforce(game.payoff)
         worst_nash = max(worst_nash, nash.certified_gap)
     ok = worst_margin >= 0 and worst_nash <= 1e-3 and budget.check()
     report(
@@ -313,17 +314,17 @@ def test_criterion_8_anytime_convex_solver():
             risks = []
             for trial in range(3):
                 data = quad.sample_dataset(n, r.child("d", mode, n, trial))
-                sol = dps.solve_dp_sco(quad, data, plan, [r.child("s", mode, n, trial)],
-                                       record_trace=True)[0]
+                sols, traces = solve_recorded(quad, data, plan, [r.child("s", mode, n, trial)])
+                sol, trace = sols[0], traces[0]
                 risks.append(quad.population_value(sol.w_hat.coords))
                 # conversion bound must dominate the excess of the dense average
                 dec = anytime_average_regret_decomposition(
-                    sol.trace, quad.population_grad, quad.a
+                    trace, quad.population_grad, quad.a
                 )
-                excess_dense = quad.population_value(sol.trace.w_points[-1])
+                excess_dense = quad.population_value(trace.w_points[-1])
                 ok &= dec.bound + 1e-12 >= excess_dense
                 # slow-average drift along the whole trajectory
-                w = sol.trace.w_points
+                w = trace.w_points
                 drifts = np.abs(np.diff(w, axis=0)).sum(axis=1)
                 ok &= bool(np.all(drifts <= 2.0 / np.arange(2, w.shape[0] + 1) + 1e-12))
             medians.append(float(np.median(risks)))

@@ -308,6 +308,14 @@ def _payoff(value):
     return lambda tmp_path: _game_doc(tmp_path, problem={"kind": "matrix_game", "payoff": value})
 
 
+def _payoff_entry(value, **fields):
+    def make_doc(tmp_path):
+        doc = _game_doc(tmp_path, **fields)
+        doc["problem"]["payoff"][0][0] = value
+        return doc
+    return make_doc
+
+
 def _quadratic(key, value):
     def make_doc(tmp_path):
         doc = json.loads((REPO / "configs" / "sco_example.json").read_text())
@@ -318,8 +326,10 @@ def _quadratic(key, value):
 
 # each case: (command, config document or raw text); each exits 1 with a traceback, or
 # 0, without the boundary checks, except overrides_list, which exits 2 with a message
-# that does not say the field must be an object, and the non-finite quadratic entries,
-# which exit 3 with the planner's budget error on L0
+# that does not say the field must be an object, and the non-finite quadratic entries
+# and smd_vertex_payoff_1e308, which exit 3 with the planner's budget error on L0 or tau.
+# The overflow cases have a constant without a finite square: a planner's L0**2 raises
+# OverflowError.
 _BOUNDARY_CASES = {
     "ragged_payoff": ("run", _payoff([[1.0, 2.0], [3.0]])),
     "nan_payoff_entry": ("run", _payoff([[1.0, float("nan")], [0.5, 0.2]])),
@@ -350,6 +360,12 @@ _BOUNDARY_CASES = {
     "inf_quadratic_weight": ("run", _quadratic("weights", float("inf"))),
     "nan_quadratic_noise": ("run", _quadratic("noise", float("nan"))),
     "neg_inf_quadratic_noise": ("run", _quadratic("noise", float("-inf"))),
+    "overflow_boosted_payoff_1e308": ("run", _payoff_entry(1e308, algorithm="boosted",
+                                                          boosting={"I": 1, "J": 1})),
+    "overflow_bias_reduced_payoff_1e200": ("run", _payoff_entry(1e200,
+                                                                algorithm="smd_bias_reduced")),
+    "overflow_dp_sco_noise_1e308": ("run", _quadratic("noise", 1e308)),
+    "smd_vertex_payoff_1e308": ("run", _payoff_entry(1e308)),
 }
 
 

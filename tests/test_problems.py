@@ -1,35 +1,35 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dpsimplex import sco
 from dpsimplex.errors import OracleError
-from dpsimplex.oracles import PerSampleObjective, check_objective
 from dpsimplex.privacy import PrivacyParams
 from dpsimplex.problems import (
     _GATHER_MIN_ENTRIES,
     BilinearObjective,
-    ComponentLoss,
     MatrixGame,
-    MaxLossProblem,
     SeparableQuadratic,
     SynthDataObjective,
     SynthDataProblem,
-    dp_smoke_first_vertex,
     exact_gap_bilinear,
-    first_release_distribution,
-    gap_general,
-    make_max_loss_objective,
     make_synth_data_objective,
-    nash_value_bruteforce,
-    smoothed_max_bilinear,
     synth_data_generate,
 )
 from dpsimplex.privacy import plan_vertex_smd
 from dpsimplex.rng import RngStream
 from dpsimplex.simplex import SimplexPoint
+from reference import (
+    ComponentLoss,
+    MaxLossProblem,
+    check_objective,
+    dp_smoke_first_vertex,
+    first_release_distribution,
+    gap_general,
+    make_max_loss_objective,
+    nash_value_bruteforce,
+    per_sample_grad_rows,
+)
 
 
 def point(*values):
@@ -179,7 +179,7 @@ def test_gradient_rows_keep_a_subclass_override():
     X, Y = stacked_rows(gen, 3, 5, 0), stacked_rows(gen, 3, 4, 0)
     batches = [gen.integers(0, 2, size=6) * 2 - 1.0 for _ in range(3)]
     ref_x, ref_y = game.objective().batch_grad_xy_rows(X, Y, batches)
-    loop_x, loop_y = PerSampleObjective.batch_grad_xy_rows(game.objective(), X, Y, batches)
+    loop_x, loop_y = per_sample_grad_rows(game.objective(), X, Y, batches)
     gx, gy = doubled.batch_grad_xy_rows(X, Y, batches)
     assert np.allclose(gx, 2.0 * loop_x) and np.allclose(gy, loop_y)  # the per-sample loop
     frozen = sco.FrozenBlock(doubled, "x", Y)
@@ -274,20 +274,6 @@ def test_nash_raises_when_budget_too_small():
     game = MatrixGame.random(20, 20, RngStream(5))
     with pytest.raises(OracleError):
         nash_value_bruteforce(game.payoff, max_iters=50, check_every=50)
-
-
-# ---- smoothed max sandwich ------------------------------------------------------
-
-
-def test_smoothed_max_sandwich():
-    game = MatrixGame.random(10, 7, RngStream(6))
-    gen = RngStream(7).gen
-    for lam in (0.01, 0.1):
-        for _ in range(100):
-            x = gen.dirichlet(np.ones(10))
-            true_max = float((game.payoff.T @ x).max())
-            smoothed = smoothed_max_bilinear(game.payoff, x, lam)
-            assert true_max - 1e-12 <= smoothed <= true_max + lam * math.log(7) + 1e-12
 
 
 # ---- synthetic data --------------------------------------------------------------

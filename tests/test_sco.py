@@ -9,8 +9,9 @@ from dpsimplex.privacy import ScoPlan, plan_anytime_sco
 from dpsimplex.problems import SeparableQuadratic
 from dpsimplex.rng import RngStream
 from dpsimplex.simplex import SimplexPoint
-from dpsimplex.sco import FrozenBlock, anytime_average_regret_decomposition, solve_dp_sco
+from dpsimplex.sco import FrozenBlock, solve_dp_sco
 from dpsimplex.problems import BilinearObjective, MatrixGame
+from reference import anytime_average_regret_decomposition, solve_recorded
 
 
 @pytest.fixture(scope="module")
@@ -60,8 +61,7 @@ def test_surrogate_cached_between_refreshes(quad):
     n = 1200
     plan = manual_plan(quad, n, T=40, q=8, K=3)
     data = Dataset(np.zeros(n))  # constant samples isolate the surrogate
-    sol = solve_dp_sco(quad, data, plan, [RngStream(103)], record_trace=True)[0]
-    tr = sol.trace
+    tr = solve_recorded(quad, data, plan, [RngStream(103)])[1][0]
     for t in range(1, plan.T):
         if not tr.refreshed[t]:
             assert np.array_equal(tr.grads[t], tr.grads[t - 1])
@@ -91,9 +91,9 @@ def test_average_drift_assertion_is_active(quad):
     # the 2/t drift bound is asserted on every step of a normal run
     n = 800
     plan = manual_plan(quad, n, T=25, q=5, K=2)
-    sol = solve_dp_sco(quad, quad.sample_dataset(n, RngStream(106)), plan, [RngStream(107)],
-                       record_trace=True)[0]
-    w = sol.trace.w_points
+    trace = solve_recorded(quad, quad.sample_dataset(n, RngStream(106)), plan,
+                           [RngStream(107)])[1][0]
+    w = trace.w_points
     for t in range(1, w.shape[0]):
         assert np.abs(w[t] - w[t - 1]).sum() <= 2.0 / (t + 1) + 1e-12
 
@@ -324,6 +324,33 @@ def test_planned_run_hits_low_risk(quad):
     assert excess <= 0.1 * quad.value_range()
 
 
+# ---- the trajectory recorder -------------------------------------------------
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+def test_recorder_leaves_the_run_alone(quad, rows):
+    # the recorder only watches the step function: a recorded run releases a plain run's bytes
+    import dpsimplex.sco as sco
+    from dpsimplex.simplex import mirror_descent
+
+    n = 1200
+    plan = manual_plan(quad, n, T=40, q=8, K=3)
+
+    def run(solve):
+        data = row_dataset([quad.sample_dataset(n, RngStream(115, r)) for r in range(rows)])
+        return solve(quad, data, plan, [RngStream(116, r) for r in range(rows)])
+
+    plain = run(solve_dp_sco)
+    recorded, traces = run(solve_recorded)
+    assert sco.mirror_descent is mirror_descent
+    assert len(recorded) == len(traces) == rows
+    for a, b, tr in zip(plain, recorded, traces):
+        assert a.w_hat.coords.tobytes() == b.w_hat.coords.tobytes()
+        assert a.vertex_draws == b.vertex_draws and a.refresh_count == b.refresh_count
+        assert [len(v) for v in (tr.x_points, tr.w_points, tr.grads, tr.refreshed)] == [plan.T] * 4
+        assert tr.refreshed.sum() + 1 == b.refresh_count
+
+
 # ---- regret decomposition ----------------------------------------------------
 
 
@@ -331,13 +358,13 @@ def test_decomposition_coupling_vanishes_with_exact_gradients(quad):
     # deterministic samples + identity surrogate make g_t the exact gradient
     n, T = 600, 20
     plan = manual_plan(quad, n, T=T, q=T, K=1)
-    sol = solve_dp_sco(quad, Dataset(np.zeros(n)), plan, [RngStream(112)],
-                       exact_iterates=True, record_trace=True)[0]
+    trace = solve_recorded(quad, Dataset(np.zeros(n)), plan, [RngStream(112)],
+                           exact_iterates=True)[1][0]
     dec = anytime_average_regret_decomposition(
-        sol.trace, quad.population_grad, quad.a
+        trace, quad.population_grad, quad.a
     )
     assert dec.coupling_term == pytest.approx(0.0, abs=1e-10)
-    wT = sol.trace.w_points[-1]
+    wT = trace.w_points[-1]
     assert dec.bound + 1e-12 >= quad.population_value(wT) - quad.population_value(quad.a)
 
 
@@ -346,16 +373,16 @@ def test_decomposition_upper_bounds_excess_risk(quad, seed):
     n = 4000
     plan = plan_anytime_sco(n, 1.0, 1e-5, quad.L0, quad.L1, quad.L2,
                             math.log(quad.dim), "second_order")
-    sol = solve_dp_sco(quad, quad.sample_dataset(n, RngStream(113, seed)), plan,
-                       [RngStream(114, seed)], record_trace=True)[0]
-    wT = sol.trace.w_points[-1]
+    trace = solve_recorded(quad, quad.sample_dataset(n, RngStream(113, seed)), plan,
+                           [RngStream(114, seed)])[1][0]
+    wT = trace.w_points[-1]
     excess = quad.population_value(wT) - quad.population_value(quad.a)
-    dec = anytime_average_regret_decomposition(sol.trace, quad.population_grad, quad.a)
+    dec = anytime_average_regret_decomposition(trace, quad.population_grad, quad.a)
     assert dec.bound + 1e-12 >= excess
     # a comparator other than the minimizer can make the regret negative,
     # but the bound still dominates the relative excess
-    other = sol.trace.w_points[-1]
-    dec2 = anytime_average_regret_decomposition(sol.trace, quad.population_grad, other)
+    other = trace.w_points[-1]
+    dec2 = anytime_average_regret_decomposition(trace, quad.population_grad, other)
     assert dec2.bound + 1e-9 >= quad.population_value(wT) - quad.population_value(other)
 
 
