@@ -64,7 +64,6 @@ from .problems import (
     SynthDataProblem,
     SynthReport,
     exact_gap_bilinear,
-    make_synth_data_objective,
     synth_data_generate,
 )
 from .rng import RngStream
@@ -132,7 +131,6 @@ __all__ = [
     "boosting_shape",
     "exact_gap_bilinear",
     "exp_mech_sample",
-    "make_synth_data_objective",
     "max_step_anytime_sco",
     "max_step_vertex_smd",
     "max_stop_weight_bias_reduced",

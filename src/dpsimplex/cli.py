@@ -325,7 +325,7 @@ class _Run:
     privacy: PrivacyParams
     master_seed: int
     problem: MatrixGame | SeparableQuadratic
-    overrides: dict  # schedule field -> value of the field's type; {} to plan
+    overrides: dict  # schedule field -> value of its type; {} to plan; nonprivate_smd's T, tau
     boosting: tuple[int, int] | None  # (I, J) of a boosted run
 
 
@@ -364,6 +364,18 @@ def _boosting(boost: dict) -> tuple[int, int]:
         raise ConfigError(f"boosting: {exc}") from exc
 
 
+def _nonprivate_schedule(game: MatrixGame, ov: dict) -> dict:
+    """``nonprivate_smd``'s checked T and tau: the overrides', else T = 10^4 and
+    ``tau = sqrt(ell / T) / L0``."""
+    T = ov.get("T", 10_000)
+    if T < 1:
+        raise ConfigError(f"nonprivate_smd needs T >= 1, got {T}")
+    tau = ov["tau"] if "tau" in ov else math.sqrt(game.ell / T) / game.objective().L0
+    if not (math.isfinite(tau) and tau > 0):
+        raise ConfigError(f"nonprivate_smd needs a positive finite tau, got {tau}")
+    return {"T": T, "tau": tau}
+
+
 def _parse_run(cfg: dict, base_dir: str) -> tuple[_Run, list[int], int]:
     """Check every field of a ``run`` config: the run, the n grid and the trial count."""
     algorithm = _require(cfg, "algorithm")
@@ -385,6 +397,8 @@ def _parse_run(cfg: dict, base_dir: str) -> tuple[_Run, list[int], int]:
     overrides = _overrides(algorithm, _section(cfg, "overrides"))
     boosting = _boosting(_section(cfg, "boosting")) if algorithm == "boosted" else None
     problem = _build_problem(cfg, ALGORITHMS[algorithm][0], algorithm, master_seed, base_dir)
+    if algorithm == "nonprivate_smd":
+        overrides = _nonprivate_schedule(problem, overrides)
     return _Run(algorithm, mode, privacy, master_seed, problem, overrides, boosting), n_grid, trials
 
 
@@ -464,22 +478,13 @@ def _run_bias_reduced(run: _Run, n: int, stream: RngStream):
 def _run_boosted(run: _Run, n: int, stream: RngStream):
     game, (I, J) = run.problem, run.boosting
     data = game.sample_dataset(n, stream.child("data"))
-    sol = solve_boosted(game.objective(), data, I, J, run.privacy, stream.child("solve"),
-                        ell=game.ell)
+    sol = solve_boosted(game.objective(), data, I, J, run.privacy, stream.child("solve"))
     return sol, json.dumps({"I": I, "J": J}, sort_keys=True)
 
 
 def _run_nonprivate(run: _Run, n: int, streams: list[RngStream]):
-    game = run.problem
-    T = run.overrides.get("T", 10_000)
-    if T < 1:
-        raise ConfigError(f"nonprivate_smd needs T >= 1, got {T}")
-    tau = (run.overrides["tau"] if "tau" in run.overrides
-           else math.sqrt(game.ell / T) / game.objective().L0)
-    if not (math.isfinite(tau) and tau > 0):
-        raise ConfigError(f"nonprivate_smd needs a positive finite tau, got {tau}")
-    sol = solve_smd_nonprivate(game.population(), T, tau, game.d_x, game.d_y)
-    return [(sol, json.dumps({"T": T, "tau": tau}, sort_keys=True))] * len(streams)
+    sol = solve_smd_nonprivate(run.problem.population(), run.overrides["T"], run.overrides["tau"])
+    return [(sol, json.dumps(run.overrides, sort_keys=True))] * len(streams)
 
 
 def _run_dp_sco(run: _Run, n: int, stream: RngStream):

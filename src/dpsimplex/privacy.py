@@ -164,15 +164,13 @@ class SsmdPlan:
     L0: float
     n: int
 
-    def validate(self, privacy: bool = True) -> None:
-        """Check the schedule and, with ``privacy``, the step size against its privacy cap."""
+    def validate(self) -> None:
+        """Check the schedule and the step size against its privacy cap."""
         _require_positive(T=self.T, tau=self.tau, K=self.K, B_batch=self.B_batch)
         if self.T * self.B_batch > self.n:
             raise BudgetError(
                 f"schedule consumes {self.T * self.B_batch} samples but only {self.n} exist"
             )
-        if not privacy:
-            return
         cap = max_step_vertex_smd(self.B_batch, self.epsilon, self.delta, self.L0, self.T, self.K)
         if self.tau > cap * _REL_TOL:
             raise BudgetError(f"step size {self.tau} exceeds privacy cap {cap}")
@@ -348,7 +346,7 @@ def plan_bias_reduced(
     if U < 4.0:
         raise BudgetError(f"stopping weight U={U:.3f} < 4; dataset too small for the budget")
 
-    tau = math.sqrt(ell / (C * U))
+    tau = _require_step(math.sqrt(ell / (C * U)), L0=L0, L1=L1, U=U)
     alpha = (2.0 * eps**2 / (48.0 * 81.0 * ln1d * (tau * L0) ** 2 * n)) ** (1.0 / 3.0)
     plan = BrPlan(U=U, M=M, alpha=alpha, tau=tau, C=C,
                   epsilon=eps, delta=delta, L0=L0, n=n, ell=ell)
@@ -396,11 +394,11 @@ def plan_anytime_sco(
             + (L0**2 + L1**2) * q * math.sqrt(ell_x / K)
             + L1**2 * q / (math.sqrt(ell_x) * K**1.5)
         )
-    tau = min(
+    tau = _require_step(min(
         math.sqrt(ell_x / (curvature * T)),
         1.0 / (4.0 * L0 * q),
         max_step_anytime_sco(B, eps, delta, L0, T, K, q),
-    )
+    ), L0=L0, L1=L1, T=T)
     plan = ScoPlan(T=T, tau=tau, K=K, q=q, B_batch=B, mode=mode,
                    epsilon=eps, delta=delta, L0=L0, n=n)
     plan.validate()
@@ -411,3 +409,16 @@ def _require_positive(**kwargs) -> None:
     for name, value in kwargs.items():
         if not (np.isfinite(value) and value > 0):
             raise BudgetError(f"{name} must be positive and finite, got {value!r}")
+
+
+def _require_step(tau: float, **constants) -> float:
+    """A planned step size, or a BudgetError naming the constants it underflowed to 0 at.
+
+    Constants whose squares are finite can still overflow the planners' products
+    (``C U``, ``curvature T``), and the step size is then 0.
+    """
+    if not tau > 0:
+        at = ", ".join(f"{name}={value:g}" for name, value in constants.items())
+        raise BudgetError(f"step size underflowed to {tau!r} at {at}: the problem's "
+                          f"constants are too large to plan a schedule")
+    return tau

@@ -355,14 +355,12 @@ class SynthDataProblem:
     """A query-release instance over a finite domain.
 
     ``data`` holds the private sample of category indices. The accuracy
-    reference is the true distribution when known, otherwise a held-out
-    sample.
+    reference is the query answers on the true distribution ``true_dist``.
     """
 
     queries: np.ndarray
     data: np.ndarray
     true_dist: np.ndarray | None = None
-    reference: np.ndarray | None = None
 
     def __post_init__(self):
         Q = _query_matrix(self.queries)
@@ -379,16 +377,9 @@ class SynthDataProblem:
             object.__setattr__(self, "true_dist", dist)
 
     def reference_answers(self) -> np.ndarray:
-        if self.true_dist is not None:
-            return self.queries @ self.true_dist
-        if self.reference is not None:
-            ref = np.asarray(self.reference, dtype=np.int64)
-            return self.queries[:, ref].mean(axis=1)
-        raise ValueError("problem carries neither a true distribution nor a held-out reference")
-
-
-def make_synth_data_objective(p: SynthDataProblem) -> SynthDataObjective:
-    return SynthDataObjective(p.queries)
+        if self.true_dist is None:
+            raise ValueError("problem carries no true distribution to measure accuracy against")
+        return self.queries @ self.true_dist
 
 
 @dataclass(frozen=True)
@@ -423,9 +414,7 @@ def synth_data_generate(
     plan = plan_vertex_smd(
         n, privacy.epsilon, privacy.delta, obj.L0, obj.L1, obj.L2, ell, "quadratic"
     )
-    sol = solve_smd_vertex(
-        obj, Dataset(p.data), plan, rng.child("solve"), keep_x_draws=True
-    )
+    sol = solve_smd_vertex(obj, Dataset(p.data), plan, rng.child("solve"))
     released = sol.x_vertex_indices
     synthetic = released[rng.child("resample").gen.integers(0, released.size, size=n)]
     answers = p.queries[:, synthetic].mean(axis=1)

@@ -1,9 +1,12 @@
 """Private saddle-point solvers on products of simplices.
 
 All three private solvers release only sampled vertices (never the dense
-iterates); the dense multiplicative-weights state stays internal. Each run is
+iterates); the dense multiplicative-weights state stays internal, and a
+vertex-solver solution carries its released x vertices. Each run is
 strictly sequential and consumes fresh samples through the dataset cursor;
 distinct runs parallelize across disjoint shards and independent streams.
+:func:`solve_smd_nonprivate`, the CLI's ``nonprivate_smd``, runs the same loop
+on exact population gradients and releases nothing.
 
 Every run reports the vertex releases counted on its stream as
 ``vertex_draws``, and :func:`~dpsimplex.privacy.audit_releases` composes them;
@@ -83,23 +86,6 @@ class BrRunTrace:
     stop_step: int
 
 
-def _dense_average(d_x: int, d_y: int, tau: float, T: int, direction):
-    """T steps of the loop whose outputs average the dense iterates, which releases nothing.
-
-    ``direction(x, y)`` gives both blocks' directions at the (d,) iterates.
-    Returns the two averages, (d,) each.
-    """
-    x_sum, y_sum = np.zeros((1, d_x)), np.zeros((1, d_y))
-
-    def step(_, x_t, y_t):
-        np.add(x_sum, x_t, out=x_sum)
-        np.add(y_sum, y_t, out=y_sum)
-        return direction(x_t[0], y_t[0])
-
-    steps = mirror_descent((d_x, d_y), 1, tau, range(T), step)
-    return x_sum[0] / steps, y_sum[0] / steps
-
-
 def _released_means(released: list[int], steps: int, rows: int, d_x: int, d_y: int):
     """The outputs of runs that release one vertex per block, row and step.
 
@@ -129,40 +115,18 @@ def _tape(rngs: list[RngStream], steps: int, order: np.ndarray):
 
 
 def solve_smd_vertex(
-    obj: PerSampleObjective,
-    dataset: Dataset,
-    plan: SsmdPlan,
-    rng: RngStream,
-    exact_iterates: bool = False,
-    keep_x_draws: bool = False,
+    obj: PerSampleObjective, dataset: Dataset, plan: SsmdPlan, rng: RngStream
 ) -> SaddleSolution:
     """Entropic mirror descent with sparsified iterates and vertex-sampled output.
 
     Per step: sparsify both iterates with K vertex draws, take a fresh batch,
     evaluate the saddle gradient at the sparsified pair, update both blocks in
     log domain, and contribute one fresh vertex draw per player to the output
-    average. This is :func:`solve_smd_vertex_batch` with one trial.
-
-    ``exact_iterates=True`` replaces every sampling stage with the identity,
-    which reproduces the non-private baseline trajectory exactly and is used
-    by the coupling tests; such a run releases no vertices, so its plan's
-    privacy cap is not enforced (its schedule is). ``keep_x_draws=True``
-    records the per-step x output vertices (the released categories used for
-    synthetic-data generation).
+    average. This is :func:`solve_smd_vertex_batch` with one trial; the
+    solution's ``x_vertex_indices`` are the released x vertices, one per step
+    (the categories synthetic-data generation resamples).
     """
-    if not exact_iterates:
-        return solve_smd_vertex_batch(obj, dataset, plan, [rng], keep_x_draws)[0]
-    plan.validate(privacy=False)
-    _check_samples(dataset, plan)
-
-    def exact_direction(x, y):
-        g = batch_gradient(obj, _point(x), _point(y), dataset.take(plan.B_batch))
-        return -g.g_x, -g.g_y
-
-    x, y = _dense_average(obj.d_x, obj.d_y, plan.tau, plan.T, exact_direction)
-    return SaddleSolution(x=SimplexPoint(x), y=SimplexPoint(y),
-                          samples_used=plan.T * plan.B_batch, steps_run=plan.T, vertex_draws=0,
-                          x_vertex_indices=np.zeros(0, dtype=np.int64) if keep_x_draws else None)
+    return solve_smd_vertex_batch(obj, dataset, plan, [rng])[0]
 
 
 def solve_smd_vertex_batch(
@@ -170,7 +134,6 @@ def solve_smd_vertex_batch(
     dataset: Dataset,
     plan: SsmdPlan,
     rngs: list[RngStream],
-    keep_x_draws: bool = False,
 ) -> list[SaddleSolution]:
     """:func:`solve_smd_vertex` for trials that share ``plan``, stepped together.
 
@@ -216,7 +179,7 @@ def solve_smd_vertex_batch(
             samples_used=steps * B,
             steps_run=steps,
             vertex_draws=audit_releases(plan, rng.vertex_draws - draws[r]),
-            x_vertex_indices=x_released[r].astype(np.int64) if keep_x_draws else None,
+            x_vertex_indices=x_released[r].astype(np.int64),
         )
         for r, rng in enumerate(rngs)
     ]
@@ -287,22 +250,28 @@ def _batch_size(N: int, alpha: float) -> int:
 _audit_bias_reduced = audit_releases  # the name perfbench/layertrace.py traces it by
 
 
-def solve_smd_nonprivate(
-    pop: PopulationObjective, T: int, tau: float, d_x: int, d_y: int
-) -> SaddleSolution:
+def solve_smd_nonprivate(pop: PopulationObjective, T: int, tau: float) -> SaddleSolution:
     """Plain entropic mirror descent on exact population gradients.
 
-    No sampling anywhere; returns the average of the dense iterates. This is
-    the baseline the sampling layer is validated against.
+    No sampling anywhere: T steps of the loop whose outputs average the dense
+    iterates, which releases nothing. This is the CLI's ``nonprivate_smd``
+    algorithm and the baseline the sampling layer is validated against.
     """
     if T < 1:
         raise ValueError(f"need T >= 1, got {T}")
     if not (tau > 0):
         raise ValueError(f"need tau > 0, got {tau}")
+    x_sum, y_sum = np.zeros((1, pop.d_x)), np.zeros((1, pop.d_y))
 
-    x, y = _dense_average(d_x, d_y, tau, T, lambda x, y: (-pop.grad_x(x, y), pop.grad_y(x, y)))
-    return SaddleSolution(x=SimplexPoint(x), y=SimplexPoint(y), samples_used=0, steps_run=T,
-                          vertex_draws=0)
+    def step(_, x_t, y_t):
+        np.add(x_sum, x_t, out=x_sum)
+        np.add(y_sum, y_t, out=y_sum)
+        x, y = x_t[0], y_t[0]
+        return -pop.grad_x(x, y), pop.grad_y(x, y)
+
+    mirror_descent((pop.d_x, pop.d_y), 1, tau, range(T), step)
+    return SaddleSolution(x=SimplexPoint(x_sum[0] / T), y=SimplexPoint(y_sum[0] / T),
+                          samples_used=0, steps_run=T, vertex_draws=0)
 
 
 # --------------------------------------------------------------------------
@@ -347,7 +316,6 @@ def solve_boosted(
     J: int,
     privacy: PrivacyParams,
     rng: RngStream,
-    ell: float | None = None,
 ) -> SaddleSolution:
     """Boost the bias-reduced solver to a high-probability guarantee.
 
@@ -364,8 +332,7 @@ def solve_boosted(
     """
     if I < 1 or J < 1:
         raise ValueError("need I >= 1 and J >= 1")
-    if ell is None:
-        ell = math.log(obj.d_x) + math.log(obj.d_y)
+    ell = math.log(obj.d_x) + math.log(obj.d_y)
     n = dataset.remaining
     quarter = n // 4
     if quarter < 1:

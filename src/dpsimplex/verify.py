@@ -39,6 +39,7 @@ from .rng import RngStream
 from .simplex import inverse_cdf
 
 MIN_REPS = 10_000
+SIGMA_MULT = 3.0  # a suite passes when measured <= bound + SIGMA_MULT * its standard error
 BLOCK_ROWS = 4096  # rows of empirical means held as float64 at once (1.6 MB at d = 50)
 
 SUITE_NAMES = (
@@ -288,20 +289,18 @@ _SUITES = {
 }
 
 
-def verify_maurey_suite(
-    name: str, reps: int, rng: RngStream, sigma_mult: float = 3.0
-) -> SuiteReport:
+def verify_maurey_suite(name: str, reps: int, rng: RngStream) -> SuiteReport:
     """Run one sparsification verification suite; unknown names raise ValueError.
 
-    ``sigma_mult`` scales the Monte-Carlo allowance added to the analytic
-    bound (3 sigma by default).
+    The Monte-Carlo allowance added to the analytic bound is ``SIGMA_MULT``
+    standard errors of the measured statistic.
     """
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
     if reps < 2:
         raise ValueError("need at least 2 repetitions")
     measured, bound, sigma, details = _SUITES[name](reps, rng.child(name))
-    slack = sigma_mult * sigma
+    slack = SIGMA_MULT * sigma
     warning = None
     if reps < MIN_REPS:
         warning = f"only {reps} reps; results below the recommended minimum of {MIN_REPS}"
@@ -317,7 +316,5 @@ def verify_maurey_suite(
     )
 
 
-def run_all_suites(
-    reps: int, rng: RngStream, sigma_mult: float = 3.0
-) -> list[SuiteReport]:
-    return [verify_maurey_suite(name, reps, rng, sigma_mult) for name in SUITE_NAMES]
+def run_all_suites(reps: int, rng: RngStream) -> list[SuiteReport]:
+    return [verify_maurey_suite(name, reps, rng) for name in SUITE_NAMES]

@@ -86,8 +86,7 @@ def test_criterion_3_nonprivate_baseline():
     for game in games:
         pop = game.population()
         ell = game.ell
-        sol = dps.solve_smd_nonprivate(pop, T, math.sqrt(ell / T) / pop.L0,
-                                       game.d_x, game.d_y)
+        sol = dps.solve_smd_nonprivate(pop, T, math.sqrt(ell / T) / pop.L0)
         gap = dps.exact_gap_bilinear(game.payoff, sol.x, sol.y).gap_estimate
         bound = 3 * pop.L0 * math.sqrt(ell / T)
         worst_margin = min(worst_margin, bound - gap)

@@ -21,27 +21,40 @@ PUBLIC = [
     "ScoSolution", "SeparableQuadratic", "SimplexPoint", "SsmdPlan", "SuiteReport",
     "SynthDataProblem", "SynthReport", "TruncGeom", "adaptive_budget_ok",
     "advanced_composition_eps", "batch_gradient", "bias_reduced_gradient", "boosting_shape",
-    "exact_gap_bilinear", "exp_mech_sample", "make_synth_data_objective", "max_step_anytime_sco",
-    "max_step_vertex_smd", "max_stop_weight_bias_reduced", "mwu_step", "plan_anytime_sco",
-    "plan_bias_reduced", "plan_vertex_smd", "run_all_suites", "running_average",
+    "exact_gap_bilinear", "exp_mech_sample", "max_step_anytime_sco", "max_step_vertex_smd",
+    "max_stop_weight_bias_reduced", "mwu_step", "plan_anytime_sco", "plan_bias_reduced",
+    "plan_vertex_smd", "run_all_suites", "running_average",
     "sample_trunc_geom", "sample_vertex", "solve_boosted", "solve_dp_sco",
     "solve_smd_bias_reduced", "solve_smd_nonprivate", "solve_smd_vertex",
     "solve_smd_vertex_batch", "sparsify", "synth_data_generate", "to_point",
     "verify_maurey_suite",
 ]
 
-# test-side now (tests/reference.py) or deleted with the one test that checked only them
+# test-side now (tests/reference.py), deleted with the one test that checked only them, or
+# deleted with no caller left
 GONE = [
     "record_trace", "ScoTrace", "RegretDecomposition", "anytime_average_regret_decomposition",
     "gap_general", "_entropic_best_response", "NashReport", "nash_value_bruteforce",
     "SmokeReport", "first_release_distribution", "_first_release_rows", "dp_smoke_first_vertex",
     "check_objective", "ComponentLoss", "MaxLossProblem", "MaxLossObjective",
-    "make_max_loss_objective", "smoothed_max_bilinear",
+    "make_max_loss_objective", "smoothed_max_bilinear", "make_synth_data_objective",
+    "_dense_average",
 ]
+
+# parameter lists of the solver API: no option that no caller sets
+SIGNATURES = {
+    dpsimplex.solve_smd_vertex: ["obj", "dataset", "plan", "rng"],
+    dpsimplex.solve_smd_vertex_batch: ["obj", "dataset", "plan", "rngs"],
+    dpsimplex.solve_smd_nonprivate: ["pop", "T", "tau"],
+    dpsimplex.solve_boosted: ["obj", "dataset", "I", "J", "privacy", "rng"],
+    dpsimplex.verify_maurey_suite: ["name", "reps", "rng"],
+    dpsimplex.run_all_suites: ["reps", "rng"],
+    dpsimplex.SsmdPlan.validate: ["self"],
+}
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC) == 59
+    assert len(PUBLIC) == 58
     assert sorted(dpsimplex.__all__) == sorted(PUBLIC)
     assert all(hasattr(dpsimplex, name) for name in PUBLIC)
 
@@ -56,6 +69,16 @@ def test_no_module_carries_a_test_only_name():
     assert "trace" not in ScoSolution.__dataclass_fields__
     assert list(inspect.signature(solve_dp_sco).parameters) == [
         "obj", "dataset", "plan", "rngs", "exact_iterates"]
+
+
+@pytest.mark.parametrize("fn", list(SIGNATURES), ids=lambda fn: fn.__qualname__)
+def test_solver_api_parameters_are_pinned(fn):
+    assert list(inspect.signature(fn).parameters) == SIGNATURES[fn]
+
+
+def test_synth_problem_fields_are_pinned():
+    assert list(dpsimplex.SynthDataProblem.__dataclass_fields__) == ["queries", "data",
+                                                                       "true_dist"]
 
 
 def test_saddle_objective_has_no_per_sample_defaults():

@@ -189,6 +189,22 @@ def test_nonprivate_baseline_solves_once_per_batch(tmp_path, monkeypatch):
         "453d5ec29ec14d612e34ef225f00364766751c79645574756f6d03959b70d4e5")  # a solve per trial
 
 
+@pytest.mark.parametrize("tau", [-1.0, 0.0, float("nan")])
+def test_nonprivate_bad_tau_exits_2_before_any_batch(tmp_path, capsys, monkeypatch, tau):
+    def unreachable(*args):
+        raise AssertionError("a batch ran with an unchecked schedule")
+
+    monkeypatch.setattr(cli, "_run_batch", unreachable)
+    cfg = tmp_path / "np.json"
+    write_config(cfg, algorithm="nonprivate_smd", overrides={"T": 500, "tau": tau},
+                 n_grid=[100], trials=1)
+    out = tmp_path / "np.csv"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "tau" in err
+    assert not out.exists()
+
+
 def test_run_boosted_smoke(tmp_path):
     cfg = tmp_path / "b.json"
     write_config(
@@ -382,6 +398,27 @@ def test_malformed_config_field_exits_2(tmp_path, capsys, case):
     assert not out.exists()
     if case == "overrides_list":
         assert "'overrides' must be a JSON object" in err
+
+
+def _quickstart_bias_reduced_1e154(tmp_path):
+    doc = json.loads((REPO / "configs" / "quickstart.json").read_text())
+    doc.update(algorithm="smd_bias_reduced", n_grid=[20000], trials=1)
+    doc["problem"]["payoff"][0][0] = 1e154
+    return doc
+
+
+@pytest.mark.parametrize("make_doc", [_quickstart_bias_reduced_1e154, _quadratic("noise", 1e154)],
+                         ids=["quickstart_bias_reduced_payoff_1e154", "dp_sco_noise_1e154"])
+def test_step_size_underflow_exits_3(tmp_path, capsys, make_doc):
+    # the constants' squares are finite, but the planner's C U or curvature T overflows
+    cfg = tmp_path / "case.json"
+    cfg.write_text(json.dumps(make_doc(tmp_path)))
+    out = tmp_path / "o.csv"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_BUDGET
+    err = capsys.readouterr().err
+    assert err.startswith("budget error:") and "Traceback" not in err
+    assert "step size underflowed" in err and "L0=1e+154" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("value,accepted", [(2.0, True), (True, False), ("2", False)])

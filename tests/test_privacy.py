@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -285,6 +286,51 @@ def test_plan_anytime_sco_constraints():
             assert plan.tau <= 1.0 / (4 * plan.L0 * plan.q) * (1 + 1e-9)
             if mode == "second_order":
                 assert 0.5 * plan.T <= plan.q * plan.K <= 2.0 * plan.T
+
+
+ELL = 2 * math.log(20)
+
+
+def _vertex_smd(mode):
+    return lambda n, L0, L1: plan_vertex_smd(n, 1.0, 1e-5, L0, L1, 0.0, ELL, mode)
+
+
+def _anytime_sco(mode):
+    return lambda n, L0, L1: plan_anytime_sco(n, 1.0, 1e-5, L0, L1, 0.0, ELL / 2, mode)
+
+
+PLANNERS = {  # name -> planner(n, L0, L1) at epsilon = 1, delta = 1e-5
+    "vertex_smd_first_order": _vertex_smd("first_order"),
+    "vertex_smd_second_order": _vertex_smd("second_order"),
+    "vertex_smd_quadratic": _vertex_smd("quadratic"),
+    "bias_reduced": lambda n, L0, L1: plan_bias_reduced(n, 1.0, 1e-5, L0, L1, 0.0, ELL),
+    "anytime_sco_first_order": _anytime_sco("first_order"),
+    "anytime_sco_second_order": _anytime_sco("second_order"),
+}
+
+
+@pytest.mark.parametrize("planner", list(PLANNERS))
+def test_planners_give_a_positive_step_or_a_budget_error(planner):
+    # constants whose squares are finite can overflow a planner's products; the
+    # planner then refuses the budget instead of failing on its own arithmetic
+    for L0, n, L1_is_L0 in itertools.product([1.0, 1e150, 1e153, 1.3e154],
+                                             [8, 300, 20_000, 10**6], [False, True]):
+        try:
+            plan = PLANNERS[planner](n, L0, L0 if L1_is_L0 else 0.0)
+        except BudgetError:
+            continue
+        assert math.isfinite(plan.tau) and plan.tau > 0, (L0, n, L1_is_L0)
+
+
+@pytest.mark.parametrize("planner, n, L0, L1, names", [
+    ("bias_reduced", 20_000, 1.3e154, 0.0, "L0=1.3e+154, L1=0, U="),
+    ("bias_reduced", 10**6, 1e153, 0.0, "L0=1e+153, L1=0, U="),
+    ("anytime_sco_second_order", 20_000, 1e153, 1e153, "L0=1e+153, L1=1e+153, T="),
+])
+def test_step_size_underflow_names_the_constants(planner, n, L0, L1, names):
+    with pytest.raises(BudgetError, match="step size underflowed") as err:
+        PLANNERS[planner](n, L0, L1)
+    assert names in str(err.value)
 
 
 def test_sco_plan_validate_rejects_drift_violation():

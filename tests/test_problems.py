@@ -13,7 +13,6 @@ from dpsimplex.problems import (
     SynthDataObjective,
     SynthDataProblem,
     exact_gap_bilinear,
-    make_synth_data_objective,
     synth_data_generate,
 )
 from dpsimplex.privacy import plan_vertex_smd
@@ -280,9 +279,8 @@ def test_nash_raises_when_budget_too_small():
 
 
 def test_synth_objective_constant_query_is_zero():
-    obj = make_synth_data_objective(
-        SynthDataProblem(queries=np.ones((1, 3)), data=np.array([0, 1, 2]))
-    )
+    problem = SynthDataProblem(queries=np.ones((1, 3)), data=np.array([0, 1, 2]))
+    obj = SynthDataObjective(problem.queries)
     gen = RngStream(8).gen
     for _ in range(5):
         x = gen.dirichlet(np.ones(3))
@@ -291,9 +289,8 @@ def test_synth_objective_constant_query_is_zero():
 
 def test_synth_objective_hand_value():
     # one query (1, -1), z hits the +1 cell, x uniform: f = y_1 (1 - 0) = y_1
-    obj = make_synth_data_objective(
-        SynthDataProblem(queries=np.array([[1.0, -1.0]]), data=np.array([0, 1]))
-    )
+    problem = SynthDataProblem(queries=np.array([[1.0, -1.0]]), data=np.array([0, 1]))
+    obj = SynthDataObjective(problem.queries)
     assert obj.value(np.array([0.5, 0.5]), np.array([1.0]), 0) == pytest.approx(1.0)
     assert obj.L0 <= 2.0 and obj.B <= 2.0
 
@@ -303,7 +300,7 @@ def test_synth_objective_gradients():
         queries=RngStream(9).gen.uniform(-1, 1, size=(4, 6)),
         data=np.arange(6),
     )
-    check_objective(make_synth_data_objective(problem), np.arange(6), RngStream(10))
+    check_objective(SynthDataObjective(problem.queries), np.arange(6), RngStream(10))
 
 
 def test_synth_generation_accuracy_and_monotonicity():

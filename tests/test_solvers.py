@@ -92,9 +92,7 @@ def test_vertex_solver_records_released_categories():
     game = MatrixGame.random(6, 3, RngStream(40))
     obj = game.objective()
     plan = small_plan(300, 12, 2, obj.L0)
-    sol = solve_smd_vertex(
-        obj, game.sample_dataset(300, RngStream(41)), plan, RngStream(42), keep_x_draws=True
-    )
+    sol = solve_smd_vertex(obj, game.sample_dataset(300, RngStream(41)), plan, RngStream(42))
     assert sol.x_vertex_indices.shape == (plan.T,)
     assert set(sol.x_vertex_indices) <= set(range(6))
     # the recorded draws are exactly the ones averaged into the output
@@ -135,8 +133,7 @@ def test_batched_kernel_equals_the_step_by_step_reference(monkeypatch, rows, K, 
     plan = small_plan(40 * T, T, K, obj.L0)
     data = Dataset(np.array([game.sample_dataset(40 * T, RngStream(71, r)).take(40 * T)
                              for r in range(rows)]))  # row r: trial r's samples
-    sols = solve_smd_vertex_batch(obj, data, plan, [RngStream(72, r) for r in range(rows)],
-                                  keep_x_draws=True)
+    sols = solve_smd_vertex_batch(obj, data, plan, [RngStream(72, r) for r in range(rows)])
     for r, sol in enumerate(sols):
         ref = reference_smd_vertex(obj, game.sample_dataset(40 * T, RngStream(71, r)), plan,
                                    RngStream(72, r))
@@ -148,15 +145,14 @@ def test_batched_kernel_equals_the_step_by_step_reference(monkeypatch, rows, K, 
 
 
 def test_exact_vertex_run_checks_its_schedule():
-    # exact runs skip only the privacy cap: an empty batch or zero sparsity is still refused
+    # an empty batch or zero sparsity is refused before the first step
     game = MatrixGame.random(3, 3, RngStream(80))
     obj = game.objective()
     for B_batch, K in ((0, 1), (20, 0)):
         plan = SsmdPlan(T=5, tau=0.1, K=K, B_batch=B_batch, mode="quadratic",
                         epsilon=1.0, delta=1e-5, L0=obj.L0, n=100)
         with pytest.raises(BudgetError):
-            solve_smd_vertex(obj, game.sample_dataset(100, RngStream(81)), plan, RngStream(82),
-                             exact_iterates=True)
+            solve_smd_vertex(obj, game.sample_dataset(100, RngStream(81)), plan, RngStream(82))
 
 
 def test_batch_needs_one_stream_per_dataset():
@@ -175,8 +171,7 @@ def test_tape_takes_at_least_one_step_per_refill(monkeypatch):
     game = MatrixGame.random(3, 4, RngStream(73))
     obj = game.objective()
     plan = small_plan(60, 6, 2, obj.L0)
-    sol = solve_smd_vertex(obj, game.sample_dataset(60, RngStream(74)), plan, RngStream(75),
-                           keep_x_draws=True)
+    sol = solve_smd_vertex(obj, game.sample_dataset(60, RngStream(74)), plan, RngStream(75))
     ref = reference_smd_vertex(obj, game.sample_dataset(60, RngStream(74)), plan,
                                RngStream(75))
     assert np.array_equal(sol.x.coords, ref.x.coords)
@@ -198,8 +193,7 @@ def test_vertex_solver_sparse_gradients_match_dense_reference():
     plan = plan_vertex_smd(n, 1.0, 1e-5, game.objective().L0, 0.0, 0.0, game.ell, "quadratic")
     assert plan.K == 1
     sparse, dense = (
-        solve_smd_vertex(obj, game.sample_dataset(n, RngStream(44)), plan, RngStream(45),
-                         keep_x_draws=True)
+        solve_smd_vertex(obj, game.sample_dataset(n, RngStream(44)), plan, RngStream(45))
         for obj in (game.objective(), DenseBilinear(game.payoff, game.perturbation))
     )
     assert np.array_equal(sparse.x.coords, dense.x.coords)
@@ -233,43 +227,12 @@ def test_vertex_solver_rejects_short_dataset():
         solve_smd_vertex(obj, game.sample_dataset(100, RngStream(9)), plan, RngStream(10))
 
 
-def test_exact_iterates_match_nonprivate_baseline():
-    # with sampling replaced by the identity and deterministic samples, the
-    # private solver must reproduce the baseline trajectory bit for bit
-    game = MatrixGame(MatrixGame.random(6, 4, RngStream(11)).payoff, np.zeros((6, 4)))
-    obj = game.objective()
-    T, tau = 64, 0.03
-    plan = SsmdPlan(T=T, tau=tau, K=1, B_batch=1, mode="quadratic",
-                    epsilon=1.0, delta=1e-5, L0=obj.L0, n=T)
-    data = Dataset(np.zeros(T))
-    private = solve_smd_vertex(obj, data, plan, RngStream(12), exact_iterates=True)
-    baseline = solve_smd_nonprivate(game.population(), T, tau, 6, 4)
-    assert np.allclose(private.x.coords, baseline.x.coords, atol=1e-14)
-    assert np.allclose(private.y.coords, baseline.y.coords, atol=1e-14)
-    assert private.vertex_draws == 0
-
-
-def test_exact_iterates_meet_deterministic_gap_bound():
-    # identity payoff, exact gradients: gap of the averaged pair obeys the
-    # mirror-descent guarantee 3 L0 sqrt(ell / T)
-    A = np.array([[1.0, 0.0], [0.0, 1.0]])
-    obj = BilinearObjective(A, np.zeros((2, 2)))
-    T = 4096
-    ell = 2 * math.log(2)
-    tau = math.sqrt(ell / T)
-    plan = SsmdPlan(T=T, tau=tau, K=1, B_batch=1, mode="quadratic",
-                    epsilon=5.0, delta=1e-3, L0=1.0, n=T)
-    sol = solve_smd_vertex(obj, Dataset(np.zeros(T)), plan, RngStream(13), exact_iterates=True)
-    gap = exact_gap_bilinear(A, sol.x, sol.y).gap_estimate
-    assert gap <= 3 * math.sqrt(ell / T)
-
-
 # ---- non-private baseline --------------------------------------------------------
 
 
 def test_baseline_single_step_returns_uniform():
     game = MatrixGame.random(3, 5, RngStream(14))
-    sol = solve_smd_nonprivate(game.population(), 1, 0.1, 3, 5)
+    sol = solve_smd_nonprivate(game.population(), 1, 0.1)
     assert np.allclose(sol.x.coords, 1 / 3)
     assert np.allclose(sol.y.coords, 1 / 5)
 
@@ -278,7 +241,7 @@ def test_baseline_matching_pennies():
     A = np.array([[1.0, -1.0], [-1.0, 1.0]])
     pop = MatrixGame(A, np.zeros((2, 2))).population()
     T = 10**4
-    sol = solve_smd_nonprivate(pop, T, math.sqrt(2 * math.log(2) / T), 2, 2)
+    sol = solve_smd_nonprivate(pop, T, math.sqrt(2 * math.log(2) / T))
     assert np.abs(sol.x.coords - 0.5).sum() <= 1e-2
     assert np.abs(sol.y.coords - 0.5).sum() <= 1e-2
 
@@ -289,7 +252,7 @@ def test_baseline_gap_decreases_with_horizon():
     ell = game.ell
     gaps = []
     for T in (256, 1024, 4096, 16384):
-        sol = solve_smd_nonprivate(pop, T, math.sqrt(ell / T) / pop.L0, 20, 20)
+        sol = solve_smd_nonprivate(pop, T, math.sqrt(ell / T) / pop.L0)
         gaps.append(exact_gap_bilinear(game.payoff, sol.x, sol.y).gap_estimate)
         assert gaps[-1] <= 3 * pop.L0 * math.sqrt(ell / T)
     assert gaps[-1] < gaps[0]
