@@ -34,7 +34,6 @@ from .errors import (
 from .oracles import (
     Dataset,
     PerSampleObjective,
-    PopulationObjective,
     SaddleGradient,
     TruncGeom,
     batch_gradient,
@@ -108,7 +107,6 @@ __all__ = [
     "OracleError",
     "PerSampleObjective",
     "PlannerError",
-    "PopulationObjective",
     "PrivacyParams",
     "RngStream",
     "SUITE_NAMES",

@@ -91,7 +91,7 @@ from .solvers import (
     solve_smd_vertex_batch,
 )
 from .sco import solve_dp_sco
-from .verify import MIN_REPS, SUITE_NAMES, run_all_suites, verify_maurey_suite
+from .verify import MAX_REPS, MIN_REPS, SUITE_NAMES, run_all_suites, verify_maurey_suite
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -483,7 +483,7 @@ def _run_boosted(run: _Run, n: int, stream: RngStream):
 
 
 def _run_nonprivate(run: _Run, n: int, streams: list[RngStream]):
-    sol = solve_smd_nonprivate(run.problem.population(), run.overrides["T"], run.overrides["tau"])
+    sol = solve_smd_nonprivate(run.problem.payoff, run.overrides["T"], run.overrides["tau"])
     return [(sol, json.dumps(run.overrides, sort_keys=True))] * len(streams)
 
 
@@ -579,8 +579,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.suite != "all" and args.suite not in SUITE_NAMES:
         raise ConfigError(f"unknown suite {args.suite!r}; choose 'all' or one of {SUITE_NAMES}")
-    if args.reps < 2:
-        raise ConfigError(f"--reps must be at least 2, got {args.reps}")
+    if not 2 <= args.reps <= MAX_REPS:
+        raise ConfigError(f"--reps must lie in [2, {MAX_REPS}], got {args.reps}")
     if not 0 <= args.seed < 2**64:  # RngStream masks to 64 bits: -1 would draw as 2^64-1
         raise ConfigError(f"--seed must lie in [0, 2^64), got {args.seed}")
     rng = RngStream(args.seed)

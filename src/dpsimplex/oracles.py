@@ -1,8 +1,9 @@
 """The saddle objective interface, dataset bookkeeping and gradient estimators.
 
-An objective supplies its own batch gradient and batch value. The per-sample
-loop that the vectorized gradients are checked against is test code
-(``tests/reference.py``).
+An objective supplies its own batch gradient and batch value. A batch
+gradient takes (R, d) arrays of points and one (R, B) array of batches, row
+r's batch in row r. The per-sample loop that the vectorized gradients are
+checked against is test code (``tests/reference.py``).
 
 The saddle-gradient convention throughout the package is the monotone-operator
 sign: the y block of every estimator is the *negated* y-gradient, so both
@@ -12,7 +13,6 @@ ascends the objective.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -35,7 +35,7 @@ class PerSampleObjective:
 
     Implementations must be safe for concurrent read-only evaluation. The one
     batch gradient is :meth:`batch_grad_xy_rows`, which takes R point pairs and
-    one batch per pair.
+    an (R, B) array of batches, one row per pair.
     """
 
     d_x: int
@@ -46,9 +46,9 @@ class PerSampleObjective:
     B: float
 
     def batch_grad_xy_rows(
-        self, X: np.ndarray, Y: np.ndarray, batches
+        self, X: np.ndarray, Y: np.ndarray, batches: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Mean ``grad_x`` and ``grad_y`` over ``batches[r]`` at each row ``(X[r], Y[r])``.
+        """Mean ``grad_x`` and ``grad_y`` over batch row ``batches[r]`` at ``(X[r], Y[r])``.
 
         Returns two (R, d_x) and (R, d_y) arrays. An override that stacks the
         rows must give each row the bits it would get as a one-row call.
@@ -75,18 +75,6 @@ def free_block_rows(obj: PerSampleObjective, free: str, W, partners, batches) ->
     if free == "x":
         return obj.batch_grad_xy_rows(W, partners, batches)[0]
     return obj.batch_grad_xy_rows(partners, W, batches)[1]
-
-
-@dataclass(frozen=True)
-class PopulationObjective:
-    """Analytic population view of an objective: exact values and gradients."""
-
-    d_x: int
-    d_y: int
-    L0: float
-    value: Callable[[np.ndarray, np.ndarray], float]
-    grad_x: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    grad_y: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -175,20 +163,17 @@ def sample_trunc_geom(tg: TruncGeom, rng: RngStream) -> int:
     return int(inverse_cdf(tg.cdf, rng.gen.random(1))[0])
 
 
-def batch_gradient(obj: PerSampleObjective, x, y, batch) -> SaddleGradient:
-    """Mean saddle gradient over a batch: ``(mean grad_x, -mean grad_y)``.
+def batch_gradient(obj: PerSampleObjective, X, Y, batches) -> SaddleGradient:
+    """Mean saddle gradient of each row over its batch: ``(mean grad_x, -mean grad_y)``.
 
-    ``x`` and ``y`` are points and ``batch`` one batch, or (R, d) arrays of rows
-    and ``batch`` one batch per row; then ``g_x`` and ``g_y`` are (R, d). Either
-    way it is one :meth:`PerSampleObjective.batch_grad_xy_rows` call.
+    ``X`` and ``Y`` are (R, d) arrays of rows and ``batches`` an (R, B) array,
+    row r's batch in row r; ``g_x`` and ``g_y`` are (R, d). It is one
+    :meth:`PerSampleObjective.batch_grad_xy_rows` call.
     """
-    point = isinstance(x, SimplexPoint)
-    if point:
-        x, y, batch = x.coords[None], y.coords[None], [batch]
-    if min(map(len, batch)) == 0:
+    if batches.shape[1] == 0:
         raise ValueError("gradient batch must be nonempty")
-    gx, gy = obj.batch_grad_xy_rows(x, y, batch)
-    return SaddleGradient(gx[0], -gy[0]) if point else SaddleGradient(gx, -gy)
+    gx, gy = obj.batch_grad_xy_rows(X, Y, batches)
+    return SaddleGradient(gx, -gy)
 
 
 def bias_reduced_gradient(
@@ -223,7 +208,7 @@ def bias_reduced_gradient(
     X = np.concatenate([mean_one_hots(xs[:, :k], x.dim) for k in counts])
     Y = np.concatenate([mean_one_hots(ys[:, :k], y.dim) for k in counts])
     (gx_plus, gx_minus, gx_first), (gy_plus, gy_minus, gy_first) = obj.batch_grad_xy_rows(
-        X, Y, [batch] * 3)
+        X, Y, np.broadcast_to(batch, (3, len(batch))))
 
     scale = tg.C_M * half
     gx = scale * (gx_plus - gx_minus) + gx_first

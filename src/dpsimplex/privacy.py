@@ -15,6 +15,7 @@ constants are treated as free parameters by the scaling tests.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Literal
 
@@ -326,6 +327,7 @@ def plan_bias_reduced(
     """
     PrivacyParams(eps, delta)
     _require_positive(n=n, L0=L0, ell=ell)
+    _require_normal_square(L0)
     if n < 8:
         raise BudgetError(f"bias-reduced planning needs n >= 8, got {n}")
     ln1d = math.log(1.0 / delta)
@@ -369,6 +371,7 @@ def plan_anytime_sco(
     """
     PrivacyParams(eps, delta)
     _require_positive(n=n, L0=L0, ell_x=ell_x)
+    _require_normal_square(L0)
     ln1d = math.log(1.0 / delta)
     if mode == "second_order":
         T = min(n, math.ceil(n * eps / (ell_x * math.sqrt(ln1d))))
@@ -411,14 +414,23 @@ def _require_positive(**kwargs) -> None:
             raise BudgetError(f"{name} must be positive and finite, got {value!r}")
 
 
+def _require_normal_square(L0: float) -> None:
+    """Refuse an L0 whose square is subnormal or 0: the planner divides by it."""
+    if not L0 * L0 >= sys.float_info.min:
+        raise BudgetError(f"L0 = {L0:g} is too small: its square underflows, and the "
+                          f"planner divides by it")
+
+
 def _require_step(tau: float, **constants) -> float:
-    """A planned step size, or a BudgetError naming the constants it underflowed to 0 at.
+    """A planned step size, or a BudgetError naming the constants it under- or overflowed at.
 
     Constants whose squares are finite can still overflow the planners' products
-    (``C U``, ``curvature T``), and the step size is then 0.
+    (``C U``, ``curvature T``), and the step size is then 0; a quotient by tiny
+    ones can overflow it to inf.
     """
-    if not tau > 0:
+    if not (tau > 0 and math.isfinite(tau)):
         at = ", ".join(f"{name}={value:g}" for name, value in constants.items())
-        raise BudgetError(f"step size underflowed to {tau!r} at {at}: the problem's "
-                          f"constants are too large to plan a schedule")
+        way = "underflowed" if tau == 0 else "overflowed"
+        raise BudgetError(f"step size {way} to {tau!r} at {at}: the problem's "
+                          f"constants are out of the range the planner can schedule")
     return tau

@@ -9,12 +9,13 @@ smoke test, the maximal-loss family) are test code (``tests/reference.py``).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import OracleError
-from .oracles import Dataset, PerSampleObjective, PopulationObjective, free_block_rows
+from .oracles import Dataset, PerSampleObjective, free_block_rows
 from .privacy import PrivacyParams, SsmdPlan, plan_vertex_smd
 from .rng import RngStream
 from .sco import ConvexObjective
@@ -22,16 +23,20 @@ from .simplex import SimplexPoint
 from .solvers import solve_smd_vertex
 
 
-def _check_squares(**constants: float) -> None:
-    """Raise ValueError unless each of a problem's constants has a finite square.
+def _check_squares(L0: float, **constants: float) -> None:
+    """Raise ValueError unless each of a problem's constants has a finite square and a
+    positive ``L0`` has a normal one.
 
     The planners square the constants (``L0**2`` in the bias-reduced and convex
     schedules), so a constant past about 1.3e154 is refused where the problem is
-    built instead of overflowing in a planner.
+    built instead of overflowing in a planner. They also divide by ``L0**2``, so a
+    positive L0 below about 1.5e-154, whose square is subnormal or 0, is refused too.
     """
-    for name, value in constants.items():
+    for name, value in {"L0": L0, **constants}.items():
         if not math.isfinite(value * value):
             raise ValueError(f"{name} = {value:g} is too large: the planners need its square")
+    if L0 > 0 and L0 * L0 < sys.float_info.min:
+        raise ValueError(f"L0 = {L0:g} is too small: the planners divide by its square")
 
 
 # --------------------------------------------------------------------------
@@ -75,8 +80,9 @@ class BilinearObjective(PerSampleObjective):
     def grad_y(self, x, y, z):
         return self._matrix(z).T @ x
 
-    # The objective is linear in z, so a batch mean reduces to the mean matrix A + z̄E.
-    # Below _GATHER_MIN_ENTRIES the rows share one (R, d_x, d_y) stack of it; np.matmul
+    # The objective is linear in z, so a batch mean reduces to the mean matrix A + z̄E;
+    # one _mean_signs call gives every row its z̄ from the (R, B) batch array. Below
+    # _GATHER_MIN_ENTRIES the rows share one (R, d_x, d_y) stack of it; np.matmul
     # gives each row the bits of M @ y and M.T @ x (einsum does not). Above it, a row's
     # gradients read only the columns (rows) on the other point's support: O(d * support)
     # instead of O(d_x * d_y) at the sparsified iterates. A row builds its dense matrix
@@ -88,8 +94,7 @@ class BilinearObjective(PerSampleObjective):
             M += self.A  # in place: one (R, d_x, d_y) allocation, and A + zE to the bit
             return np.matmul(M, Y[:, :, None])[:, :, 0], np.matmul(X[:, None, :], M)[:, 0, :]
         gx, gy = np.empty((len(batches), self.d_x)), np.empty((len(batches), self.d_y))
-        for r, (x, y, zs) in enumerate(zip(X, Y, batches)):
-            z = _mean_sign(zs)
+        for r, (x, y, z) in enumerate(zip(X, Y, _mean_signs(batches))):
             j, i = self._support(y, 5), self._support(x, 2)
             M = self._matrix(z) if j is None or i is None else None
             gx[r], gy[r] = self._grad_x(y, z, j, M), self._grad_y(x, z, i, M)
@@ -134,7 +139,6 @@ class _MeanKeyedRows:
         self._B = None
 
     def __call__(self, W, batches):
-        batches = np.asarray(batches)
         rows, B = batches.shape
         if B != self._B:
             self._B, self._stored = B, 0
@@ -171,18 +175,10 @@ def _sign_count(z: np.ndarray, B: int):
     return np.where(exact, k, 0).astype(np.intp), exact
 
 
-def _mean_sign(zs) -> float:
-    """``np.mean(zs)`` to the bit for float signs: the same ``add.reduce`` and divide,
-    at a third of its cost."""
-    zs = np.asarray(zs)
-    return np.add.reduce(zs) / zs.size
-
-
-def _mean_signs(batches) -> np.ndarray:
-    """``_mean_sign`` of each batch; an (R, B) array (a row dataset's batch) reduces as it is."""
-    if isinstance(batches, np.ndarray):
-        return np.add.reduce(batches, axis=1) / batches.shape[1]
-    return np.array([_mean_sign(zs) for zs in batches])
+def _mean_signs(batches: np.ndarray) -> np.ndarray:
+    """Each row's mean of an (R, B) batch: ``np.mean`` of the row to the bit (the same
+    ``add.reduce`` and divide), at a third of its cost."""
+    return np.add.reduce(batches, axis=1) / batches.shape[1]
 
 
 @dataclass(frozen=True)
@@ -224,17 +220,6 @@ class MatrixGame:
 
     def objective(self) -> BilinearObjective:
         return BilinearObjective(self.payoff, self.perturbation)
-
-    def population(self) -> PopulationObjective:
-        A = self.payoff
-        return PopulationObjective(
-            d_x=self.d_x,
-            d_y=self.d_y,
-            L0=float(np.abs(A).max()),
-            value=lambda x, y: float(x @ A @ y),
-            grad_x=lambda x, y: A @ y,
-            grad_y=lambda x, y: A.T @ x,
-        )
 
     def sample_dataset(self, n: int, rng: RngStream) -> Dataset:
         signs = rng.gen.integers(0, 2, size=n) * 2 - 1
@@ -343,7 +328,7 @@ class SynthDataObjective(PerSampleObjective):
 
     def batch_grad_xy_rows(self, X, Y, batches):
         gx = np.array([-(self.Q.T @ y) for y in Y])
-        idxs = [np.asarray(zs, dtype=np.int64) for zs in batches]
+        idxs = batches.astype(np.int64, copy=False)
         # add.reduce and a divide are ndarray.mean's arithmetic, without its Python wrapper
         gy = np.array([np.add.reduce(self.Q[:, idx], axis=1) / idx.size - self.Q @ x
                        for x, idx in zip(X, idxs)])

@@ -6,7 +6,8 @@ vertex-solver solution carries its released x vertices. Each run is
 strictly sequential and consumes fresh samples through the dataset cursor;
 distinct runs parallelize across disjoint shards and independent streams.
 :func:`solve_smd_nonprivate`, the CLI's ``nonprivate_smd``, runs the same loop
-on exact population gradients and releases nothing.
+on a game's payoff matrix, whose products are the exact population gradients,
+and releases nothing.
 
 Every run reports the vertex releases counted on its stream as
 ``vertex_draws``, and :func:`~dpsimplex.privacy.audit_releases` composes them;
@@ -35,7 +36,6 @@ from .errors import BudgetError
 from .oracles import (
     Dataset,
     PerSampleObjective,
-    PopulationObjective,
     TruncGeom,
     batch_gradient,
     bias_reduced_gradient,
@@ -250,10 +250,11 @@ def _batch_size(N: int, alpha: float) -> int:
 _audit_bias_reduced = audit_releases  # the name perfbench/layertrace.py traces it by
 
 
-def solve_smd_nonprivate(pop: PopulationObjective, T: int, tau: float) -> SaddleSolution:
-    """Plain entropic mirror descent on exact population gradients.
+def solve_smd_nonprivate(payoff: np.ndarray, T: int, tau: float) -> SaddleSolution:
+    """Plain entropic mirror descent on the game ``min_x max_y x^T A y``, A = ``payoff``.
 
-    No sampling anywhere: T steps of the loop whose outputs average the dense
+    Each step takes the exact population gradients ``A y`` and ``A^T x``. No
+    sampling anywhere: T steps of the loop whose outputs average the dense
     iterates, which releases nothing. This is the CLI's ``nonprivate_smd``
     algorithm and the baseline the sampling layer is validated against.
     """
@@ -261,15 +262,15 @@ def solve_smd_nonprivate(pop: PopulationObjective, T: int, tau: float) -> Saddle
         raise ValueError(f"need T >= 1, got {T}")
     if not (tau > 0):
         raise ValueError(f"need tau > 0, got {tau}")
-    x_sum, y_sum = np.zeros((1, pop.d_x)), np.zeros((1, pop.d_y))
+    A = payoff
+    x_sum, y_sum = np.zeros((1, A.shape[0])), np.zeros((1, A.shape[1]))
 
     def step(_, x_t, y_t):
         np.add(x_sum, x_t, out=x_sum)
         np.add(y_sum, y_t, out=y_sum)
-        x, y = x_t[0], y_t[0]
-        return -pop.grad_x(x, y), pop.grad_y(x, y)
+        return -(A @ y_t[0]), A.T @ x_t[0]
 
-    mirror_descent((pop.d_x, pop.d_y), 1, tau, range(T), step)
+    mirror_descent(A.shape, 1, tau, range(T), step)
     return SaddleSolution(x=SimplexPoint(x_sum[0] / T), y=SimplexPoint(y_sum[0] / T),
                           samples_used=0, steps_run=T, vertex_draws=0)
 

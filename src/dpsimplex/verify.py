@@ -39,6 +39,7 @@ from .rng import RngStream
 from .simplex import inverse_cdf
 
 MIN_REPS = 10_000
+MAX_REPS = 10_000_000  # a suite holds about 92 B per rep: a 0.9 GB peak here
 SIGMA_MULT = 3.0  # a suite passes when measured <= bound + SIGMA_MULT * its standard error
 BLOCK_ROWS = 4096  # rows of empirical means held as float64 at once (1.6 MB at d = 50)
 

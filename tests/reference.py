@@ -2,8 +2,8 @@
 
 Nothing in ``dpsimplex`` reads this module. It holds what only the tests need:
 
-* a generic inner-solver duality-gap estimator and a self-certifying
-  game-value oracle,
+* a game's analytic population view, a generic inner-solver duality-gap
+  estimator over it and a self-certifying game-value oracle,
 * an empirical privacy smoke test of the first data-dependent vertex release,
   which reads only :func:`~dpsimplex.oracles.batch_gradient`, no solver code,
 * a recorder of :func:`~dpsimplex.sco.solve_dp_sco`'s trajectory and the
@@ -23,9 +23,9 @@ import numpy as np
 
 from dpsimplex import sco
 from dpsimplex.errors import OracleError
-from dpsimplex.oracles import PerSampleObjective, PopulationObjective, batch_gradient
+from dpsimplex.oracles import PerSampleObjective, batch_gradient
 from dpsimplex.privacy import SsmdPlan, advanced_composition_eps
-from dpsimplex.problems import GapReport, exact_gap_bilinear
+from dpsimplex.problems import GapReport, MatrixGame, exact_gap_bilinear
 from dpsimplex.rng import RngStream
 from dpsimplex.simplex import SimplexPoint, running_average
 
@@ -91,6 +91,31 @@ def check_objective(
 
 # --------------------------------------------------------------------------
 # duality-gap and game-value oracles
+
+
+@dataclass(frozen=True)
+class PopulationObjective:
+    """Analytic population view of an objective: exact values and gradients."""
+
+    d_x: int
+    d_y: int
+    L0: float
+    value: Callable[[np.ndarray, np.ndarray], float]
+    grad_x: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    grad_y: Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+
+def population(game: MatrixGame) -> PopulationObjective:
+    """The game's population objective ``x^T A y`` with ``L0 = max |A|``."""
+    A = game.payoff
+    return PopulationObjective(
+        d_x=game.d_x,
+        d_y=game.d_y,
+        L0=float(np.abs(A).max()),
+        value=lambda x, y: float(x @ A @ y),
+        grad_x=lambda x, y: A @ y,
+        grad_y=lambda x, y: A.T @ x,
+    )
 
 
 def _entropic_best_response(grad, d: int, L0: float, T: int, ascend: bool) -> np.ndarray:
@@ -218,10 +243,9 @@ def _first_release_rows(obj: PerSampleObjective, batch, tau: float) -> np.ndarra
     k = 0
     for i in range(obj.d_x):
         for j in range(obj.d_y):
-            g = batch_gradient(
-                obj, SimplexPoint.vertex(obj.d_x, i), SimplexPoint.vertex(obj.d_y, j), batch
-            )
-            z = -tau * g.g_x
+            g = batch_gradient(obj, np.eye(1, obj.d_x, i), np.eye(1, obj.d_y, j),
+                               np.asarray(batch)[None])
+            z = -tau * g.g_x[0]
             e = np.exp(z - z.max())
             rows[k] = e / e.sum()
             k += 1

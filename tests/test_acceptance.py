@@ -84,11 +84,11 @@ def test_criterion_3_nonprivate_baseline():
     worst_margin = np.inf
     worst_nash = 0.0
     for game in games:
-        pop = game.population()
+        L0 = np.abs(game.payoff).max()
         ell = game.ell
-        sol = dps.solve_smd_nonprivate(pop, T, math.sqrt(ell / T) / pop.L0)
+        sol = dps.solve_smd_nonprivate(game.payoff, T, math.sqrt(ell / T) / L0)
         gap = dps.exact_gap_bilinear(game.payoff, sol.x, sol.y).gap_estimate
-        bound = 3 * pop.L0 * math.sqrt(ell / T)
+        bound = 3 * L0 * math.sqrt(ell / T)
         worst_margin = min(worst_margin, bound - gap)
         nash = nash_value_bruteforce(game.payoff)
         worst_nash = max(worst_nash, nash.certified_gap)

@@ -29,6 +29,7 @@ from dpsimplex.cli import (
     save_payoff,
 )
 from dpsimplex.errors import ConfigError
+from dpsimplex.verify import MAX_REPS
 
 REPO = Path(__file__).resolve().parents[1]
 from dpsimplex.rng import RngStream
@@ -340,12 +341,20 @@ def _quadratic(key, value):
     return make_doc
 
 
+def _tiny_quadratic(tmp_path):
+    doc = json.loads((REPO / "configs" / "sco_example.json").read_text())
+    doc["problem"]["weights"] = [1e-200] * len(doc["problem"]["weights"])
+    doc["problem"]["noise"] = [0.0] * len(doc["problem"]["noise"])
+    return doc
+
+
 # each case: (command, config document or raw text); each exits 1 with a traceback, or
 # 0, without the boundary checks, except overrides_list, which exits 2 with a message
 # that does not say the field must be an object, and the non-finite quadratic entries
 # and smd_vertex_payoff_1e308, which exit 3 with the planner's budget error on L0 or tau.
 # The overflow cases have a constant without a finite square: a planner's L0**2 raises
-# OverflowError.
+# OverflowError. The tiny cases have a positive L0 whose square underflows: the
+# quadratic exits 1 with a planner's ZeroDivisionError, the game runs and exits 0.
 _BOUNDARY_CASES = {
     "ragged_payoff": ("run", _payoff([[1.0, 2.0], [3.0]])),
     "nan_payoff_entry": ("run", _payoff([[1.0, float("nan")], [0.5, 0.2]])),
@@ -382,6 +391,8 @@ _BOUNDARY_CASES = {
                                                                 algorithm="smd_bias_reduced")),
     "overflow_dp_sco_noise_1e308": ("run", _quadratic("noise", 1e308)),
     "smd_vertex_payoff_1e308": ("run", _payoff_entry(1e308)),
+    "tiny_dp_sco_weights_1e-200": ("run", _tiny_quadratic),
+    "tiny_smd_vertex_payoff_1e-200": ("run", _payoff([[1e-200, 1e-200], [1e-200, 1e-200]])),
 }
 
 
@@ -585,8 +596,10 @@ def test_verify_unknown_suite(tmp_path):
 
 @pytest.mark.parametrize("flags", [
     ["--reps", "1"], ["--reps", "0"], ["--reps", "-5"],
+    ["--reps", str(MAX_REPS + 1)], ["--reps", str(2**63 - 1)], ["--reps", str(10**23)],
     ["--seed", "-1"], ["--seed", str(2**64)],
-], ids=["reps_1", "reps_0", "reps_negative", "seed_negative", "seed_2_64"])
+], ids=["reps_1", "reps_0", "reps_negative", "reps_max_plus_1", "reps_2_63_minus_1",
+        "reps_10_23", "seed_negative", "seed_2_64"])
 @pytest.mark.parametrize("suite", ["all", "value_bias"])
 def test_verify_bad_reps_or_seed_exits_2_before_any_suite(tmp_path, capsys, monkeypatch,
                                                           flags, suite):

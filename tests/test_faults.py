@@ -107,7 +107,11 @@ def sco_rows_take_row_0_partner(monkeypatch):
 
 
 def stacked_product_drops_mean_sign(monkeypatch):
-    """The stacked dense product builds every row's matrix as A, without z̄ E."""
+    """Every row's batch mean z̄ reads 0: the stacked dense product builds A, without z̄ E.
+
+    ``_mean_signs`` feeds the support gather's z̄ too, so the gather path drops z̄ E
+    under this fault as well.
+    """
     monkeypatch.setattr(problems, "_mean_signs", lambda batches: np.zeros(len(batches)))
 
 

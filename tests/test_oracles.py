@@ -137,7 +137,7 @@ def test_trunc_geom_mean_pow2():
 
 def test_batch_gradient_singleton_flips_y_sign(game):
     x, y = point(0.2, 0.5, 0.3), point(0.6, 0.4)
-    g = batch_gradient(game, x, y, np.array([1.0]))
+    g = batch_gradient(game, x.coords[None], y.coords[None], np.array([[1.0]]))
     assert np.allclose(g.g_x, game.grad_x(x.coords, y.coords, 1.0))
     assert np.allclose(g.g_y, -game.grad_y(x.coords, y.coords, 1.0))
 
@@ -148,21 +148,22 @@ def test_batch_gradient_two_sample_mean():
     obj = BilinearObjective(A, E)
     x, y = point(0.5, 0.5), point(0.3, 0.7)
     # z = +1 and z = -1: the mean matrix is (A1 + A2)/2 = A
-    g = batch_gradient(obj, x, y, np.array([1.0, -1.0]))
+    g = batch_gradient(obj, x.coords[None], y.coords[None], np.array([[1.0, -1.0]]))
     assert np.allclose(g.g_x, A @ y.coords)
     assert np.allclose(g.g_y, -(A.T @ x.coords))
 
 
 def test_batch_gradient_duplicates_equal_singleton(game):
     x, y = point(0.1, 0.1, 0.8), point(0.5, 0.5)
-    g1 = batch_gradient(game, x, y, np.array([1.0]))
-    g2 = batch_gradient(game, x, y, np.array([1.0, 1.0]))
+    g1 = batch_gradient(game, x.coords[None], y.coords[None], np.array([[1.0]]))
+    g2 = batch_gradient(game, x.coords[None], y.coords[None], np.array([[1.0, 1.0]]))
     assert np.allclose(g1.g_x, g2.g_x) and np.allclose(g1.g_y, g2.g_y)
 
 
 def test_batch_gradient_rejects_empty(game):
     with pytest.raises(ValueError):
-        batch_gradient(game, point(1.0, 0.0, 0.0), point(1.0, 0.0), np.array([]))
+        batch_gradient(game, np.array([[1.0, 0.0, 0.0]]), np.array([[1.0, 0.0]]),
+                       np.empty((1, 0)))
 
 
 # ---- bias-reduced gradient -------------------------------------------------------
@@ -203,7 +204,7 @@ def test_bias_reduced_at_vertices_is_exact(game):
     batch = np.array([1.0, -1.0])
     for N in range(4):
         g = bias_reduced_gradient(game, x, y, N, batch, tg, RngStream(11 + N))
-        ref = batch_gradient(game, x, y, batch)
+        ref = batch_gradient(game, x.coords[None], y.coords[None], batch[None])
         assert np.allclose(g.g_x, ref.g_x) and np.allclose(g.g_y, ref.g_y)
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
+from dpsimplex import privacy
 from dpsimplex.errors import BudgetError
 from dpsimplex.privacy import (
     BrPlan,
@@ -311,9 +312,11 @@ PLANNERS = {  # name -> planner(n, L0, L1) at epsilon = 1, delta = 1e-5
 
 @pytest.mark.parametrize("planner", list(PLANNERS))
 def test_planners_give_a_positive_step_or_a_budget_error(planner):
-    # constants whose squares are finite can overflow a planner's products; the
-    # planner then refuses the budget instead of failing on its own arithmetic
-    for L0, n, L1_is_L0 in itertools.product([1.0, 1e150, 1e153, 1.3e154],
+    # constants whose squares are finite can overflow a planner's products, and a tiny
+    # L0 its quotients; the planner then refuses the budget instead of failing on its
+    # own arithmetic
+    for L0, n, L1_is_L0 in itertools.product([1.0, 1e150, 1e153, 1.3e154, 1e-150, 1.5e-154,
+                                              1e-160, 1e-200, 5e-324],
                                              [8, 300, 20_000, 10**6], [False, True]):
         try:
             plan = PLANNERS[planner](n, L0, L0 if L1_is_L0 else 0.0)
@@ -331,6 +334,20 @@ def test_step_size_underflow_names_the_constants(planner, n, L0, L1, names):
     with pytest.raises(BudgetError, match="step size underflowed") as err:
         PLANNERS[planner](n, L0, L1)
     assert names in str(err.value)
+
+
+@pytest.mark.parametrize("planner", ["bias_reduced", "anytime_sco_first_order",
+                                     "anytime_sco_second_order"])
+def test_planners_that_square_l0_refuse_one_whose_square_underflows(planner):
+    # 1.5e-154 squares to about 2.25e-308, just above the smallest normal float
+    assert PLANNERS[planner](10**6, 1.5e-154, 0.0).tau > 0
+    with pytest.raises(BudgetError, match="L0 = 1e-160 is too small"):
+        PLANNERS[planner](10**6, 1e-160, 0.0)
+
+
+def test_step_size_overflow_names_the_constants():
+    with pytest.raises(BudgetError, match="step size overflowed to inf at L0=1e-160, U=5"):
+        privacy._require_step(math.inf, L0=1e-160, U=5.0)
 
 
 def test_sco_plan_validate_rejects_drift_violation():

@@ -21,6 +21,7 @@ from dpsimplex.simplex import SimplexPoint
 from reference import (
     ComponentLoss,
     MaxLossProblem,
+    PopulationObjective,
     check_objective,
     dp_smoke_first_vertex,
     first_release_distribution,
@@ -28,6 +29,7 @@ from reference import (
     make_max_loss_objective,
     nash_value_bruteforce,
     per_sample_grad_rows,
+    population,
 )
 
 
@@ -43,11 +45,10 @@ def point(*values):
     d_y=st.integers(1, 160),
     support=st.integers(1, 160),
     n_z=st.integers(1, 60),
-    as_list=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
 @settings(max_examples=300, deadline=None)
-def test_bilinear_batch_gradients_match_dense_reference(d_x, d_y, support, n_z, as_list, seed):
+def test_bilinear_batch_gradients_match_dense_reference(d_x, d_y, support, n_z, seed):
     gen = np.random.default_rng(seed)
     A = gen.uniform(-1.0, 1.0, size=(d_x, d_y))
     E = 0.5 * (gen.integers(0, 2, size=(d_x, d_y)) * 2 - 1)
@@ -61,11 +62,10 @@ def test_bilinear_batch_gradients_match_dense_reference(d_x, d_y, support, n_z, 
 
     x, y = sparse_point(d_x), sparse_point(d_y)
     zs = gen.integers(0, 2, size=n_z) * 2 - 1.0
-    zs = zs.tolist() if as_list else zs
     dense = A + np.mean(zs) * E
     # a one-term sum plus exact zeros is exact; beyond that BLAS kernels may
     # round a sum differently by the column positions, within eps per term
-    gx, gy = obj.batch_grad_xy_rows(x[None], y[None], [zs])
+    gx, gy = obj.batch_grad_xy_rows(x[None], y[None], zs[None])
     for got, ref, point in (
         (gx[0], dense @ y, y),
         (gy[0], dense.T @ x, x),
@@ -96,7 +96,7 @@ def test_fused_bilinear_gradient_equals_the_two_calls(d, support, gathers):
     assert (big and obj._support(y, 5) is not None,
             big and obj._support(x, 2) is not None) == gathers
     zs = gen.integers(0, 2, size=7) * 2 - 1.0
-    gx, gy = obj.batch_grad_xy_rows(x[None], y[None], [zs])
+    gx, gy = obj.batch_grad_xy_rows(x[None], y[None], zs[None])
     ref_x, ref_y = bilinear_reference(obj, x, y, zs)
     assert np.array_equal(gx[0], ref_x)
     assert np.array_equal(gy[0], ref_y)
@@ -137,22 +137,20 @@ def stacked_rows(gen, rows, dim, k):
     rows=st.integers(1, 80),
     k=st.integers(0, 25),
     n_z=st.integers(1, 40),
-    ragged=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
 @settings(max_examples=150, deadline=None)
-def test_gradient_rows_equal_one_row_calls(family, d_x, d_y, rows, k, n_z, ragged, seed):
+def test_gradient_rows_equal_one_row_calls(family, d_x, d_y, rows, k, n_z, seed):
     # d up to 150 puts A on both sides of _GATHER_MIN_ENTRIES: stacked below, per-row above
     gen = np.random.default_rng(seed)
-    sizes = gen.integers(1, n_z + 1, size=rows) if ragged else [n_z] * rows
     if family == "bilinear":
         obj = BilinearObjective(gen.uniform(-1.0, 1.0, size=(d_x, d_y)),
                                 0.5 * (gen.integers(0, 2, size=(d_x, d_y)) * 2 - 1))
-        batches = [gen.integers(0, 2, size=n) * 2 - 1.0 for n in sizes]
+        batches = gen.integers(0, 2, size=(rows, n_z)) * 2 - 1.0
         reference = bilinear_reference
     else:
         obj = SynthDataObjective(gen.uniform(-1.0, 1.0, size=(d_y, d_x)))
-        batches = [gen.integers(0, d_x, size=n) for n in sizes]
+        batches = gen.integers(0, d_x, size=(rows, n_z))
         reference = synth_reference
     X, Y = stacked_rows(gen, rows, d_x, k), stacked_rows(gen, rows, d_y, k)
     gx, gy = obj.batch_grad_xy_rows(X, Y, batches)
@@ -176,7 +174,7 @@ def test_gradient_rows_keep_a_subclass_override():
     doubled = DoubledBatchGradX(game.payoff, game.perturbation)
     gen = np.random.default_rng(131)
     X, Y = stacked_rows(gen, 3, 5, 0), stacked_rows(gen, 3, 4, 0)
-    batches = [gen.integers(0, 2, size=6) * 2 - 1.0 for _ in range(3)]
+    batches = np.array([gen.integers(0, 2, size=6) * 2 - 1.0 for _ in range(3)])
     ref_x, ref_y = game.objective().batch_grad_xy_rows(X, Y, batches)
     loop_x, loop_y = per_sample_grad_rows(game.objective(), X, Y, batches)
     gx, gy = doubled.batch_grad_xy_rows(X, Y, batches)
@@ -220,7 +218,7 @@ def test_exact_gap_shape_mismatch():
 
 def test_gap_general_matches_exact_on_bilinear():
     game = MatrixGame.random(8, 6, RngStream(1))
-    pop = game.population()
+    pop = population(game)
     gen = RngStream(2).gen
     for _ in range(3):
         x = gen.dirichlet(np.ones(8))
@@ -232,7 +230,7 @@ def test_gap_general_matches_exact_on_bilinear():
 
 def test_gap_general_bound_scaling():
     game = MatrixGame.random(4, 4, RngStream(3))
-    pop = game.population()
+    pop = population(game)
     x = np.full(4, 0.25)
     b1 = gap_general(pop, x, x, inner_T=1000).inner_error_bound
     b4 = gap_general(pop, x, x, inner_T=4000).inner_error_bound
@@ -367,8 +365,6 @@ def test_max_loss_symmetric_saddle():
         components=(_distance_component([1.0, 0.0]), _distance_component([0.0, 1.0])),
     )
     obj = make_max_loss_objective(problem)
-    from dpsimplex.oracles import PopulationObjective
-
     pop = PopulationObjective(
         d_x=2, d_y=2, L0=obj.L0,
         value=lambda x, y: obj.value(x, y, 0),
@@ -389,6 +385,15 @@ def test_max_loss_composite_constants():
 
 
 # ---- quadratic testbed -----------------------------------------------------------
+
+
+def test_problems_refuse_an_l0_whose_square_underflows():
+    # the planners divide by L0**2: at 1.5e-154 it is still a normal float, at 1.5e-200 0
+    MatrixGame(np.full((2, 2), 1e-154), np.full((2, 2), 0.5e-154))
+    with pytest.raises(ValueError, match="L0 = 1.5e-200 is too small"):
+        MatrixGame(np.full((2, 2), 1e-200), np.full((2, 2), 0.5e-200))
+    with pytest.raises(ValueError, match="L0 = 2e-200 is too small"):
+        SeparableQuadratic(np.full(2, 1e-200), np.full(2, 0.5), np.zeros(2))
 
 
 def test_separable_quadratic_minimizer_and_range():

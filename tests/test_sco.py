@@ -252,7 +252,7 @@ def test_frozen_table_starts_over_at_a_new_batch_size():
                     [[-1.0, -1.0, -1.0, 1.0], [-1.0, -1.0, 1.0, 1.0]],  # and here -0.5 and 0
                     [[1.0, 1.0], [-1.0, -1.0]]):
         direct = base.batch_grad_xy_rows(W, partners, np.array(batches))[0]
-        assert np.array_equal(block.batch_grad_rows(W, batches), direct)
+        assert np.array_equal(block.batch_grad_rows(W, np.array(batches)), direct)
 
 
 def test_exact_run_checks_its_schedule(quad):

@@ -111,10 +111,11 @@ def reference_smd_vertex(obj, dataset, plan, rng):
         x_hat, y_hat = sparsify(x_t, plan.K, rng), sparsify(y_t, plan.K, rng)
         xi, yi = sample_vertex(x_t, rng), sample_vertex(y_t, rng)
         released.append(xi)
-        g = batch_gradient(obj, x_hat, y_hat, dataset.take(plan.B_batch))
+        g = batch_gradient(obj, x_hat.coords[None], y_hat.coords[None],
+                           dataset.take(plan.B_batch)[None])
         x_acc += np.eye(obj.d_x)[xi]
         y_acc += np.eye(obj.d_y)[yi]
-        xw, yw = mwu_step(xw, -g.g_x, plan.tau), mwu_step(yw, -g.g_y, plan.tau)
+        xw, yw = mwu_step(xw, -g.g_x[0], plan.tau), mwu_step(yw, -g.g_y[0], plan.tau)
     return SaddleSolution(x=SimplexPoint(x_acc / plan.T), y=SimplexPoint(y_acc / plan.T),
                           samples_used=plan.T * plan.B_batch, steps_run=plan.T,
                           vertex_draws=rng.vertex_draws - draws,
@@ -232,29 +233,28 @@ def test_vertex_solver_rejects_short_dataset():
 
 def test_baseline_single_step_returns_uniform():
     game = MatrixGame.random(3, 5, RngStream(14))
-    sol = solve_smd_nonprivate(game.population(), 1, 0.1)
+    sol = solve_smd_nonprivate(game.payoff, 1, 0.1)
     assert np.allclose(sol.x.coords, 1 / 3)
     assert np.allclose(sol.y.coords, 1 / 5)
 
 
 def test_baseline_matching_pennies():
     A = np.array([[1.0, -1.0], [-1.0, 1.0]])
-    pop = MatrixGame(A, np.zeros((2, 2))).population()
     T = 10**4
-    sol = solve_smd_nonprivate(pop, T, math.sqrt(2 * math.log(2) / T))
+    sol = solve_smd_nonprivate(A, T, math.sqrt(2 * math.log(2) / T))
     assert np.abs(sol.x.coords - 0.5).sum() <= 1e-2
     assert np.abs(sol.y.coords - 0.5).sum() <= 1e-2
 
 
 def test_baseline_gap_decreases_with_horizon():
     game = MatrixGame.random(20, 20, RngStream(15))
-    pop = game.population()
+    L0 = np.abs(game.payoff).max()
     ell = game.ell
     gaps = []
     for T in (256, 1024, 4096, 16384):
-        sol = solve_smd_nonprivate(pop, T, math.sqrt(ell / T) / pop.L0)
+        sol = solve_smd_nonprivate(game.payoff, T, math.sqrt(ell / T) / L0)
         gaps.append(exact_gap_bilinear(game.payoff, sol.x, sol.y).gap_estimate)
-        assert gaps[-1] <= 3 * pop.L0 * math.sqrt(ell / T)
+        assert gaps[-1] <= 3 * L0 * math.sqrt(ell / T)
     assert gaps[-1] < gaps[0]
 
 
