@@ -14,7 +14,8 @@ Subcommands
     byte-reproducible for a fixed config and master seed: rows
     are sorted by (n, trial) regardless of worker scheduling and the
     ``wall_time_ms`` column is written as 0 (real timings go to stderr) so
-    repeated runs produce identical files.
+    repeated runs produce identical files. At most ``--jobs`` (1 to ``MAX_JOBS``)
+    workers run, and no more than the grid has batches.
 
 ``verify --suite <name|all> --reps R --out report.json [--seed S]``
     Run the sparsification verification suites and write a JSON report with
@@ -100,6 +101,7 @@ EXIT_DATASET = 4
 EXIT_ORACLE = 5
 
 MAX_GRID_CELLS = 100_000  # (n, trial) cells are built before the first trial; shipped grids: 6
+MAX_JOBS = 64  # --jobs: worker processes, and never more than the grid has batches
 # trials of one n stepped as one batch: a batch holds this many dataset rows and
 # (trials, d) iterates at once, whatever the grid
 BATCH_TRIALS = 8
@@ -524,7 +526,7 @@ def _run_batch(run: _Run, n: int, trials: range) -> list[RunRecord]:
             risk = obj.population_value(sol.w_hat.coords) - obj.population_value(obj.a)
             metric, value, error_bound = "excess_risk", float(risk), 0.0
         else:
-            gap = exact_gap_bilinear(run.problem.payoff, sol.x, sol.y)
+            gap = exact_gap_bilinear(run.problem.payoff, sol.x.coords, sol.y.coords)
             metric, value, error_bound = "gap", gap.gap_estimate, gap.inner_error_bound
         records.append(RunRecord(
             trial=trial, n=n, algorithm=run.algorithm, mode=run.mode,
@@ -544,13 +546,16 @@ def _run_batch(run: _Run, n: int, trials: range) -> list[RunRecord]:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    if not 1 <= args.jobs <= MAX_JOBS:
+        raise ConfigError(f"--jobs must lie in [1, {MAX_JOBS}], got {args.jobs}")
     cfg = load_config(args.config)
     run, n_grid, trials = _parse_run(cfg, os.path.dirname(os.path.abspath(args.config)))
     batches = [(run, n, range(t, min(t + BATCH_TRIALS, trials)))
                for n in n_grid for t in range(0, trials, BATCH_TRIALS)]
     started = time.perf_counter()
-    if args.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    workers = min(args.jobs, len(batches))
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             done = list(pool.map(_run_batch, *zip(*batches)))
     else:
         done = [_run_batch(*batch) for batch in batches]
@@ -635,7 +640,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--out", required=True)
     p_run.add_argument("--jobs", type=int, default=1,
-                       help="trial-level worker processes (default: 1)")
+                       help=f"worker processes, 1 to {MAX_JOBS} (default: 1)")
     p_run.set_defaults(func=cmd_run)
 
     p_verify = sub.add_parser("verify", help="run sparsification verification suites")

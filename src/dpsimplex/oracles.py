@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DatasetError, OracleError
 from .rng import RngStream
-from .simplex import SimplexPoint, inverse_cdf, mean_one_hots, release_rows
+from .simplex import inverse_cdf, mean_one_hots, release_rows
 
 
 class PerSampleObjective:
@@ -65,8 +65,8 @@ class PerSampleObjective:
         """
         return lambda W, batches: free_block_rows(self, free, W, partners, batches)
 
-    def batch_value(self, x: np.ndarray, y: np.ndarray, zs) -> float:
-        """Mean value over the batch ``zs`` at ``(x, y)``."""
+    def batch_value(self, X: np.ndarray, Y: np.ndarray, zs) -> np.ndarray:
+        """(R,) array: row r is the mean value over the batch ``zs`` at ``(X[r], Y[r])``."""
         raise NotImplementedError
 
 
@@ -178,14 +178,14 @@ def batch_gradient(obj: PerSampleObjective, X, Y, batches) -> SaddleGradient:
 
 def bias_reduced_gradient(
     obj: PerSampleObjective,
-    x: SimplexPoint,
-    y: SimplexPoint,
+    x: np.ndarray,
+    y: np.ndarray,
     N: int,
     batch,
     tg: TruncGeom,
     rng: RngStream,
 ) -> SaddleGradient:
-    """Multilevel debiased saddle gradient at ``(x, y)``.
+    """Multilevel debiased saddle gradient at the (d,) points ``(x, y)``.
 
     Draws ``2^(N+1)`` iid vertex pairs from the product vertex distribution,
     forms the average over all of them and over the first ``2^N``, and returns
@@ -201,12 +201,12 @@ def bias_reduced_gradient(
     if len(batch) == 0:
         raise ValueError("gradient batch must be nonempty")
     half = 2**N
-    xs = release_rows(x.coords[None], 2 * half, [rng])
-    ys = release_rows(y.coords[None], 2 * half, [rng])
+    xs = release_rows(x[None], 2 * half, [rng])
+    ys = release_rows(y[None], 2 * half, [rng])
 
     counts = (2 * half, half, 1)  # one gradient call on all draws, the first half, the first draw
-    X = np.concatenate([mean_one_hots(xs[:, :k], x.dim) for k in counts])
-    Y = np.concatenate([mean_one_hots(ys[:, :k], y.dim) for k in counts])
+    X = np.concatenate([mean_one_hots(xs[:, :k], x.size) for k in counts])
+    Y = np.concatenate([mean_one_hots(ys[:, :k], y.size) for k in counts])
     (gx_plus, gx_minus, gx_first), (gy_plus, gy_minus, gy_first) = obj.batch_grad_xy_rows(
         X, Y, np.broadcast_to(batch, (3, len(batch))))
 

@@ -115,8 +115,9 @@ class BilinearObjective(PerSampleObjective):
             return M.T @ x
         return (self.A[i] + z * self.E[i]).T @ x[i]
 
-    def batch_value(self, x, y, zs):
-        return float(x @ self._matrix(np.mean(zs)) @ y)
+    def batch_value(self, X, Y, zs):
+        M = self._matrix(np.mean(zs))  # once per call: the rows share the batch
+        return np.array([x @ M @ y for x, y in zip(X, Y)])
 
     def frozen_grad_rows(self, free, partners):
         return _MeanKeyedRows(self, free, np.asarray(partners))
@@ -266,24 +267,31 @@ class GapReport:
     gap_estimate: float
     inner_error_bound: float
     method: str
+    rounding: float = 0.0  # bounds the float rounding of the estimate itself
 
     def __post_init__(self):
-        if self.gap_estimate < -self.inner_error_bound - 1e-12:
+        if self.gap_estimate < -self.inner_error_bound - self.rounding - 1e-12:
             raise OracleError(
                 f"gap estimate {self.gap_estimate} below -{self.inner_error_bound}; "
                 "the inner solver failed"
             )
 
 
-def exact_gap_bilinear(A: np.ndarray, x, y) -> GapReport:
+def exact_gap_bilinear(A: np.ndarray, x: np.ndarray, y: np.ndarray) -> GapReport:
     """Exact duality gap of a bilinear game: inner optima land on vertices."""
     A = np.asarray(A, dtype=np.float64)
-    x = x.coords if isinstance(x, SimplexPoint) else np.asarray(x, dtype=np.float64)
-    y = y.coords if isinstance(y, SimplexPoint) else np.asarray(y, dtype=np.float64)
     if A.shape != (x.size, y.size):
         raise ValueError(f"payoff shape {A.shape} does not match points ({x.size}, {y.size})")
     gap = float((A.T @ x).max() - (A @ y).min())
-    return GapReport(gap_estimate=gap, inner_error_bound=0.0, method="exact_bilinear")
+    # The allowance for rounding below 0. x'Ay lies between sum(x) min(Ay) and sum(y)
+    # max(A'x), so the exact gap is at least -|sum(x) - sum(y)| max|A| (0 at points that
+    # sum to one). A computed entry of A'x is a d_x-term dot product off by at most
+    # gamma_{d_x} sum(x) max|A| in any summation order (Higham 2002, 3.1; gamma_d =
+    # d u / (1 - d u), u = 2^-53), and Ay likewise; max, min and the monotone last rounding
+    # add nothing. gamma_d < d 2^-52, and the spare factor of 2 covers the allowance's rounding.
+    sx, sy = math.fsum(x), math.fsum(y)
+    rounding = max(A.max(), -A.min()) * (abs(sx - sy) + 2.0**-52 * (x.size * sx + y.size * sy))
+    return GapReport(gap, 0.0, "exact_bilinear", rounding)
 
 
 # --------------------------------------------------------------------------

@@ -26,8 +26,8 @@ from .errors import BudgetError
 from .oracles import Dataset, PerSampleObjective
 from .privacy import ScoPlan, audit_releases
 from .rng import RngStream
-from .simplex import (SimplexPoint, _point, mean_one_hots, mirror_descent, release_rows,
-                      running_average, sparsify)
+from .simplex import (SimplexPoint, mean_one_hots, mirror_descent, release_rows, running_average,
+                      sparsify)
 
 
 class ConvexObjective:
@@ -119,7 +119,7 @@ def solve_dp_sco(
         return (-g,)
 
     mirror_descent((dim,), rows, plan.tau, _rounds(plan.T, plan.q), step)
-    final = [SimplexPoint(w[r] if exact_iterates else sparsify(_point(w[r]), plan.K, rng).coords)
+    final = [SimplexPoint(w[r] if exact_iterates else sparsify(w[r], plan.K, rng))
              for r, rng in enumerate(rngs)]  # a fresh sparsification, checked at the boundary
     return ScoBatch(
         ScoSolution(

@@ -8,15 +8,17 @@ renormalizing after every step would drift and destroy that view.
 Every solver runs the one step loop, :func:`mirror_descent`, on raw float64
 arrays: each rule (:func:`to_point`, :func:`mwu_step`, :func:`running_average`)
 takes a (d,) vector or an (R, d) batch of iterates, and row by row a batch
-gives the bits of the 1-d form. :class:`SimplexPoint` checks the points callers
-build and the points solvers return; the loop builds none.
+gives the bits of the 1-d form. Points cross function boundaries inside the
+package as such arrays; :class:`SimplexPoint` checks only the points callers
+build and the points solvers return.
 
 Vertex draws, the bias-reduced level draw and ``verify`` all invert a CDF with
 one uniform per draw, through the package's one inversion, :func:`inverse_cdf`.
 Vertex uniforms come from :func:`vertex_uniforms`, which charges each one on the
 stream as a release. :func:`release_rows` and :func:`mean_one_hots` release from
-and sparsify an (R, d) block, row r on its own stream; :func:`sample_vertex` and
-:func:`sparsify` are the one-point forms, and :func:`inverse_cdf_rows` inverts a tape.
+and sparsify an (R, d) block, row r on its own stream, and :func:`inverse_cdf_rows`
+inverts every row of it (and of the vertex kernel's tape) in one call;
+:func:`sample_vertex` and :func:`sparsify` are the one-point forms.
 """
 from __future__ import annotations
 
@@ -37,9 +39,9 @@ class SimplexPoint:
     """A probability vector on the standard simplex.
 
     Coordinates are validated on construction (nonnegative, summing to one
-    within ``SIMPLEX_SUM_TOL``) and frozen read-only. Points that
-    :func:`sparsify` builds, and loop rows passed to a function that takes a
-    point, are valid by construction and skip the check.
+    within ``SIMPLEX_SUM_TOL``) and frozen read-only. A point is built where
+    it enters the package or a solution leaves a solver; inside, points are
+    plain float64 arrays.
     """
 
     coords: np.ndarray
@@ -59,10 +61,6 @@ class SimplexPoint:
         coords.flags.writeable = False
         object.__setattr__(self, "coords", coords)
 
-    @property
-    def dim(self) -> int:
-        return self.coords.size
-
     @classmethod
     def uniform(cls, dim: int) -> "SimplexPoint":
         return cls(np.full(dim, 1.0 / dim))
@@ -72,19 +70,6 @@ class SimplexPoint:
         e = np.zeros(dim)
         e[index] = 1.0
         return cls(e)
-
-
-def _point(coords: np.ndarray) -> SimplexPoint:
-    """``coords`` as a read-only point with no copy and no check.
-
-    Only for a float64 row this package just built that is valid by
-    construction (a :func:`to_point` row, a mean of one-hots, a running
-    average), handed to a function that takes a point.
-    """
-    coords.setflags(write=False)
-    p = object.__new__(SimplexPoint)
-    object.__setattr__(p, "coords", coords)
-    return p
 
 
 def to_point(logw: np.ndarray) -> np.ndarray:
@@ -219,32 +204,32 @@ def sample_vertex_indices(coords: np.ndarray, k: int, rng: RngStream) -> np.ndar
 
 
 def release_rows(points: np.ndarray, k: int, rngs: list[RngStream]) -> np.ndarray:
-    """(R, k) vertex indices: row r is ``sample_vertex_indices(points[r], k, rngs[r])``.
+    """(R, k) vertex indices: row r holds ``k`` iid draws from ``points[r]`` (R, d).
 
-    Each row draws and charges its ``k`` releases on its own stream, so a
-    stream gives the same draws in a block of (R, d) points as on its own.
+    Each row draws and charges its ``k`` uniforms on ``rngs[r]``
+    (:func:`vertex_uniforms`), so a stream gives the same draws in a block of
+    points as on its own; one :func:`inverse_cdf_rows` call inverts every row.
     """
-    out = np.empty((len(rngs), k), dtype=np.intp)
-    for r, rng in enumerate(rngs):
-        out[r] = sample_vertex_indices(points[r], k, rng)
-    return out
+    u = np.array([vertex_uniforms(rng, k) for rng in rngs])
+    return inverse_cdf_rows(points.cumsum(axis=1), u)
 
 
-def sample_vertex(x: SimplexPoint, rng: RngStream) -> int:
-    """Draw one vertex index i with probability ``x.coords[i]``."""
-    return int(sample_vertex_indices(x.coords, 1, rng)[0])
+def sample_vertex(x: np.ndarray, rng: RngStream) -> int:
+    """Draw one vertex index i with probability ``x[i]``."""
+    return int(sample_vertex_indices(x, 1, rng)[0])
 
 
-def sparsify(x: SimplexPoint, k: int, rng: RngStream) -> SimplexPoint:
-    """Average of ``k`` iid one-hot vertex draws from ``x``.
+def sparsify(x: np.ndarray, k: int, rng: RngStream) -> np.ndarray:
+    """Average of ``k`` iid one-hot vertex draws from ``x``, a new read-only (d,) array.
 
     The result has at most ``k`` nonzero coordinates, each a multiple of
     ``1/k``, and is unbiased for ``x``.
     """
     if k < 1:
         raise ValueError(f"sparsification needs at least one draw, got k={k}")
-    counts = np.bincount(sample_vertex_indices(x.coords, k, rng), minlength=x.dim)
-    return _point(counts / k)
+    s = np.bincount(sample_vertex_indices(x, k, rng), minlength=x.size) / k
+    s.setflags(write=False)
+    return s
 
 
 def running_average(w_prev: np.ndarray | None, x_t: np.ndarray, t: int) -> np.ndarray:

@@ -15,7 +15,8 @@ a violation raises :class:`~dpsimplex.errors.BudgetError` instead of a result.
 
 The saddle solvers run the package's one mirror-descent loop,
 :func:`~dpsimplex.simplex.mirror_descent`, on the x and y blocks; each
-supplies only its schedule and its per-step estimator. The trials of one n
+supplies only its schedule and its per-step estimator, on (d,) or (R, d) arrays;
+only a solution's points are checked, as they leave. The trials of one n
 share their plan and run as one batch (:func:`solve_smd_vertex_batch`) on one
 row dataset: their iterates step together as (R, d) raw arrays, each step
 takes one (R, B) batch, and each trial draws from a tape
@@ -24,6 +25,7 @@ batched trial releases the bytes it would release run on its own. Boosting's
 I*J inner convex solves per side share one plan and run as one
 :func:`~dpsimplex.sco.solve_dp_sco` batch: the rows of one
 :class:`~dpsimplex.sco.FrozenBlock`, one per solve, each reading its shard of one view.
+Boosting scores its candidates with one ``batch_value`` call per side.
 """
 from __future__ import annotations
 
@@ -54,7 +56,6 @@ from .rng import RngStream
 from .sco import FrozenBlock, solve_dp_sco
 from .simplex import (
     SimplexPoint,
-    _point,
     inverse_cdf_rows,
     mean_one_hots,
     mirror_descent,
@@ -221,7 +222,7 @@ def solve_smd_bias_reduced(
             yield N
 
     def step(N, x_t, y_t):
-        x, y = _point(x_t[0]), _point(y_t[0])
+        x, y = x_t[0], y_t[0]
         released.append(sample_vertex(x, rng))
         released.append(sample_vertex(y, rng))
         batch = dataset.take(_batch_size(N, plan.alpha))
@@ -290,13 +291,13 @@ def score_candidate_pairs(
 
     ``G_i = max_j F(x_i, y_table[i][j]) + max_j -F(x_table[i][j], y_i)``;
     swapping one holdout sample moves every score by at most ``4B/|holdout|``.
+    Each side is one ``batch_value`` call on the I*J rows (i, j), row i*J + j.
     """
-    scores = np.empty(len(pairs))
-    for i, (x_i, y_i) in enumerate(pairs):
-        best_y = max(obj.batch_value(x_i, yy, holdout) for yy in y_table[i])
-        best_x = max(-obj.batch_value(xx, y_i, holdout) for xx in x_table[i])
-        scores[i] = best_y + best_x
-    return scores
+    I, J = len(pairs), len(x_table[0])
+    X, Y = (np.repeat([p[side] for p in pairs], J, axis=0) for side in (0, 1))
+    best_y = obj.batch_value(X, np.reshape(y_table, (I * J, -1)), holdout)
+    best_x = -obj.batch_value(np.reshape(x_table, (I * J, -1)), Y, holdout)
+    return best_y.reshape(I, J).max(1) + best_x.reshape(I, J).max(1)
 
 
 def select_pair(

@@ -9,6 +9,8 @@ Nothing in ``dpsimplex`` reads this module. It holds what only the tests need:
 * a recorder of :func:`~dpsimplex.sco.solve_dp_sco`'s trajectory and the
   regret decomposition of the anytime conversion over it,
 * a finite-difference self-check of a per-sample objective,
+* boosting's candidate scores one pair and one table entry at a time, the loop
+  :func:`~dpsimplex.solvers.score_candidate_pairs` replaces,
 * the maximal-loss problem family, whose gradients come from
   :func:`per_sample_grad_rows`, the per-sample loop that vectorized batch
   gradients are checked against.
@@ -223,6 +225,17 @@ class SmokeReport:
     mc_slack: float
     freq_a: np.ndarray
     freq_b: np.ndarray
+
+
+def score_candidate_pairs_loop(obj: PerSampleObjective, holdout, pairs, x_table, y_table):
+    """:func:`~dpsimplex.solvers.score_candidate_pairs` one pair and one table entry per
+    ``batch_value`` call: ``max_j F(x_i, y_table[i][j]) + max_j -F(x_table[i][j], y_i)``."""
+    scores = np.empty(len(pairs))
+    for i, (x_i, y_i) in enumerate(pairs):
+        best_y = max(obj.batch_value(x_i[None], yy[None], holdout)[0] for yy in y_table[i])
+        best_x = max(-obj.batch_value(xx[None], y_i[None], holdout)[0] for xx in x_table[i])
+        scores[i] = best_y + best_x
+    return scores
 
 
 def first_release_distribution(

@@ -87,7 +87,7 @@ def test_criterion_3_nonprivate_baseline():
         L0 = np.abs(game.payoff).max()
         ell = game.ell
         sol = dps.solve_smd_nonprivate(game.payoff, T, math.sqrt(ell / T) / L0)
-        gap = dps.exact_gap_bilinear(game.payoff, sol.x, sol.y).gap_estimate
+        gap = dps.exact_gap_bilinear(game.payoff, sol.x.coords, sol.y.coords).gap_estimate
         bound = 3 * L0 * math.sqrt(ell / T)
         worst_margin = min(worst_margin, bound - gap)
         nash = nash_value_bruteforce(game.payoff)
@@ -125,7 +125,8 @@ def test_criterion_4_vertex_solver_scaling():
         for trial in range(10):
             data = game.sample_dataset(n, RngStream(1000).child("d", n, trial))
             sol = dps.solve_smd_vertex(obj, data, plan, RngStream(1000).child("s", n, trial))
-            gaps.append(dps.exact_gap_bilinear(game.payoff, sol.x, sol.y).gap_estimate)
+            gap = dps.exact_gap_bilinear(game.payoff, sol.x.coords, sol.y.coords)
+            gaps.append(gap.gap_estimate)
         medians.append(float(np.median(gaps)))
     decreasing = medians[0] > medians[1] > medians[2]
     r2 = _scaling_fit_r2(ns, medians, game.ell, eps, delta)

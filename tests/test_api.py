@@ -38,7 +38,7 @@ GONE = [
     "SmokeReport", "first_release_distribution", "_first_release_rows", "dp_smoke_first_vertex",
     "check_objective", "ComponentLoss", "MaxLossProblem", "MaxLossObjective",
     "make_max_loss_objective", "smoothed_max_bilinear", "make_synth_data_objective",
-    "_dense_average", "PopulationObjective", "population", "_mean_sign",
+    "_dense_average", "PopulationObjective", "population", "_mean_sign", "_point",
 ]
 
 # parameter lists of the solver API: no option that no caller sets, and one form each
@@ -53,6 +53,15 @@ SIGNATURES = {
     dpsimplex.SsmdPlan.validate: ["self"],
 }
 
+
+# functions that take points: inside the library a point is a (d,) or an (R, d) array
+POINT_PARAMETERS = {
+    dpsimplex.sample_vertex: ["x", "rng"],
+    dpsimplex.sparsify: ["x", "k", "rng"],
+    dpsimplex.bias_reduced_gradient: ["obj", "x", "y", "N", "batch", "tg", "rng"],
+    dpsimplex.exact_gap_bilinear: ["A", "x", "y"],
+    PerSampleObjective.batch_value: ["self", "X", "Y", "zs"],
+}
 
 def test_public_names_are_pinned():
     assert len(PUBLIC) == 57
@@ -78,6 +87,13 @@ def test_solver_api_parameters_are_pinned(fn):
     assert list(inspect.signature(fn).parameters) == SIGNATURES[fn]
 
 
+@pytest.mark.parametrize("fn", list(POINT_PARAMETERS), ids=lambda fn: fn.__qualname__)
+def test_point_parameters_are_arrays(fn):
+    params = inspect.signature(fn).parameters
+    assert list(params) == POINT_PARAMETERS[fn]
+    points = [p for name, p in params.items() if name in ("x", "y", "X", "Y")]
+    assert points and all(p.annotation == "np.ndarray" for p in points)
+
 def test_synth_problem_fields_are_pinned():
     assert list(dpsimplex.SynthDataProblem.__dataclass_fields__) == ["queries", "data",
                                                                        "true_dist"]
@@ -90,4 +106,4 @@ def test_saddle_objective_has_no_per_sample_defaults():
     with pytest.raises(NotImplementedError):
         obj.batch_grad_xy_rows(x, x, np.array([[1.0]]))
     with pytest.raises(NotImplementedError):
-        obj.batch_value(x[0], x[0], np.array([1.0]))
+        obj.batch_value(x, x, np.array([1.0]))

@@ -1,3 +1,4 @@
+import concurrent.futures
 import contextlib
 import csv
 import dataclasses
@@ -73,6 +74,50 @@ def test_run_parallel_jobs_match_serial(tmp_path):
     assert main(["run", "--config", str(cfg), "--out", str(serial)]) == EXIT_OK
     assert main(["run", "--config", str(cfg), "--out", str(parallel), "--jobs", "2"]) == EXIT_OK
     assert serial.read_bytes() == parallel.read_bytes()
+
+
+@pytest.mark.parametrize("jobs", [0, -1, cli.MAX_JOBS + 1])
+def test_run_rejects_jobs_out_of_range_before_any_batch(tmp_path, capsys, monkeypatch, jobs):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a worker or a batch started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", unreachable)
+    monkeypatch.setattr(cli, "_run_batch", unreachable)
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg)
+    out = tmp_path / "out.csv"
+    argv = ["run", "--config", str(cfg), "--out", str(out), "--jobs", str(jobs)]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "--jobs" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n_grid, workers", [([500], []), ([500, 1500], [2])])
+def test_run_starts_no_more_workers_than_batches(tmp_path, monkeypatch, n_grid, workers):
+    started = []
+
+    class InProcessPool:  # records its worker count and starts none
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, n_grid=n_grid)  # one batch per n
+    serial, pooled = tmp_path / "s.csv", tmp_path / "p.csv"
+    assert main(["run", "--config", str(cfg), "--out", str(serial)]) == EXIT_OK
+    assert main(["run", "--config", str(cfg), "--out", str(pooled),
+                 "--jobs", str(cli.MAX_JOBS)]) == EXIT_OK
+    assert started == workers
+    assert serial.read_bytes() == pooled.read_bytes()
 
 
 def test_run_bytes_do_not_depend_on_the_batch_split(tmp_path, monkeypatch):
@@ -430,6 +475,22 @@ def test_step_size_underflow_exits_3(tmp_path, capsys, make_doc):
     assert err.startswith("budget error:") and "Traceback" not in err
     assert "step size underflowed" in err and "L0=1e+154" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("scale, seed", [(1e5, 0), (1e7, 2)])
+def test_large_constant_payoff_runs_to_a_csv(tmp_path, capsys, scale, seed):
+    # the exact gap's two mat-vecs round by about max|A| 2^-52; the rounding of a
+    # large-scale game's gap below 0 is no failed inner solver
+    doc = json.loads((REPO / "configs" / "quickstart.json").read_text())
+    doc["problem"].update(payoff=[[scale] * 20] * 20, noise_scale=0.0)
+    doc["master_seed"] = seed
+    cfg = tmp_path / "case.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "o.csv"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    assert "Traceback" not in capsys.readouterr().err
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    assert len(rows) == 6 and {row["inner_error_bound"] for row in rows} == {"0.0"}
 
 
 @pytest.mark.parametrize("value,accepted", [(2.0, True), (True, False), ("2", False)])

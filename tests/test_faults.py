@@ -177,6 +177,20 @@ def guide_search_shifted_one_index(monkeypatch):
         guide_search(cdf, u, table) + 1, cdf.shape[0] - 1))
 
 
+def release_rows_shifted_one_index(monkeypatch):
+    """``release_rows`` returns the vertex after each one it draws (clamped at d - 1)."""
+    release_rows = simplex.release_rows
+    monkeypatch.setattr(simplex, "release_rows", lambda points, k, rngs: np.minimum(
+        release_rows(points, k, rngs) + 1, points.shape[1] - 1))
+
+
+def release_rows_ignores_its_point(monkeypatch):
+    """``release_rows`` draws each row's vertices uniformly, whatever its point."""
+    release_rows = simplex.release_rows
+    monkeypatch.setattr(simplex, "release_rows", lambda points, k, rngs: release_rows(
+        np.full(points.shape, 1.0 / points.shape[1]), k, rngs))
+
+
 def block_walk_drops_final_partial_block(monkeypatch):
     """verify's row-block walk stops before a final block shorter than ``BLOCK_ROWS``."""
     blocks = verify._blocks
@@ -270,6 +284,14 @@ FAULTS = {
     "inverse_cdf_guide_shifted_one_index": (
         guide_search_shifted_one_index,
         lambda request: test_verify.test_sparsified_means_are_unbiased_and_sum_to_one(),
+    ),
+    "release_rows_shifted_one_index": (
+        release_rows_shifted_one_index,
+        lambda request: test_simplex.test_release_rows_fit_their_points(1000),
+    ),
+    "release_rows_ignores_its_point": (
+        release_rows_ignores_its_point,
+        lambda request: test_simplex.test_release_rows_fit_their_points(simplex.GUIDE_BUCKETS),
     ),
     "verify_block_walk_drops_final_partial_block": (
         block_walk_drops_final_partial_block,

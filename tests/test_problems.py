@@ -8,6 +8,7 @@ from dpsimplex.privacy import PrivacyParams
 from dpsimplex.problems import (
     _GATHER_MIN_ENTRIES,
     BilinearObjective,
+    GapReport,
     MatrixGame,
     SeparableQuadratic,
     SynthDataObjective,
@@ -188,12 +189,12 @@ def test_gradient_rows_keep_a_subclass_override():
 
 def test_exact_gap_equilibrium_is_zero():
     A = np.array([[1.0, 0.0], [0.0, 1.0]])
-    assert exact_gap_bilinear(A, point(0.5, 0.5), point(0.5, 0.5)).gap_estimate == 0.0
+    assert exact_gap_bilinear(A, point(0.5, 0.5).coords, point(0.5, 0.5).coords).gap_estimate == 0.0
 
 
 def test_exact_gap_hand_value():
     A = np.array([[1.0, 0.0], [0.0, 1.0]])
-    rep = exact_gap_bilinear(A, point(0.5, 0.5), point(1.0, 0.0))
+    rep = exact_gap_bilinear(A, point(0.5, 0.5).coords, point(1.0, 0.0).coords)
     assert rep.gap_estimate == pytest.approx(0.5)
     assert rep.inner_error_bound == 0.0
 
@@ -208,9 +209,31 @@ def test_exact_gap_nonnegative_property():
         assert exact_gap_bilinear(A, x, y).gap_estimate >= -1e-12
 
 
+@given(exponent=st.floats(0.0, 11.0), d_x=st.integers(1, 40), d_y=st.integers(1, 40),
+       seed=st.integers(0, 2**32 - 1), constant=st.booleans())
+@settings(derandomize=True, max_examples=400, deadline=None)
+def test_exact_gap_accepts_its_rounding_at_every_scale(exponent, d_x, d_y, seed, constant):
+    # the gap is >= 0 in exact arithmetic; the computed one may round below 0 by an
+    # amount that grows with max|A|, which is no failed inner solver
+    gen = np.random.default_rng(seed)
+    scale = 10.0**exponent
+    A = np.full((d_x, d_y), scale) if constant else gen.uniform(-scale, scale, (d_x, d_y))
+    rep = exact_gap_bilinear(A, gen.dirichlet(np.ones(d_x)), gen.dirichlet(np.ones(d_y)))
+    assert rep.inner_error_bound == 0.0
+    assert rep.gap_estimate >= -rep.rounding - 1e-12
+
+
+def test_gap_report_still_refuses_a_negative_gap_beyond_its_bounds():
+    with pytest.raises(OracleError):
+        GapReport(gap_estimate=-1.0, inner_error_bound=0.0, method="exact_bilinear")
+    with pytest.raises(OracleError):
+        GapReport(gap_estimate=-1.0, inner_error_bound=0.25, method="exact_bilinear",
+                  rounding=0.5)
+
+
 def test_exact_gap_shape_mismatch():
     with pytest.raises(ValueError):
-        exact_gap_bilinear(np.eye(3), point(0.5, 0.5), point(0.5, 0.5))
+        exact_gap_bilinear(np.eye(3), point(0.5, 0.5).coords, point(0.5, 0.5).coords)
 
 
 # ---- generic gap estimator ----------------------------------------------------

@@ -104,7 +104,7 @@ def test_average_drift_violation_raises_budget_error(quad, monkeypatch):
     import dpsimplex.sco as sco
 
     monkeypatch.setattr(sco, "running_average",
-                        lambda w_prev, x_t, t: SimplexPoint.vertex(x_t.size, t % 2).coords)
+                        lambda w_prev, x_t, t: SimplexPoint.vertex(x_t.size, t % 2).coords[None])
     n = 800
     plan = manual_plan(quad, n, T=25, q=5, K=2)
     with pytest.raises(BudgetError):

@@ -19,6 +19,7 @@ from dpsimplex.simplex import (
     sparsify,
     to_point,
 )
+from dpsimplex.solvers import _tape
 
 
 def coords(*values):
@@ -145,7 +146,7 @@ def test_loop_built_points_pass_the_public_check(logw, k, t):
     # to_point, sparsify and running_average skip validation; what they build
     # must still pass it
     x = to_point(np.array(logw))
-    s = sparsify(SimplexPoint(x), k, RngStream(k)).coords
+    s = sparsify(x, k, RngStream(k))
     for p in (x, s, running_average(x, s, t)):
         assert np.array_equal(SimplexPoint(p).coords, p)
 
@@ -153,7 +154,7 @@ def test_loop_built_points_pass_the_public_check(logw, k, t):
 def test_loop_built_objects_are_read_only():
     w = mwu_step(np.zeros(3), coords(0.1, 0.2, 0.3))
     x = to_point(w)
-    s = sparsify(SimplexPoint(x), 4, RngStream(8)).coords
+    s = sparsify(x, 4, RngStream(8))
     for arr in (w, x, s, running_average(x, s, 2)):
         with pytest.raises(ValueError):
             arr[0] = 0.5
@@ -168,7 +169,7 @@ def test_running_average_rejects_mismatched_dimensions():
 
 
 def test_sample_vertex_degenerate():
-    x = SimplexPoint(coords(1.0, 0.0, 0.0))
+    x = coords(1.0, 0.0, 0.0)
     rng = RngStream(0)
     assert all(sample_vertex(x, rng) == 0 for _ in range(50))
 
@@ -265,25 +266,25 @@ def test_vertex_uniforms_charge_what_they_draw():
 
 
 def test_sparsify_point_mass():
-    x = SimplexPoint(coords(1.0, 0.0))
+    x = coords(1.0, 0.0)
     for k in (1, 3, 10):
-        assert np.array_equal(sparsify(x, k, RngStream(3)).coords, coords(1.0, 0.0))
+        assert np.array_equal(sparsify(x, k, RngStream(3)), coords(1.0, 0.0))
 
 
 def test_sparsify_rejects_zero_draws():
     with pytest.raises(ValueError):
-        sparsify(SimplexPoint(coords(1.0, 0.0)), 0, RngStream(0))
+        sparsify(coords(1.0, 0.0), 0, RngStream(0))
 
 
 def test_sparsify_exact_binomial_distribution():
     # K=2 fair coin: counts of index 0 are Binomial(2, 1/2),
     # so the three outcomes (1,0) / (.5,.5) / (0,1) have probs (1/4, 1/2, 1/4)
     rng = RngStream(4)
-    x = SimplexPoint(coords(0.5, 0.5))
+    x = coords(0.5, 0.5)
     reps = 10**5
     outcomes = np.zeros(3)
     for _ in range(reps):
-        first = sparsify(x, 2, rng).coords[0]
+        first = sparsify(x, 2, rng)[0]
         outcomes[int(first * 2)] += 1
     freqs = outcomes / reps
     for freq, p in zip(freqs, [0.25, 0.5, 0.25]):
@@ -292,22 +293,22 @@ def test_sparsify_exact_binomial_distribution():
 
 def test_sparsify_unbiased_mean():
     rng = RngStream(5)
-    x = SimplexPoint(coords(0.3, 0.7))
+    x = coords(0.3, 0.7)
     reps = 10**5
     total = np.zeros(2)
     for _ in range(reps):
-        total += sparsify(x, 5, rng).coords
-    assert np.allclose(total / reps, x.coords, atol=0.005)
+        total += sparsify(x, 5, rng)
+    assert np.allclose(total / reps, x, atol=0.005)
 
 
 @given(k=st.integers(1, 20))
 @settings(max_examples=50, deadline=None)
 def test_sparsify_support_is_multiples_of_inverse_k(k):
-    x = SimplexPoint(coords(0.1, 0.2, 0.3, 0.4))
+    x = coords(0.1, 0.2, 0.3, 0.4)
     s = sparsify(x, k, RngStream(6))
-    counts = s.coords * k
+    counts = s * k
     assert np.allclose(counts, np.round(counts))
-    assert np.count_nonzero(s.coords) <= k
+    assert np.count_nonzero(s) <= k
 
 
 # ---- running average ------------------------------------------------------------
@@ -358,3 +359,62 @@ def test_release_rows_equal_row_by_row_draws(rows, k):
         assert np.array_equal(released[r], sample_vertex_indices(points[r], k, own))
         assert stream.vertex_draws == own.vertex_draws == k
         assert stream.gen.random() == own.gen.random()  # the streams end at the same draw
+
+
+# ---- goodness of fit of the release path ---------------------------------------------
+
+CHI2_TAIL = math.log(1e6)  # a correct sampler exceeds the bound with probability <= 1e-6
+CHI2_ALLOWANCE = 1.25  # Pearson's statistic is chi-square only as the expected counts grow
+
+
+def chi2_bound(df: int) -> float:
+    """Laurent & Massart (2000), Lemma 1: a chi-square X with ``df`` degrees of freedom has
+    P(X - df >= 2 sqrt(df x) + 2x) <= e^-x; at x = CHI2_TAIL, times CHI2_ALLOWANCE."""
+    return CHI2_ALLOWANCE * (df + 2.0 * math.sqrt(df * CHI2_TAIL) + 2.0 * CHI2_TAIL)
+
+
+def pooled_pearson(indices: np.ndarray, points: np.ndarray) -> tuple[float, int]:
+    """Pearson's statistic of row r's draws ``indices[r]`` against k * ``points[r]``, summed
+    over the rows, and its degrees of freedom (every point has full support)."""
+    rows, k = indices.shape
+    counts = np.stack([np.bincount(row, minlength=points.shape[1]) for row in indices])
+    expected = k * points
+    return float(((counts - expected) ** 2 / expected).sum()), rows * (points.shape[1] - 1)
+
+
+def fit_points(rows=6, d=30):
+    # half uniform, half Dirichlet: every entry is at least 1/(2d), so at k = 1000 draws each
+    # expected count is at least 16, and the guide table's span is 1
+    return 0.5 / d + 0.5 * np.random.default_rng([rows, d]).dirichlet(np.ones(d), size=rows)
+
+
+def test_chi2_bound_is_a_tail_bound():
+    for df in (29, 174, 1000, 10_000):
+        bound = chi2_bound(df) / CHI2_ALLOWANCE
+        assert stats.chi2.sf(bound, df) <= math.exp(-CHI2_TAIL)
+
+
+@pytest.mark.parametrize("k", [1000, GUIDE_BUCKETS])  # the searchsorted path, the guide table
+def test_release_rows_fit_their_points(k):
+    points = fit_points()
+    if k >= GUIDE_BUCKETS:  # every row's draws take inverse_cdf's guide-table branch
+        assert all(simplex._guide_table(p.cumsum())[1] <= (30).bit_length() for p in points)
+    released = simplex.release_rows(points, k, [RngStream(150, r) for r in range(len(points))])
+    stat, df = pooled_pearson(released, points)
+    assert stat <= chi2_bound(df)
+
+
+@pytest.mark.parametrize("steps_per_call", [1, 1024])  # 4 draws a call, then 4096 a call
+def test_kernel_tape_draws_fit_their_points(steps_per_call):
+    # the vertex kernel's draws at K = 1: a tape of 4 uniforms per row and step, in the
+    # kernel's order, inverted on each row's CDF
+    points, steps = fit_points(), 1024
+    tape = list(_tape([RngStream(151, r) for r in range(len(points))], steps,
+                      np.r_[0:1, 2, 1:2, 3]))
+    cdf = points.cumsum(axis=1)
+    released = np.concatenate([
+        simplex.inverse_cdf_rows(cdf, np.concatenate(tape[s : s + steps_per_call], axis=1))
+        for s in range(0, steps, steps_per_call)], axis=1)
+    assert released.shape == (len(points), 4 * steps)
+    stat, df = pooled_pearson(released, points)
+    assert stat <= chi2_bound(df)

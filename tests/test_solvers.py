@@ -42,6 +42,7 @@ from dpsimplex.solvers import (
     solve_smd_vertex,
     solve_smd_vertex_batch,
 )
+from reference import score_candidate_pairs_loop
 
 
 def small_plan(n, T, K, L0, eps=1.0, delta=1e-5, mode="quadratic"):
@@ -107,12 +108,11 @@ def reference_smd_vertex(obj, dataset, plan, rng):
     x_acc, y_acc = np.zeros(obj.d_x), np.zeros(obj.d_y)
     draws, released = rng.vertex_draws, []
     for _ in range(plan.T):
-        x_t, y_t = SimplexPoint(to_point(xw)), SimplexPoint(to_point(yw))
+        x_t, y_t = to_point(xw), to_point(yw)
         x_hat, y_hat = sparsify(x_t, plan.K, rng), sparsify(y_t, plan.K, rng)
         xi, yi = sample_vertex(x_t, rng), sample_vertex(y_t, rng)
         released.append(xi)
-        g = batch_gradient(obj, x_hat.coords[None], y_hat.coords[None],
-                           dataset.take(plan.B_batch)[None])
+        g = batch_gradient(obj, x_hat[None], y_hat[None], dataset.take(plan.B_batch)[None])
         x_acc += np.eye(obj.d_x)[xi]
         y_acc += np.eye(obj.d_y)[yi]
         xw, yw = mwu_step(xw, -g.g_x[0], plan.tau), mwu_step(yw, -g.g_y[0], plan.tau)
@@ -253,7 +253,7 @@ def test_baseline_gap_decreases_with_horizon():
     gaps = []
     for T in (256, 1024, 4096, 16384):
         sol = solve_smd_nonprivate(game.payoff, T, math.sqrt(ell / T) / L0)
-        gaps.append(exact_gap_bilinear(game.payoff, sol.x, sol.y).gap_estimate)
+        gaps.append(exact_gap_bilinear(game.payoff, sol.x.coords, sol.y.coords).gap_estimate)
         assert gaps[-1] <= 3 * L0 * math.sqrt(ell / T)
     assert gaps[-1] < gaps[0]
 
@@ -414,6 +414,38 @@ def test_score_sensitivity_bound():
         neighbor[int(gen.integers(200))] *= -1
         moved = score_candidate_pairs(obj, neighbor, pairs, table, table)
         assert np.abs(moved - base).max() <= 4 * obj.B / 200 + 1e-12
+
+
+@pytest.mark.parametrize("I, J", [(1, 1), (4, 3), (3, 7)])
+def test_scores_equal_the_per_pair_loop_bit_for_bit(I, J):
+    game = MatrixGame.random(7, 5, RngStream(31).child(I, J))
+    gen = RngStream(32).gen
+    holdout = (gen.integers(0, 2, size=501) * 2 - 1).astype(float)
+    pairs = [(gen.dirichlet(np.ones(7)), gen.dirichlet(np.ones(5))) for _ in range(I)]
+    x_table = [[gen.dirichlet(np.ones(7)) for _ in range(J)] for _ in range(I)]
+    y_table = [[gen.dirichlet(np.ones(5)) for _ in range(J)] for _ in range(I)]
+    args = game.objective(), holdout, pairs, x_table, y_table
+    assert score_candidate_pairs(*args).tobytes() == score_candidate_pairs_loop(*args).tobytes()
+
+
+def test_boosted_scores_each_side_in_one_value_call(monkeypatch):
+    # the I*J table entries of a side share the holdout: one batch_value call per side
+    calls, scored = [], []
+    value, score = BilinearObjective.batch_value, solvers.score_candidate_pairs
+    monkeypatch.setattr(BilinearObjective, "batch_value",
+                        lambda self, X, Y, zs: calls.append(len(X)) or value(self, X, Y, zs))
+
+    def recorded(*args):
+        scored.append((args, score(*args)))
+        return scored[-1][1]
+
+    monkeypatch.setattr(solvers, "score_candidate_pairs", recorded)
+    game = MatrixGame.random(5, 5, RngStream(23))
+    solve_boosted(game.objective(), game.sample_dataset(32_000, RngStream(24)), I=2, J=3,
+                  privacy=PrivacyParams(2.0, 1e-4), rng=RngStream(25))
+    assert calls == [6, 6]
+    (args, scores), = scored
+    assert scores.tobytes() == score_candidate_pairs_loop(*args).tobytes()
 
 
 def test_selection_prefers_planted_low_score():
