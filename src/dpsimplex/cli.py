@@ -8,14 +8,14 @@ Subcommands
     synthesize the dataset, plan the schedule (or take explicit overrides,
     which the solver validates), run the solver, evaluate, and append one CSV
     row. The trials of one n run as one batch of at most ``BATCH_TRIALS``,
-    for every ``--jobs`` value; ``smd_vertex`` steps a batch together, each
-    trial drawing from a tape on its own stream that charges its draws there,
-    and releases the bytes its trials would release one by one. Output is
-    byte-reproducible for a fixed config and master seed: rows
-    are sorted by (n, trial) regardless of worker scheduling and the
-    ``wall_time_ms`` column is written as 0 (real timings go to stderr) so
-    repeated runs produce identical files. At most ``--jobs`` (1 to ``MAX_JOBS``)
-    workers run, and no more than the grid has batches.
+    for every ``--jobs`` value; ``smd_vertex`` and ``dp_sco`` step a batch
+    together in one solver call, each trial drawing on its own stream, which
+    is charged for its draws, and release the bytes their trials would release
+    one by one. Output is byte-reproducible for a fixed config and master
+    seed: rows are sorted by (n, trial) regardless of worker scheduling and
+    the ``wall_time_ms`` column is written as 0 (real timings go to stderr) so
+    repeated runs produce identical files. At most ``--jobs`` (1 to
+    ``MAX_JOBS``) workers run, and no more than the grid has batches.
 
 ``verify --suite <name|all> --reps R --out report.json [--seed S]``
     Run the sparsification verification suites and write a JSON report with
@@ -102,6 +102,7 @@ EXIT_ORACLE = 5
 
 MAX_GRID_CELLS = 100_000  # (n, trial) cells are built before the first trial; shipped grids: 6
 MAX_JOBS = 64  # --jobs: worker processes, and never more than the grid has batches
+MAX_NONPRIVATE_STEPS = 10**6  # nonprivate_smd's T, which no sample budget caps (5 x 5: 21.6 s)
 # trials of one n stepped as one batch: a batch holds this many dataset rows and
 # (trials, d) iterates at once, whatever the grid
 BATCH_TRIALS = 8
@@ -335,7 +336,8 @@ def _overrides(algorithm: str, ov: dict) -> dict:
     """The schedule fields ``ov`` sets, each converted to its field's type.
 
     The run supplies a plan's budget, mode, ``L0``, ``n`` and batch size; its
-    ``C`` and ``ell`` are optional. Keys no schedule field reads are ignored.
+    ``C`` and ``ell`` are optional. Keys no schedule field reads are ignored, and
+    an integer field takes values below 2^63, as ``n_grid`` does.
     """
     if not ov:
         return {}
@@ -350,8 +352,12 @@ def _overrides(algorithm: str, ov: dict) -> dict:
         missing = [k for k in types if k not in ov and k not in ("C", "ell")]
         if missing:
             raise ConfigError(f"overrides for {algorithm} are missing {missing}")
-    return {key: _number(int if types[key] == "int" else float, value, f"overrides.{key}")
-            for key, value in ov.items() if key in types}
+    parsed = {key: _number(int if types[key] == "int" else float, value, f"overrides.{key}")
+              for key, value in ov.items() if key in types}
+    big = [key for key, value in parsed.items() if isinstance(value, int) and value >= 2**63]
+    if big:
+        raise ConfigError(f"overrides {big} must lie below 2^63")
+    return parsed
 
 
 def _boosting(boost: dict) -> tuple[int, int]:
@@ -370,8 +376,8 @@ def _nonprivate_schedule(game: MatrixGame, ov: dict) -> dict:
     """``nonprivate_smd``'s checked T and tau: the overrides', else T = 10^4 and
     ``tau = sqrt(ell / T) / L0``."""
     T = ov.get("T", 10_000)
-    if T < 1:
-        raise ConfigError(f"nonprivate_smd needs T >= 1, got {T}")
+    if not 1 <= T <= MAX_NONPRIVATE_STEPS:
+        raise ConfigError(f"nonprivate_smd needs T in [1, {MAX_NONPRIVATE_STEPS}], got {T}")
     tau = ov["tau"] if "tau" in ov else math.sqrt(game.ell / T) / game.objective().L0
     if not (math.isfinite(tau) and tau > 0):
         raise ConfigError(f"nonprivate_smd needs a positive finite tau, got {tau}")
@@ -456,15 +462,19 @@ def _plan_json(plan) -> str:
     return json.dumps(dataclasses.asdict(plan), sort_keys=True)
 
 
+def _trial_inputs(problem, n: int, streams: list[RngStream]) -> tuple[Dataset, list]:
+    """A batch's row Dataset, row r the n samples trial r draws, and its solve streams."""
+    data = np.array([problem.sample_dataset(n, s.child("data")).take(n) for s in streams])
+    return Dataset(data), [s.child("solve") for s in streams]
+
+
 def _run_smd_vertex(run: _Run, n: int, streams: list[RngStream]):
     game, p = run.problem, run.privacy
     obj = game.objective()
     plan = _plan(run, n, obj.L0, lambda: plan_vertex_smd(
         n, p.epsilon, p.delta, obj.L0, obj.L1, obj.L2, game.ell, run.mode))
-    data = Dataset(np.array([game.sample_dataset(n, stream.child("data")).take(n)
-                             for stream in streams]))  # row r: trial r's samples
-    sols = solve_smd_vertex_batch(obj, data, plan, [stream.child("solve") for stream in streams])
-    return [(sol, _plan_json(plan)) for sol in sols]
+    data, rngs = _trial_inputs(game, n, streams)
+    return [(sol, _plan_json(plan)) for sol in solve_smd_vertex_batch(obj, data, plan, rngs)]
 
 
 def _run_bias_reduced(run: _Run, n: int, stream: RngStream):
@@ -489,12 +499,12 @@ def _run_nonprivate(run: _Run, n: int, streams: list[RngStream]):
     return [(sol, json.dumps(run.overrides, sort_keys=True))] * len(streams)
 
 
-def _run_dp_sco(run: _Run, n: int, stream: RngStream):
+def _run_dp_sco(run: _Run, n: int, streams: list[RngStream]):
     obj, p = run.problem, run.privacy
     plan = _plan(run, n, obj.L0, lambda: plan_anytime_sco(
         n, p.epsilon, p.delta, obj.L0, obj.L1, obj.L2, math.log(obj.dim), run.mode))
-    data = obj.sample_dataset(n, stream.child("data"))
-    return solve_dp_sco(obj, data, plan, [stream.child("solve")])[0], _plan_json(plan)
+    data, rngs = _trial_inputs(obj, n, streams)
+    return [(sol, _plan_json(plan)) for sol in solve_dp_sco(obj, data, plan, rngs)]
 
 
 def _each_trial(runner):
@@ -509,7 +519,7 @@ ALGORITHMS = {
     "smd_vertex": ("matrix_game", SsmdPlan, _run_smd_vertex),
     "smd_bias_reduced": ("matrix_game", BrPlan, _each_trial(_run_bias_reduced)),
     "boosted": ("matrix_game", None, _each_trial(_run_boosted)),
-    "dp_sco": ("quadratic_sco", ScoPlan, _each_trial(_run_dp_sco)),
+    "dp_sco": ("quadratic_sco", ScoPlan, _run_dp_sco),
     "nonprivate_smd": ("matrix_game", None, _run_nonprivate),
 }
 

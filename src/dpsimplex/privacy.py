@@ -208,6 +208,9 @@ class BrPlan:
         _require_positive(U=self.U, alpha=self.alpha, tau=self.tau)
         if self.M < 0:
             raise BudgetError(f"truncation level must be >= 0, got {self.M}")
+        if self.M > math.log2(self.U):  # checked before anything computes 2.0**M
+            raise BudgetError(f"truncation level {self.M}: 2^M exceeds the stopping weight "
+                              f"U = {self.U}")
         cap = max_stop_weight_bias_reduced(self.epsilon, self.delta, self.tau, self.alpha, self.L0)
         if self.U > cap * _REL_TOL:
             raise BudgetError(f"stopping weight {self.U} exceeds privacy cap {cap}")
@@ -231,15 +234,13 @@ class ScoPlan:
     L0: float
     n: int
 
-    def validate(self, privacy: bool = True) -> None:
-        """Check the schedule and, with ``privacy``, the step size against its privacy caps."""
+    def validate(self) -> None:
+        """Check the schedule and the step size against its privacy and drift caps."""
         _require_positive(T=self.T, tau=self.tau, K=self.K, q=self.q, B_batch=self.B_batch)
         if self.T * self.B_batch > self.n:
             raise BudgetError(
                 f"schedule consumes {self.T * self.B_batch} samples but only {self.n} exist"
             )
-        if not privacy:
-            return
         cap = max_step_anytime_sco(
             self.B_batch, self.epsilon, self.delta, self.L0, self.T, self.K, self.q
         )

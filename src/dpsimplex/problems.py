@@ -272,8 +272,8 @@ class GapReport:
     def __post_init__(self):
         if self.gap_estimate < -self.inner_error_bound - self.rounding - 1e-12:
             raise OracleError(
-                f"gap estimate {self.gap_estimate} below -{self.inner_error_bound}; "
-                "the inner solver failed"
+                f"gap estimate {self.gap_estimate} is below -{self.inner_error_bound} (error "
+                f"bound) - {self.rounding} (rounding allowance)"
             )
 
 

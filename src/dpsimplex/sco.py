@@ -76,7 +76,6 @@ def solve_dp_sco(
     dataset: Dataset,
     plan: ScoPlan,
     rngs: list[RngStream],
-    exact_iterates: bool = False,
 ) -> ScoBatch:
     """Anytime mirror descent with a round-cached sparsified average, one run per row.
 
@@ -89,15 +88,12 @@ def solve_dp_sco(
     The sparsified surrogates are redrawn with K vertex draws per row on steps
     ``t <= q`` and on multiples of ``q`` (step q counts once) and reused in
     between; a row returns a fresh K-draw sparsification of its final average.
-    ``exact_iterates=True`` replaces all sampling with the identity, reducing
-    the method to exact anytime mirror descent; such a run releases no
-    vertices, so its plan's privacy caps are not enforced (its schedule is).
     """
     rows = dataset.rows
     if not rows or len(rngs) != rows or obj.rows not in (None, rows):
         raise ValueError("need one dataset row and stream per row of the objective")
     dim = obj.dim
-    plan.validate(privacy=not exact_iterates)
+    plan.validate()
     if dataset.remaining < plan.T * plan.B_batch:
         raise BudgetError(f"plan needs {plan.T * plan.B_batch} fresh samples, "
                           f"dataset has {dataset.remaining}")
@@ -113,13 +109,13 @@ def solve_dp_sco(
             _check_drift(w_next, w, t)
         w = w_next
         if refresh:
-            w_hat = w if exact_iterates else mean_one_hots(release_rows(w, plan.K, rngs), dim)
+            w_hat = mean_one_hots(release_rows(w, plan.K, rngs), dim)
             refreshes += 1
         g = obj.batch_grad_rows(w_hat, dataset.take(plan.B_batch).reshape(rows, -1))
         return (-g,)
 
     mirror_descent((dim,), rows, plan.tau, _rounds(plan.T, plan.q), step)
-    final = [SimplexPoint(w[r] if exact_iterates else sparsify(w[r], plan.K, rng))
+    final = [SimplexPoint(sparsify(w[r], plan.K, rng))
              for r, rng in enumerate(rngs)]  # a fresh sparsification, checked at the boundary
     return ScoBatch(
         ScoSolution(

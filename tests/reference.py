@@ -6,8 +6,11 @@ Nothing in ``dpsimplex`` reads this module. It holds what only the tests need:
   estimator over it and a self-certifying game-value oracle,
 * an empirical privacy smoke test of the first data-dependent vertex release,
   which reads only :func:`~dpsimplex.oracles.batch_gradient`, no solver code,
-* a recorder of :func:`~dpsimplex.sco.solve_dp_sco`'s trajectory and the
-  regret decomposition of the anytime conversion over it,
+* a recorder of :func:`~dpsimplex.sco.solve_dp_sco`'s trajectory, the
+  regret decomposition of the anytime conversion over it, and identity
+  surrogates that give the solver exact gradients,
+* a check that only released points reach the data: every point row an
+  objective's data-reading methods get is a mean of k vertex one-hots,
 * a finite-difference self-check of a per-sample objective,
 * boosting's candidate scores one pair and one table entry at a time, the loop
   :func:`~dpsimplex.solvers.score_candidate_pairs` replaces,
@@ -333,7 +336,19 @@ class Trajectory:
     refreshed: np.ndarray  # bool, whether the cached surrogate was redrawn at step t
 
 
-def solve_recorded(obj, dataset, plan, rngs, exact_iterates=False):
+def identity_surrogates(monkeypatch) -> None:
+    """Make :func:`~dpsimplex.sco.solve_dp_sco` release its dense averages: exact gradients.
+
+    Patches the release names ``dpsimplex.sco`` reads, so each cached surrogate and
+    each returned point is the running average itself and no vertex is drawn. The
+    run is then plain anytime mirror descent, and its gradients are exact.
+    """
+    monkeypatch.setattr(sco, "release_rows", lambda w, k, rngs: w)
+    monkeypatch.setattr(sco, "mean_one_hots", lambda w, dim: w)
+    monkeypatch.setattr(sco, "sparsify", lambda w, k, rng: w)
+
+
+def solve_recorded(obj, dataset, plan, rngs):
     """``solve_dp_sco``'s rows together with each row's :class:`Trajectory`.
 
     Wraps the step function ``solve_dp_sco`` hands to ``mirror_descent``: each
@@ -353,7 +368,7 @@ def solve_recorded(obj, dataset, plan, rngs, exact_iterates=False):
 
     sco.mirror_descent = recording_loop
     try:
-        sols = sco.solve_dp_sco(obj, dataset, plan, rngs, exact_iterates=exact_iterates)
+        sols = sco.solve_dp_sco(obj, dataset, plan, rngs)
     finally:
         sco.mirror_descent = loop
     marks = np.array([refresh for refresh, _, _ in steps])
@@ -464,3 +479,40 @@ class MaxLossObjective(PerSampleObjective):
 
 def make_max_loss_objective(p: MaxLossProblem) -> MaxLossObjective:
     return MaxLossObjective(p)
+
+
+# --------------------------------------------------------------------------
+# only released points reach the data
+
+
+def record_points(monkeypatch, obj, *names) -> list[np.ndarray]:
+    """Wrap ``obj``'s methods ``names``, which read the data, and record their points.
+
+    Every positional argument of such a call but the last (the batch) is a point
+    array, (R, d) or (d,); the returned list gets each one as an (R, d) array.
+    """
+    seen: list[np.ndarray] = []
+    for name in names:
+        def recording(*args, method=getattr(obj, name)):
+            seen.extend(np.array(points, dtype=np.float64, ndmin=2) for points in args[:-1])
+            return method(*args)
+
+        monkeypatch.setattr(obj, name, recording)
+    return seen
+
+
+def assert_released_points(points: list[np.ndarray], ks) -> None:
+    """Require every row of ``points`` to be a mean of k vertex one-hots for some k in ``ks``.
+
+    A row P is one for k if k P is integral and P has at most k nonzero entries:
+    the form of a released point, whatever its law. A dense iterate is on no
+    such grid.
+    """
+    assert points, "no point reached the data"
+    ks = np.unique(np.asarray(list(ks), dtype=np.int64))
+    for P in points:
+        scaled = P[:, None, :] * ks[:, None]  # (R, len(ks), d)
+        integral = np.abs(scaled - np.rint(scaled)).max(axis=2) <= 1e-9 * ks
+        sparse = np.count_nonzero(P, axis=1)[:, None] <= ks
+        ok = (integral & sparse).any(axis=1)
+        assert ok.all(), f"row {P[~ok][0]} is no mean of k one-hots for k in {ks.tolist()}"

@@ -51,6 +51,7 @@ SIGNATURES = {
     dpsimplex.verify_maurey_suite: ["name", "reps", "rng"],
     dpsimplex.run_all_suites: ["reps", "rng"],
     dpsimplex.SsmdPlan.validate: ["self"],
+    dpsimplex.ScoPlan.validate: ["self"],
 }
 
 
@@ -79,7 +80,7 @@ def test_no_module_carries_a_test_only_name():
     assert not hasattr(dpsimplex.MatrixGame, "population")
     assert "trace" not in ScoSolution.__dataclass_fields__
     assert list(inspect.signature(solve_dp_sco).parameters) == [
-        "obj", "dataset", "plan", "rngs", "exact_iterates"]
+        "obj", "dataset", "plan", "rngs"]
 
 
 @pytest.mark.parametrize("fn", list(SIGNATURES), ids=lambda fn: fn.__qualname__)

@@ -523,6 +523,45 @@ def test_over_cap_override_is_stopped_by_the_solver(tmp_path, capsys, algorithm,
     assert os.listdir(tmp_path) == ["cfg.json"]
 
 
+def _assert_refused(tmp_path, capsys, doc, code, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "o.csv"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and message in err
+    assert os.listdir(tmp_path) == ["cfg.json"]  # no CSV, no temp file
+
+
+@pytest.mark.parametrize("value", [2**63, 2**64, 1e308])
+def test_integer_override_past_int64_exits_2(tmp_path, capsys, value):
+    # 2^64 used to reach np.isfinite in the plan check, which raised TypeError (exit 1)
+    doc = _game_doc(tmp_path, overrides={"T": value, "tau": 1e-4, "K": 1})
+    _assert_refused(tmp_path, capsys, doc, EXIT_CONFIG, "overrides ['T'] must lie below 2^63")
+
+
+@pytest.mark.parametrize("M, code", [(2000, EXIT_BUDGET), (2**70, EXIT_CONFIG)])
+def test_bias_reduced_truncation_past_its_weight_is_refused(tmp_path, capsys, M, code):
+    # M = 2000 used to overflow 2.0**M (exit 1) and M = 2^70 to size a level table past
+    # numpy's limit (exit 1); the plan check now refuses 2^M > U before either
+    doc = _game_doc(tmp_path, algorithm="smd_bias_reduced", n_grid=[20000],
+                    overrides={"U": 100.0, "M": M, "alpha": 0.5, "tau": 1e-4})
+    message = "2^M exceeds the stopping weight" if code == EXIT_BUDGET else "below 2^63"
+    _assert_refused(tmp_path, capsys, doc, code, message)
+
+
+def test_nonprivate_steps_past_the_cap_exit_2(tmp_path, capsys, monkeypatch):
+    # no sample budget caps the baseline's T: T = 2^64 used to run without end
+    def unreachable(*args):
+        raise AssertionError("a batch ran with an unchecked schedule")
+
+    monkeypatch.setattr(cli, "_run_batch", unreachable)
+    doc = _game_doc(tmp_path, algorithm="nonprivate_smd",
+                    overrides={"T": cli.MAX_NONPRIVATE_STEPS + 1})
+    _assert_refused(tmp_path, capsys, doc, EXIT_CONFIG,
+                    f"nonprivate_smd needs T in [1, {cli.MAX_NONPRIVATE_STEPS}]")
+
+
 def test_cli_import_leaves_scipy_out():
     code = "import sys, dpsimplex.cli; print('scipy' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -575,6 +614,40 @@ def test_sco_example_bytes_are_pinned(tmp_path):
         "af70341ef2f2841bfe7a29d9f702b3379bcd987fb1d503667a3868fd11c863f8",
     ]
 
+
+def _sco_ten_trials(tmp_path):
+    doc = json.loads((REPO / "configs" / "sco_example.json").read_text())
+    doc.update(n_grid=[1000, 4000], trials=10)  # batches of 8 and 2 trials per n
+    cfg = tmp_path / "sco10.json"
+    cfg.write_text(json.dumps(doc))
+    return cfg
+
+
+def test_dp_sco_ten_trial_bytes_are_pinned(tmp_path):
+    # each batch's trials are the rows of one solve; a row must release the bytes its
+    # trial released when it ran on its own (digests taken before the trials were batched)
+    out = tmp_path / "sco10.csv"
+    assert main(["run", "--config", str(_sco_ten_trials(tmp_path)),
+                 "--out", str(out)]) == EXIT_OK
+    digests = [hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in (out, tmp_path / "sco10.csv.meta.json")]
+    assert digests == [
+        "ebcbec814134a1fa1e97ec27491899319e39bcaccfc3b008105c8f61c59e47be",
+        "2eea74d1036f28d11898b51743a75ea1c3aac8627974f57e097471d315cd7db3",
+    ]
+
+
+def test_dp_sco_solves_once_per_batch(tmp_path, monkeypatch):
+    rows = []  # the dataset rows of each solve
+    solve = cli.solve_dp_sco
+    monkeypatch.setattr(cli, "solve_dp_sco",
+                        lambda obj, data, plan, rngs: rows.append(data.rows)
+                        or solve(obj, data, plan, rngs))
+    out = tmp_path / "sco10.csv"
+    assert main(["run", "--config", str(_sco_ten_trials(tmp_path)),
+                 "--out", str(out)]) == EXIT_OK
+    assert rows == [8, 2, 8, 2]
+    assert len(out.read_text().splitlines()) == 1 + 20
 
 
 def test_boosted_bytes_are_pinned_with_several_candidates_and_responses(tmp_path):

@@ -1,6 +1,6 @@
 """Faults in the descent loop, its step functions, their gradients (the frozen-row table among
-them), the vertex sampler, the privacy planner and verify's block statistics, each caught by a
-named check.
+them), the points that reach the data, the vertex sampler, the privacy planner and verify's
+block statistics, each caught by a named check.
 
 Each case applies one fault by monkeypatch, with no source edit, and runs an
 existing test of the suite that must then fail. None of the checks is a byte
@@ -18,7 +18,7 @@ import test_sco
 import test_simplex
 import test_solvers
 import test_verify
-from dpsimplex import privacy, problems, sco, simplex, solvers, verify
+from dpsimplex import oracles, privacy, problems, sco, simplex, solvers, verify
 from dpsimplex.errors import BudgetError
 from dpsimplex.oracles import Dataset, TruncGeom
 from dpsimplex.problems import BilinearObjective
@@ -209,6 +209,50 @@ def frozen_table_keyed_by_row_only(monkeypatch):
     monkeypatch.setattr(problems, "_sign_count", row_only)
 
 
+def kernel_gradient_at_dense_iterates(monkeypatch):
+    """The vertex kernel takes its gradient at the dense iterates (x_t, y_t), not at (x̂, ŷ)."""
+    loop, gradient = solvers.mirror_descent, solvers.batch_gradient
+    dense = []
+
+    def keeping_iterates(dims, rows, tau, schedule, step):
+        def kept(item, *points):
+            dense[:] = points
+            return step(item, *points)
+
+        return loop(dims, rows, tau, schedule, kept)
+
+    monkeypatch.setattr(solvers, "mirror_descent", keeping_iterates)
+    monkeypatch.setattr(solvers, "batch_gradient",
+                        lambda obj, x, y, batches: gradient(obj, *dense, batches))
+
+
+def _means_at_dense_points(monkeypatch, module):
+    """``module``'s sparsified means are the points their vertices were drawn from.
+
+    The draws still happen, so every count and stream stays as it was.
+    """
+    release_rows, dense = module.release_rows, {}
+
+    def keeping_points(points, k, rngs):
+        indices = release_rows(points, k, rngs)
+        dense[id(indices)] = points
+        return indices
+
+    monkeypatch.setattr(module, "release_rows", keeping_points)
+    monkeypatch.setattr(module, "mean_one_hots", lambda indices, dim: dense[
+        id(indices if indices.base is None else indices.base)])  # a column slice's owner
+
+
+def estimator_rows_at_dense_points(monkeypatch):
+    """The bias-reduced estimator takes its three gradient rows at (x, y), not at its draws."""
+    _means_at_dense_points(monkeypatch, oracles)
+
+
+def sco_surrogate_dense(monkeypatch):
+    """The SCO surrogate ŵ is the dense running average w, though its K draws are taken."""
+    _means_at_dense_points(monkeypatch, sco)
+
+
 FAULTS = {
     "y_block_ascends": (
         y_block_ascends,
@@ -227,12 +271,12 @@ FAULTS = {
     "sco_rows_draw_from_row_0_stream": (
         rows_draw_from_row_0_stream,
         lambda request: test_sco.test_batched_rows_equal_one_row_runs(
-            exact_iterates=False, kind="frozen"),
+            request.getfixturevalue("monkeypatch"), identity=False, kind="frozen"),
     ),
     "sco_rows_read_row_0_batch": (
         sco_rows_read_row_0_batch,
         lambda request: test_sco.test_batched_rows_equal_one_row_runs(
-            exact_iterates=True, kind="frozen"),
+            request.getfixturevalue("monkeypatch"), identity=False, kind="frozen"),
     ),
     "gradient_rows_take_row_0_batch": (
         gradient_rows_take_row_0_batch,
@@ -242,7 +286,7 @@ FAULTS = {
     "sco_rows_take_row_0_partner": (
         sco_rows_take_row_0_partner,
         lambda request: test_sco.test_batched_rows_equal_one_row_runs(
-            exact_iterates=False, kind="frozen"),
+            request.getfixturevalue("monkeypatch"), identity=False, kind="frozen"),
     ),
     "sco_stacked_rows_take_row_0_partner": (
         sco_rows_take_row_0_partner,
@@ -297,6 +341,21 @@ FAULTS = {
         block_walk_drops_final_partial_block,
         lambda request: test_verify.test_blocked_statistics_equal_the_whole_array_formulas(
             "grad_bias_first_order", 2 * verify.BLOCK_ROWS + 3),
+    ),
+    "kernel_gradient_at_dense_iterates": (
+        kernel_gradient_at_dense_iterates,
+        lambda request: test_solvers.test_only_released_points_reach_the_data(
+            request.getfixturevalue("monkeypatch"), "smd_vertex-second_order"),
+    ),
+    "bias_reduced_estimator_rows_at_dense_points": (
+        estimator_rows_at_dense_points,
+        lambda request: test_solvers.test_only_released_points_reach_the_data(
+            request.getfixturevalue("monkeypatch"), "smd_bias_reduced"),
+    ),
+    "sco_surrogate_dense": (
+        sco_surrogate_dense,
+        lambda request: test_solvers.test_only_released_points_reach_the_data(
+            request.getfixturevalue("monkeypatch"), "dp_sco"),
     ),
     **{
         f"mwu_step_finiteness_check_dropped-{solver}": (

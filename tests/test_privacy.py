@@ -370,3 +370,8 @@ def test_br_plan_budget_invariants_enforced_on_overrides():
     with pytest.raises(BudgetError):
         BrPlan(U=6_000, M=2, alpha=1e-4, tau=1e-6, C=1.0,
                epsilon=1.0, delta=1e-5, L0=1.0, n=10**4, ell=2.0).validate()
+    # truncation past the stopping weight, refused before 2.0**M overflows
+    for M in (7, 2000, 2**70):
+        with pytest.raises(BudgetError, match="2\\^M exceeds the stopping weight"):
+            BrPlan(U=100.0, M=M, alpha=0.5, tau=1e-6, C=1.0,
+                   epsilon=1.0, delta=1e-5, L0=1.0, n=10**4, ell=2.0).validate()

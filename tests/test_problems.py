@@ -231,6 +231,16 @@ def test_gap_report_still_refuses_a_negative_gap_beyond_its_bounds():
                   rounding=0.5)
 
 
+def test_gap_report_refusal_names_its_bound_and_rounding_allowance():
+    # the exact gap has no inner solver; the message names the two allowances it exceeds
+    with pytest.raises(OracleError) as exc:
+        GapReport(gap_estimate=-1.0, inner_error_bound=0.0, method="exact_bilinear",
+                  rounding=0.5)
+    assert str(exc.value) == (
+        "gap estimate -1.0 is below -0.0 (error bound) - 0.5 (rounding allowance)")
+    assert "inner solver" not in str(exc.value)
+
+
 def test_exact_gap_shape_mismatch():
     with pytest.raises(ValueError):
         exact_gap_bilinear(np.eye(3), point(0.5, 0.5).coords, point(0.5, 0.5).coords)

@@ -8,10 +8,10 @@ from dpsimplex.oracles import Dataset
 from dpsimplex.privacy import ScoPlan, plan_anytime_sco
 from dpsimplex.problems import SeparableQuadratic
 from dpsimplex.rng import RngStream
-from dpsimplex.simplex import SimplexPoint
+from dpsimplex.simplex import SimplexPoint, sparsify
 from dpsimplex.sco import FrozenBlock, solve_dp_sco
 from dpsimplex.problems import BilinearObjective, MatrixGame
-from reference import anytime_average_regret_decomposition, solve_recorded
+from reference import anytime_average_regret_decomposition, identity_surrogates, solve_recorded
 
 
 @pytest.fixture(scope="module")
@@ -67,24 +67,27 @@ def test_surrogate_cached_between_refreshes(quad):
             assert np.array_equal(tr.grads[t], tr.grads[t - 1])
 
 
-def test_exact_iterates_reduce_to_plain_anytime_descent(quad):
-    # q = T refreshes every step; with the identity surrogate the run must
-    # equal a hand-rolled anytime mirror-descent loop
-    n, T = 900, 30
-    plan = manual_plan(quad, n, T=T, q=T, K=1)
+def test_run_is_plain_anytime_descent_at_its_surrogates(quad):
+    # q = T refreshes every step; the run must equal a hand-rolled anytime
+    # mirror-descent loop whose gradients are taken at K-draw sparsifications of
+    # the running average, drawn from a stream with the solver's key
+    n, T, K = 900, 30, 3
+    plan = manual_plan(quad, n, T=T, q=T, K=K)
     data = quad.sample_dataset(n, RngStream(104))
-    sol = solve_dp_sco(quad, data, plan, [RngStream(105)], exact_iterates=True)[0]
+    sol = solve_dp_sco(quad, data, plan, [RngStream(105)])[0]
 
-    ref_data = quad.sample_dataset(n, RngStream(104))
+    ref_data, rng = quad.sample_dataset(n, RngStream(104)), RngStream(105)
     logw = np.zeros(quad.dim)
     w = None
     for t in range(1, T + 1):
         e = np.exp(logw - logw.max())
         x_t = e / e.sum()
         w = x_t if t == 1 else ((t - 1) * w + x_t) / t
-        g = quad.batch_grad_rows(w[None], ref_data.take(plan.B_batch)[None])[0]
+        w_hat = sparsify(w, K, rng)
+        g = quad.batch_grad_rows(w_hat[None], ref_data.take(plan.B_batch)[None])[0]
         logw = logw - plan.tau * g
-    assert np.allclose(sol.w_hat.coords, w, atol=1e-14)
+    assert np.array_equal(sol.w_hat.coords, sparsify(w, K, rng))
+    assert sol.vertex_draws == rng.vertex_draws == K * (T + 1)
 
 
 def test_average_drift_assertion_is_active(quad):
@@ -131,12 +134,16 @@ def test_average_drift_violation_in_one_row_raises_budget_error(quad, monkeypatc
                      plan, [RngStream(107, r) for r in range(3)])
 
 
-@pytest.mark.parametrize("exact_iterates, kind", [
+@pytest.mark.parametrize("identity, kind", [
     (False, "frozen"), (True, "frozen"), (False, "quad"), (True, "quad"),
 ], ids=["False", "True", "quad-False", "quad-True"])
-def test_batched_rows_equal_one_row_runs(exact_iterates, kind):
+def test_batched_rows_equal_one_row_runs(monkeypatch, identity, kind):
     # rows with their own shard, stream and (frozen) partner step as one block; each
-    # row must get the bits a one-row call with the same inputs gets
+    # row must get the bits a one-row call with the same inputs gets, at every step's
+    # gradient and not only in its returned point (with identity surrogates: exact
+    # gradients at the dense averages)
+    if identity:
+        identity_surrogates(monkeypatch)
     game = MatrixGame.random(6, 6, RngStream(120))
     base = game.objective()
     partners = RngStream(121).gen.dirichlet(np.ones(6), size=3)
@@ -150,14 +157,14 @@ def test_batched_rows_equal_one_row_runs(exact_iterates, kind):
         data = [game.sample_dataset(n, RngStream(122, r)) for r in rows]
         data = data[0] if len(data) == 1 else row_dataset(data)  # a one-row call reads 1-d data
         obj = FrozenBlock(base, "x", partners[list(rows)]) if kind == "frozen" else quad
-        return solve_dp_sco(obj, data, plan, [RngStream(123, r) for r in rows],
-                            exact_iterates=exact_iterates)
+        return solve_recorded(obj, data, plan, [RngStream(123, r) for r in rows])
 
-    batch = run(range(3))
-    assert len(batch) == 3
+    batch, traces = run(range(3))
+    assert len(batch) == len(traces) == 3
     assert not np.array_equal(batch[0].w_hat.coords, batch[1].w_hat.coords)
     for r in range(3):
-        (one,) = run([r])
+        (one,), (trace,) = run([r])
+        assert np.array_equal(traces[r].grads, trace.grads)
         assert np.array_equal(batch[r].w_hat.coords, one.w_hat.coords)
         assert batch[r].vertex_draws == one.vertex_draws
         assert batch[r].refresh_count == one.refresh_count == batch.refresh_count
@@ -255,14 +262,16 @@ def test_frozen_table_starts_over_at_a_new_batch_size():
         assert np.array_equal(block.batch_grad_rows(W, np.array(batches)), direct)
 
 
-def test_exact_run_checks_its_schedule(quad):
-    # exact runs skip only the privacy caps: a zero round length is still refused
+def test_exact_run_checks_its_schedule(quad, monkeypatch):
+    # a run with exact gradients (identity surrogates) still checks its whole plan:
+    # a zero round length and a step size past the privacy cap are refused
+    identity_surrogates(monkeypatch)
     n = 100
-    plan = ScoPlan(T=5, tau=0.01, K=1, q=0, B_batch=20, mode="second_order",
-                   epsilon=1.0, delta=1e-5, L0=quad.L0, n=n)
-    with pytest.raises(BudgetError):
-        solve_dp_sco(quad, quad.sample_dataset(n, RngStream(115)), plan, [RngStream(116)],
-                     exact_iterates=True)
+    for q, tau in ((0, 0.01), (5, 10.0)):
+        plan = ScoPlan(T=5, tau=tau, K=1, q=q, B_batch=20, mode="second_order",
+                       epsilon=1.0, delta=1e-5, L0=quad.L0, n=n)
+        with pytest.raises(BudgetError):
+            solve_dp_sco(quad, quad.sample_dataset(n, RngStream(115)), plan, [RngStream(116)])
 
 
 def test_solution_reports_steps_and_vertex_draws(quad):
@@ -271,9 +280,6 @@ def test_solution_reports_steps_and_vertex_draws(quad):
     sol = solve_dp_sco(quad, quad.sample_dataset(n, RngStream(106)), plan, [RngStream(107)])[0]
     assert sol.steps_run == plan.T
     assert sol.vertex_draws == plan.K * sol.refresh_count
-    exact = solve_dp_sco(quad, quad.sample_dataset(n, RngStream(106)), plan, [RngStream(107)],
-                         exact_iterates=True)[0]
-    assert exact.steps_run == plan.T and exact.vertex_draws == 0
 
 
 def test_solver_validates_only_the_returned_point(quad, monkeypatch):
@@ -354,12 +360,12 @@ def test_recorder_leaves_the_run_alone(quad, rows):
 # ---- regret decomposition ----------------------------------------------------
 
 
-def test_decomposition_coupling_vanishes_with_exact_gradients(quad):
+def test_decomposition_coupling_vanishes_with_exact_gradients(quad, monkeypatch):
     # deterministic samples + identity surrogate make g_t the exact gradient
+    identity_surrogates(monkeypatch)
     n, T = 600, 20
     plan = manual_plan(quad, n, T=T, q=T, K=1)
-    trace = solve_recorded(quad, Dataset(np.zeros(n)), plan, [RngStream(112)],
-                           exact_iterates=True)[1][0]
+    trace = solve_recorded(quad, Dataset(np.zeros(n)), plan, [RngStream(112)])[1][0]
     dec = anytime_average_regret_decomposition(
         trace, quad.population_grad, quad.a
     )

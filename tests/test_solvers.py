@@ -21,7 +21,8 @@ from dpsimplex.privacy import (
     plan_bias_reduced,
     plan_vertex_smd,
 )
-from dpsimplex.problems import BilinearObjective, MatrixGame, exact_gap_bilinear
+from dpsimplex.problems import (BilinearObjective, MatrixGame, SeparableQuadratic,
+                                exact_gap_bilinear)
 from dpsimplex.rng import RngStream
 from dpsimplex.sco import FrozenBlock, solve_dp_sco
 from dpsimplex.simplex import (
@@ -42,7 +43,7 @@ from dpsimplex.solvers import (
     solve_smd_vertex,
     solve_smd_vertex_batch,
 )
-from reference import score_candidate_pairs_loop
+from reference import assert_released_points, record_points, score_candidate_pairs_loop
 
 
 def small_plan(n, T, K, L0, eps=1.0, delta=1e-5, mode="quadratic"):
@@ -455,6 +456,62 @@ def test_selection_prefers_planted_low_score():
         for s in range(50)
     ]
     assert np.mean(np.array(picks) == 1) >= 0.95
+
+
+# ---- only released points reach the data ------------------------------------------
+
+
+RELEASED_POINT_RUNS = ["smd_vertex-quadratic", "smd_vertex-second_order",
+                       "smd_vertex-first_order", "smd_bias_reduced", "dp_sco", "boosted"]
+
+
+@pytest.mark.parametrize("run", RELEASED_POINT_RUNS)
+def test_only_released_points_reach_the_data(monkeypatch, run):
+    # the privacy argument needs the data to enter only at released points, means of k
+    # counted vertex draws; the dense iterates stay inside the solver. Every point row
+    # an objective's gradient or value gets must lie on the 1/k grid of its k
+    game = MatrixGame.random(6, 5, RngStream(140))
+    obj = game.objective()
+    seen = record_points(monkeypatch, obj, "batch_grad_xy_rows", "batch_value")
+    rngs = [RngStream(141, r) for r in range(2)]
+    rows = Dataset(np.array([game.sample_dataset(3000, rng.child("data")).take(3000)
+                             for rng in rngs]))
+    if run.startswith("smd_vertex"):
+        plan = plan_vertex_smd(3000, 1.0, 1e-5, obj.L0, obj.L1, obj.L2, game.ell,
+                               run.split("-")[1])
+        solve_smd_vertex_batch(obj, rows, plan, rngs)
+        ks = [plan.K]
+    elif run == "smd_bias_reduced":  # rows average 1, 2^N or 2^(N+1) draws, N <= M
+        n = 20_000
+        plan = plan_bias_reduced(n, 1.0, 1e-5, obj.L0, obj.L1, obj.L2, game.ell)
+        assert plan.M >= 1
+        solve_smd_bias_reduced(obj, game.sample_dataset(n, RngStream(142)), plan, rngs[0])
+        ks = [2 ** (plan.M + 1)]
+    elif run == "dp_sco":
+        quad = SeparableQuadratic(np.linspace(0.5, 1.5, 8), np.full(8, 1 / 8),
+                                  np.linspace(-0.3, 0.3, 8))
+        seen = record_points(monkeypatch, quad, "batch_grad_rows")
+        plan = plan_anytime_sco(3000, 1.0, 1e-5, quad.L0, quad.L1, quad.L2, math.log(8),
+                                "second_order")
+        solve_dp_sco(quad, rows, plan, rngs)
+        ks = [plan.K]
+    else:  # candidates (means of their steps' vertices, and the estimator's draws) are
+        # the frozen partners and scored pairs; the free rows are SCO surrogates
+        ks = []
+        candidate, inner = solvers.solve_smd_bias_reduced, solvers.solve_dp_sco
+
+        def recorded_candidate(obj, data, plan, rng):
+            sol, trace = candidate(obj, data, plan, rng)
+            ks.extend([2 ** (plan.M + 1), sol.steps_run])
+            return sol, trace
+
+        monkeypatch.setattr(solvers, "solve_smd_bias_reduced", recorded_candidate)
+        monkeypatch.setattr(solvers, "solve_dp_sco", lambda block, data, plan, rngs: (
+            ks.append(plan.K) or inner(block, data, plan, rngs)))
+        solve_boosted(obj, game.sample_dataset(32_000, RngStream(143)), I=2, J=2,
+                      privacy=PrivacyParams(2.0, 1e-4), rng=RngStream(144))
+        assert len(ks) == 2 * 2 + 2
+    assert_released_points(seen, ks)
 
 
 # ---- non-finite gradients --------------------------------------------------------
