@@ -33,9 +33,10 @@ Exit codes: 0 ok, 2 config error, 3 budget error, 4 dataset error,
 Configs are checked once, at the boundary, before any trial starts:
 ``_parse_run`` (for ``run``) and ``_budget`` with ``_build_problem`` (shared
 with ``synth``) turn every field into a checked value or raise
-``ConfigError``, and the problem is built once per command. The runners read
-only the parsed ``_Run``. Every output is written to a temporary sibling and
-renamed onto its path, so a failed command leaves no partial file.
+``ConfigError``; the problem is built, and ``nonprivate_smd``'s baseline
+solved, once per command. The runners read only the parsed ``_Run``. Every
+output is written to a temporary sibling and renamed onto its path, so a
+failed command leaves no partial file.
 
 File formats
 ------------
@@ -81,10 +82,13 @@ from .problems import (
     SeparableQuadratic,
     SynthDataProblem,
     exact_gap_bilinear,
+    max_abs,
+    random_signs,
     synth_data_generate,
 )
 from .rng import RngStream
 from .solvers import (
+    SaddleSolution,
     boosting_shape,
     solve_boosted,
     solve_smd_bias_reduced,
@@ -140,8 +144,10 @@ def load_payoff(path: str) -> np.ndarray:
         # checked against the file before reading, so a bad header allocates nothing
         if rows * cols * 8 > os.fstat(fh.fileno()).st_size - fh.tell():
             raise ConfigError(f"{path}: truncated payoff matrix")
-        data = np.frombuffer(fh.read(rows * cols * 8), dtype="<f8")
-        return data.reshape(rows, cols).copy()
+        data = np.empty((rows, cols), dtype="<f8")
+        if fh.readinto(data) != data.nbytes:  # the file shrank since the check
+            raise ConfigError(f"{path}: truncated payoff matrix")
+        return data
 
 
 def load_categories(path: str) -> np.ndarray:
@@ -275,10 +281,10 @@ def _build_game(problem: dict, master_seed: int, base_dir: str) -> MatrixGame:
         raise ConfigError("matrix_game problem needs 'payoff' or 'payoff_file'")
     if A.ndim != 2 or not A.size:
         raise ConfigError("payoff must be a non-empty matrix")
-    noise = _number(float, problem.get("noise_scale", 0.5 * float(np.abs(A).max() or 1.0)),
-                    "noise_scale")
-    signs = RngStream(master_seed).child("payoff-noise").gen.integers(0, 2, size=A.shape) * 2 - 1
-    return MatrixGame(A, noise * signs)
+    noise = _number(float, problem.get("noise_scale", 0.5 * (max_abs(A) or 1.0)), "noise_scale")
+    E = random_signs(A.shape, np.float64, RngStream(master_seed).child("payoff-noise"))
+    E *= noise  # in place: the bits of noise * (2s - 1)
+    return MatrixGame(A, E)
 
 
 def _build_quadratic(problem: dict, master_seed: int, base_dir: str) -> SeparableQuadratic:
@@ -330,6 +336,7 @@ class _Run:
     problem: MatrixGame | SeparableQuadratic
     overrides: dict  # schedule field -> value of its type; {} to plan; nonprivate_smd's T, tau
     boosting: tuple[int, int] | None  # (I, J) of a boosted run
+    baseline: SaddleSolution | None  # nonprivate_smd's one solution: it reads no n or stream
 
 
 def _overrides(algorithm: str, ov: dict) -> dict:
@@ -385,7 +392,11 @@ def _nonprivate_schedule(game: MatrixGame, ov: dict) -> dict:
 
 
 def _parse_run(cfg: dict, base_dir: str) -> tuple[_Run, list[int], int]:
-    """Check every field of a ``run`` config: the run, the n grid and the trial count."""
+    """Check every field of a ``run`` config: the run, the n grid and the trial count.
+
+    ``nonprivate_smd`` reads neither n nor a trial's stream, so its one solve
+    happens here and every batch, in any worker, reports that solution.
+    """
     algorithm = _require(cfg, "algorithm")
     if not isinstance(algorithm, str) or algorithm not in ALGORITHMS:
         raise ConfigError(f"unknown algorithm {algorithm!r}; choose from {tuple(ALGORITHMS)}")
@@ -405,9 +416,12 @@ def _parse_run(cfg: dict, base_dir: str) -> tuple[_Run, list[int], int]:
     overrides = _overrides(algorithm, _section(cfg, "overrides"))
     boosting = _boosting(_section(cfg, "boosting")) if algorithm == "boosted" else None
     problem = _build_problem(cfg, ALGORITHMS[algorithm][0], algorithm, master_seed, base_dir)
+    baseline = None
     if algorithm == "nonprivate_smd":
         overrides = _nonprivate_schedule(problem, overrides)
-    return _Run(algorithm, mode, privacy, master_seed, problem, overrides, boosting), n_grid, trials
+        baseline = solve_smd_nonprivate(problem.payoff, overrides["T"], overrides["tau"])
+    run = _Run(algorithm, mode, privacy, master_seed, problem, overrides, boosting, baseline)
+    return run, n_grid, trials
 
 
 # --------------------------------------------------------------------------
@@ -495,8 +509,7 @@ def _run_boosted(run: _Run, n: int, stream: RngStream):
 
 
 def _run_nonprivate(run: _Run, n: int, streams: list[RngStream]):
-    sol = solve_smd_nonprivate(run.problem.payoff, run.overrides["T"], run.overrides["tau"])
-    return [(sol, json.dumps(run.overrides, sort_keys=True))] * len(streams)
+    return [(run.baseline, json.dumps(run.overrides, sort_keys=True))] * len(streams)
 
 
 def _run_dp_sco(run: _Run, n: int, streams: list[RngStream]):

@@ -89,9 +89,11 @@ class Dataset:
     """Ordered sample identifiers with a consumed-prefix cursor.
 
     ``samples`` is a 1-d sequence or an (R, n) block of R rows sharing the
-    cursor, whose ``take(k)`` is the next k columns as one (R, k) view. One
-    solver run owns one view; fresh-batch requests beyond ``n`` raise
-    :class:`DatasetError` so sample budgets can never be silently exceeded.
+    cursor, whose ``take(k)`` is the next k columns as one (R, k) view. The
+    samples keep their dtype: a game's or quadratic's are int8 signs, one byte
+    each, and synthetic-data categories are int64. One solver run owns one
+    view; fresh-batch requests beyond ``n`` raise :class:`DatasetError` so
+    sample budgets can never be silently exceeded.
     """
 
     def __init__(self, samples):

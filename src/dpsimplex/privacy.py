@@ -411,7 +411,8 @@ def plan_anytime_sco(
 
 def _require_positive(**kwargs) -> None:
     for name, value in kwargs.items():
-        if not (np.isfinite(value) and value > 0):
+        # an int is judged by its sign alone: it is finite, and math.isfinite(10**400) overflows
+        if not (value > 0 if isinstance(value, int) else math.isfinite(value) and value > 0):
             raise BudgetError(f"{name} must be positive and finite, got {value!r}")
 
 

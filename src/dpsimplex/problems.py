@@ -39,6 +39,36 @@ def _check_squares(L0: float, **constants: float) -> None:
         raise ValueError(f"L0 = {L0:g} is too small: the planners divide by its square")
 
 
+def max_abs(M: np.ndarray) -> float:
+    """``M``'s largest |entry| (0 for an empty M) without an |M| temporary: NaN or inf
+    exactly when an entry is not finite."""
+    return float(max(M.max(initial=0.0), -M.min(initial=0.0)))
+
+
+SIGN_CHUNK = 2**16  # draws per generator call in random_signs: 512 KB of int64 scratch
+
+
+def random_signs(shape, dtype, rng: RngStream) -> np.ndarray:
+    """A new array of ``dtype`` holding ``rng.gen.integers(0, 2, size=shape) * 2 - 1``.
+
+    The draws are taken in chunks of at most ``SIGN_CHUNK`` straight into the
+    array, so the one temporary is a chunk. A chunked draw gives the one-shot
+    draw's values and leaves the stream where the one-shot draw leaves it.
+    """
+    out = np.empty(shape, dtype)
+    flat = out.reshape(-1)  # a view: out is contiguous
+    for start, stop in _sign_chunks(flat.size):
+        flat[start:stop] = rng.gen.integers(0, 2, size=stop - start)
+    flat *= 2
+    flat -= 1
+    return out
+
+
+def _sign_chunks(size: int):
+    """(start, stop) of each chunk of ``size`` draws; the last may be shorter."""
+    return ((s, min(s + SIGN_CHUNK, size)) for s in range(0, size, SIGN_CHUNK))
+
+
 # --------------------------------------------------------------------------
 # stochastic matrix games
 
@@ -63,7 +93,7 @@ class BilinearObjective(PerSampleObjective):
         if self.A.shape != self.E.shape or self.A.ndim != 2:
             raise ValueError("payoff and perturbation must be matrices of equal shape")
         self.d_x, self.d_y = self.A.shape
-        self.L0 = float(np.abs(self.A).max() + np.abs(self.E).max())
+        self.L0 = max_abs(self.A) + max_abs(self.E)
         self.L1 = 0.0
         self.L2 = 0.0
         self.B = self.L0
@@ -178,7 +208,8 @@ def _sign_count(z: np.ndarray, B: int):
 
 def _mean_signs(batches: np.ndarray) -> np.ndarray:
     """Each row's mean of an (R, B) batch: ``np.mean`` of the row to the bit (the same
-    ``add.reduce`` and divide), at a third of its cost."""
+    ``add.reduce`` and divide), at a third of its cost. An int8 batch of signs sums
+    exactly in int64, so it gives its float64 copy's bits."""
     return np.add.reduce(batches, axis=1) / batches.shape[1]
 
 
@@ -199,8 +230,7 @@ class MatrixGame:
         E = np.asarray(self.perturbation, dtype=np.float64)
         if A.ndim != 2 or A.shape != E.shape:
             raise ValueError("payoff and perturbation must be matrices of equal shape")
-        # each matrix's largest |entry|: NaN or inf exactly when an entry is not finite
-        extremes = [float(max(M.max(initial=0.0), -M.min(initial=0.0))) for M in (A, E)]
+        extremes = [max_abs(A), max_abs(E)]
         if not all(map(math.isfinite, extremes)):
             raise ValueError("game matrices must be finite")
         _check_squares(L0=extremes[0] + extremes[1])
@@ -223,13 +253,13 @@ class MatrixGame:
         return BilinearObjective(self.payoff, self.perturbation)
 
     def sample_dataset(self, n: int, rng: RngStream) -> Dataset:
-        signs = rng.gen.integers(0, 2, size=n) * 2 - 1
-        return Dataset(signs.astype(np.float64))
+        """n signs z uniform on {-1, +1}, drawn from ``rng`` and held as int8."""
+        return Dataset(random_signs(n, np.int8, rng))
 
     @classmethod
     def random(cls, d_x: int, d_y: int, rng: RngStream, noise_scale: float = 0.5) -> "MatrixGame":
         A = rng.gen.uniform(-1.0, 1.0, size=(d_x, d_y))
-        E = noise_scale * (rng.gen.integers(0, 2, size=(d_x, d_y)) * 2 - 1)
+        E = noise_scale * random_signs((d_x, d_y), np.float64, rng)
         return cls(A, E)
 
     @classmethod
@@ -252,7 +282,7 @@ class MatrixGame:
         A = A - centering * (
             A.mean(axis=1, keepdims=True) + A.mean(axis=0, keepdims=True) - A.mean()
         )
-        E = noise_scale * (rng.gen.integers(0, 2, size=(d_x, d_y)) * 2 - 1)
+        E = noise_scale * random_signs((d_x, d_y), np.float64, rng)
         return cls(A, E)
 
 
@@ -474,5 +504,5 @@ class SeparableQuadratic(ConvexObjective):
         return worst - 0.0
 
     def sample_dataset(self, n: int, rng: RngStream) -> Dataset:
-        signs = rng.gen.integers(0, 2, size=n) * 2 - 1
-        return Dataset(signs.astype(np.float64))
+        """n signs z uniform on {-1, +1}, drawn from ``rng`` and held as int8."""
+        return Dataset(random_signs(n, np.int8, rng))

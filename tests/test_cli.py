@@ -220,19 +220,20 @@ def test_run_nonprivate_baseline(tmp_path):
     assert row[2] == "nonprivate_smd" and row[9] == "0"  # no vertex draws
 
 
-def test_nonprivate_baseline_solves_once_per_batch(tmp_path, monkeypatch):
-    # the baseline reads neither n nor a trial's stream: one solve serves a batch's trials
-    solves = []
+def test_nonprivate_baseline_solves_once_per_command(tmp_path, monkeypatch):
+    # the baseline reads neither n nor a trial's stream: one solve serves every batch
     solve = cli.solve_smd_nonprivate
-    monkeypatch.setattr(cli, "solve_smd_nonprivate", lambda *a: solves.append(1) or solve(*a))
     cfg = tmp_path / "np.json"
-    write_config(cfg, algorithm="nonprivate_smd", overrides={"T": 500}, n_grid=[100, 200],
+    write_config(cfg, algorithm="nonprivate_smd", overrides={"T": 500}, n_grid=[100, 200, 300],
                  trials=3)
-    out = tmp_path / "np.csv"
-    assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
-    assert len(solves) == 2  # one batch per n
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "453d5ec29ec14d612e34ef225f00364766751c79645574756f6d03959b70d4e5")  # a solve per trial
+    for jobs in (1, 2):
+        solves = []
+        monkeypatch.setattr(cli, "solve_smd_nonprivate", lambda *a: solves.append(1) or solve(*a))
+        out = tmp_path / f"np{jobs}.csv"
+        assert main(["run", "--config", str(cfg), "--out", str(out), "--jobs", str(jobs)]) == EXIT_OK
+        assert len(solves) == 1
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "a0f6ffe92e877494a36283551238d6841f1e168767623a39727e0d77e9fc4c19")  # a solve per trial
 
 
 @pytest.mark.parametrize("tau", [-1.0, 0.0, float("nan")])
@@ -851,6 +852,43 @@ def test_payoff_roundtrip(tmp_path):
     path = tmp_path / "payoff.bin"
     save_payoff(str(path), m)
     assert np.array_equal(load_payoff(str(path)), m)
+
+
+def test_payoff_roundtrip_of_a_wide_matrix_is_a_writable_float64_array(tmp_path):
+    m = RngStream(67).gen.normal(size=(3, 1000))
+    path = tmp_path / "wide.bin"
+    save_payoff(str(path), m)
+    loaded = load_payoff(str(path))
+    assert loaded.shape == (3, 1000) and loaded.dtype == np.float64
+    assert loaded.flags.c_contiguous and loaded.flags.writeable
+    assert np.array_equal(loaded, m)
+
+
+def test_load_payoff_reads_into_the_array_alone(tmp_path):
+    path = tmp_path / "big.bin"
+    save_payoff(str(path), RngStream(68).gen.uniform(-1, 1, size=(1000, 1000)))
+    tracemalloc.start()
+    try:
+        load_payoff(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_500_000  # the 8 MB matrix; reading bytes and copying them took 16 MB
+
+
+def test_payoff_file_cut_short_after_the_size_check_is_truncated(tmp_path, monkeypatch):
+    path = tmp_path / "short.bin"
+    save_payoff(str(path), np.ones((4, 4)))
+    path.write_bytes(path.read_bytes()[:-8])
+    fstat = os.fstat
+
+    def eight_bytes_more(fd):  # the header check passes as if no byte were missing
+        st = fstat(fd)
+        return os.stat_result((*st[:6], st.st_size + 8, *st[7:]))
+
+    monkeypatch.setattr(cli.os, "fstat", eight_bytes_more)
+    with pytest.raises(ConfigError, match="truncated payoff matrix"):
+        load_payoff(str(path))
 
 
 def test_payoff_bad_magic(tmp_path):

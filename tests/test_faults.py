@@ -1,6 +1,6 @@
 """Faults in the descent loop, its step functions, their gradients (the frozen-row table among
-them), the points that reach the data, the vertex sampler, the privacy planner and verify's
-block statistics, each caught by a named check.
+them), the points that reach the data, the vertex sampler, the privacy planner, verify's
+block statistics and the chunked sign draw, each caught by a named check.
 
 Each case applies one fault by monkeypatch, with no source edit, and runs an
 existing test of the suite that must then fail. None of the checks is a byte
@@ -14,6 +14,7 @@ import pytest
 
 import test_acceptance
 import test_oracles
+import test_problems
 import test_sco
 import test_simplex
 import test_solvers
@@ -198,6 +199,13 @@ def block_walk_drops_final_partial_block(monkeypatch):
         counts[:len(counts) - len(counts) % verify.BLOCK_ROWS], T))
 
 
+def sign_draw_drops_final_partial_chunk(monkeypatch):
+    """The chunked ±1 draw stops before a final chunk shorter than ``SIGN_CHUNK``."""
+    chunks = problems._sign_chunks
+    monkeypatch.setattr(problems, "_sign_chunks", lambda size: chunks(
+        size - size % problems.SIGN_CHUNK))
+
+
 def frozen_table_keyed_by_row_only(monkeypatch):
     """The bilinear frozen-row table keys a row by the row alone, without its batch mean."""
     sign_count = problems._sign_count
@@ -292,6 +300,10 @@ FAULTS = {
         sco_rows_take_row_0_partner,
         lambda request: test_sco.test_rows_sharing_a_saddle_objective_equal_one_row_runs(
             request.getfixturevalue("monkeypatch"), "y"),
+    ),
+    "sign_draw_drops_final_partial_chunk": (
+        sign_draw_drops_final_partial_chunk,
+        lambda request: test_problems.test_chunked_signs_equal_the_one_shot_draw(),
     ),
     "frozen_table_keyed_by_row_only": (
         frozen_table_keyed_by_row_only,

@@ -375,3 +375,21 @@ def test_br_plan_budget_invariants_enforced_on_overrides():
         with pytest.raises(BudgetError, match="2\\^M exceeds the stopping weight"):
             BrPlan(U=100.0, M=M, alpha=0.5, tau=1e-6, C=1.0,
                    epsilon=1.0, delta=1e-5, L0=1.0, n=10**4, ell=2.0).validate()
+
+
+_HUGE_COUNT_PLANS = {
+    "SsmdPlan.T": lambda count: SsmdPlan(T=count, tau=0.1, K=4, B_batch=1, mode="quadratic",
+                                         epsilon=1.0, delta=1e-5, L0=1.0, n=10**4),
+    "BrPlan.U": lambda count: BrPlan(U=count, M=1, alpha=0.5, tau=0.1, C=1.0, epsilon=1.0,
+                                     delta=1e-5, L0=1.0, n=10**4, ell=2.0),
+    "ScoPlan.T": lambda count: ScoPlan(T=count, tau=0.1, K=4, q=2, B_batch=1, mode="quadratic",
+                                       epsilon=1.0, delta=1e-5, L0=1.0, n=10**4),
+}
+
+
+@pytest.mark.parametrize("count", [2**64, 10**400], ids=["2^64", "10^400"])
+@pytest.mark.parametrize("plan", _HUGE_COUNT_PLANS)
+def test_plan_with_a_count_past_float_range_raises_budget_error(plan, count):
+    # an integer is positive by its sign: np.isfinite(2**64) and math.isfinite(10**400) raise
+    with pytest.raises(BudgetError):
+        _HUGE_COUNT_PLANS[plan](count).validate()

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,13 +9,16 @@ from dpsimplex.errors import OracleError
 from dpsimplex.privacy import PrivacyParams
 from dpsimplex.problems import (
     _GATHER_MIN_ENTRIES,
+    SIGN_CHUNK,
     BilinearObjective,
     GapReport,
     MatrixGame,
     SeparableQuadratic,
     SynthDataObjective,
     SynthDataProblem,
+    _mean_signs,
     exact_gap_bilinear,
+    random_signs,
     synth_data_generate,
 )
 from dpsimplex.privacy import plan_vertex_smd
@@ -182,6 +187,76 @@ def test_gradient_rows_keep_a_subclass_override():
     assert np.allclose(gx, 2.0 * loop_x) and np.allclose(gy, loop_y)  # the per-sample loop
     frozen = sco.FrozenBlock(doubled, "x", Y)
     assert np.array_equal(frozen.batch_grad_rows(X, batches), 2.0 * ref_x)
+
+
+# ---- ±1 samples ---------------------------------------------------------------
+
+
+@given(
+    shape=st.sampled_from([1, SIGN_CHUNK - 1, SIGN_CHUNK, SIGN_CHUNK + 1, 3 * SIGN_CHUNK + 5,
+                           (3, SIGN_CHUNK // 2 + 1)]),
+    dtype=st.sampled_from([np.int8, np.float64]),
+    seed=st.integers(0, 2**64 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_chunked_signs_equal_the_one_shot_draw(shape, dtype, seed):
+    rng, one_shot = RngStream(seed), RngStream(seed)
+    signs = random_signs(shape, dtype, rng)
+    expected = one_shot.gen.integers(0, 2, size=shape) * 2 - 1
+    # the same values, and the stream left where the one-shot draw leaves it
+    after = np.array_equal(rng.gen.integers(0, 2, size=64), one_shot.gen.integers(0, 2, size=64))
+    assert (signs.dtype, np.array_equal(signs, expected), after) == (np.dtype(dtype), True, True)
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        result = fn()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("problem", [
+    MatrixGame.random(3, 3, RngStream(7)),
+    SeparableQuadratic(np.ones(3), np.full(3, 1 / 3), np.ones(3)),
+], ids=["matrix_game", "quadratic"])
+def test_sample_dataset_holds_int8_signs_within_3_mb(problem):
+    n = 10**6
+    peak, data = _peak_bytes(lambda: problem.sample_dataset(n, RngStream(8)))
+    samples = data.take(n)
+    assert samples.dtype == np.int8
+    assert np.array_equal(samples, RngStream(8).gen.integers(0, 2, size=n) * 2 - 1)
+    assert peak < 3_000_000  # 1 MB of signs and one chunk of draws; 16 MB as float64
+
+
+@given(rows=st.integers(1, 4), B=st.sampled_from([1, 2, 11, 38, 10_001]),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_int8_batches_give_the_float64_batches_bits(rows, B, seed):
+    gen = np.random.default_rng(seed)
+    signs = (gen.integers(0, 2, size=(rows, B)) * 2 - 1).astype(np.int8)
+    floats = signs.astype(np.float64)
+    assert _mean_signs(signs).tobytes() == _mean_signs(floats).tobytes()
+    # both gradient paths of a game, the stacked product and the support gather
+    for d in (4, 120):
+        obj = BilinearObjective(gen.uniform(-1.0, 1.0, size=(d, d)),
+                                0.5 * (gen.integers(0, 2, size=(d, d)) * 2 - 1))
+        X, Y = stacked_rows(gen, rows, d, 3), stacked_rows(gen, rows, d, 3)
+        for a, b in zip(obj.batch_grad_xy_rows(X, Y, signs), obj.batch_grad_xy_rows(X, Y, floats)):
+            assert a.tobytes() == b.tobytes()
+        assert obj.batch_value(X, Y, signs[0]).tobytes() == obj.batch_value(
+            X, Y, floats[0]).tobytes()
+    quad = SeparableQuadratic(np.ones(5), np.full(5, 0.2), gen.uniform(-1.0, 1.0, size=5))
+    W = stacked_rows(gen, rows, 5, 0)
+    assert quad.batch_grad_rows(W, signs).tobytes() == quad.batch_grad_rows(W, floats).tobytes()
+
+
+def test_objective_of_a_large_game_allocates_no_matrix():
+    game = MatrixGame.random(1000, 1000, RngStream(9))
+    peak, obj = _peak_bytes(game.objective)
+    assert obj.L0 == float(np.abs(game.payoff).max() + np.abs(game.perturbation).max())
+    assert peak < 1_000_000  # |A| and |E| took 8 MB each
 
 
 # ---- exact bilinear gap -----------------------------------------------------
