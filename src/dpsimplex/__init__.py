@@ -45,7 +45,6 @@ from .privacy import (
     PrivacyParams,
     ScoPlan,
     SsmdPlan,
-    adaptive_budget_ok,
     advanced_composition_eps,
     exp_mech_sample,
     max_step_anytime_sco,
@@ -122,7 +121,6 @@ __all__ = [
     "SynthDataProblem",
     "SynthReport",
     "TruncGeom",
-    "adaptive_budget_ok",
     "advanced_composition_eps",
     "batch_gradient",
     "bias_reduced_gradient",

@@ -67,18 +67,6 @@ def advanced_composition_eps(T: int, eps: float, delta: float) -> float:
     return eps / (2.0 * math.sqrt(2.0 * T * math.log(1.0 / delta)))
 
 
-def adaptive_budget_ok(eps_list, eps: float, delta_prime: float) -> bool:
-    """Fully adaptive composition stopping check for pure-DP mechanisms.
-
-    True iff ``sqrt(2 ln(1/delta') sum eps_m^2) + sum(eps_m^2)/2 <= eps``.
-    An empty spend list always passes.
-    """
-    arr = np.asarray(eps_list, dtype=np.float64)
-    if arr.size and arr.min() < 0:
-        raise ValueError("per-mechanism epsilons must be nonnegative")
-    return _filter_ok(float(np.sum(arr * arr)), eps, delta_prime)
-
-
 def _filter_ok(s2: float, eps: float, delta: float) -> bool:
     """The fully adaptive filter on ``s2 = sum eps_m^2``.
 
@@ -98,7 +86,10 @@ def max_step_vertex_smd(
     """
     _require_positive(batch_size=batch_size, eps=eps, L0=L0, T=T, K=K)
     PrivacyParams(eps, delta)
-    return batch_size * eps / (16.0 * L0 * math.sqrt(T * (K + 1) * math.log(1.0 / delta)))
+    try:
+        return batch_size * eps / (16.0 * L0 * math.sqrt(T * (K + 1) * math.log(1.0 / delta)))
+    except OverflowError:  # an integer product too large for a float
+        raise _past_float_range("batch_size, T, K") from None
 
 
 def max_step_anytime_sco(
@@ -112,8 +103,11 @@ def max_step_anytime_sco(
     """
     _require_positive(batch_size=batch_size, eps=eps, L0=L0, T=T, K=K, q=q)
     PrivacyParams(eps, delta)
-    draws = T * K / q + q * K
-    return batch_size * eps / (8.0 * L0 * math.sqrt(2.0 * draws * math.log(1.0 / delta)))
+    try:
+        draws = T * K / q + q * K
+        return batch_size * eps / (8.0 * L0 * math.sqrt(2.0 * draws * math.log(1.0 / delta)))
+    except OverflowError:  # an integer product or quotient too large for a float
+        raise _past_float_range("batch_size, T, K, q") from None
 
 
 def max_stop_weight_bias_reduced(
@@ -414,6 +408,12 @@ def _require_positive(**kwargs) -> None:
         # an int is judged by its sign alone: it is finite, and math.isfinite(10**400) overflows
         if not (value > 0 if isinstance(value, int) else math.isfinite(value) and value > 0):
             raise BudgetError(f"{name} must be positive and finite, got {value!r}")
+
+
+def _past_float_range(counts: str) -> BudgetError:
+    # names, not values: str() of an integer past 4300 digits raises ValueError
+    return BudgetError(f"a product of {counts} is past the float range: "
+                       f"no step size can be planned for it")
 
 
 def _require_normal_square(L0: float) -> None:

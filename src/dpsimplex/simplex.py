@@ -19,6 +19,10 @@ stream as a release. :func:`release_rows` and :func:`mean_one_hots` release from
 and sparsify an (R, d) block, row r on its own stream, and :func:`inverse_cdf_rows`
 inverts every row of it (and of the vertex kernel's tape) in one call;
 :func:`sample_vertex` and :func:`sparsify` are the one-point forms.
+
+:func:`column_sum` adds (B, d) row blocks into numpy's ``sum(axis=0)`` of the
+stacked rows, bit for bit; ``verify``'s block statistics and ``synth``'s query
+answers hold one block at a time through it.
 """
 from __future__ import annotations
 
@@ -185,6 +189,22 @@ def mean_one_hots(indices: np.ndarray, dim: int) -> np.ndarray:
     if rows > 1:
         indices = indices + np.arange(0, rows * dim, dim)[:, None]
     return np.bincount(indices.ravel(), minlength=rows * dim).reshape(rows, dim) / k
+
+
+def column_sum(blocks) -> np.ndarray:
+    """The column sums of the stacked row blocks, bit for bit numpy's ``sum(axis=0)``.
+
+    numpy adds the rows of an axis-0 reduction one after another (pairwise
+    summation runs only along the fast axis), so adding the running sum into
+    the first row of the next block continues the same sum. The blocks are
+    consumed in place.
+    """
+    total = None
+    for block in blocks:
+        if total is not None:
+            block[0] += total
+        total = np.add.reduce(block, axis=0)
+    return total
 
 
 def vertex_uniforms(rng: RngStream, shape) -> np.ndarray:

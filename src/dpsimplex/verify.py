@@ -36,7 +36,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .rng import RngStream
-from .simplex import inverse_cdf
+from .simplex import column_sum, inverse_cdf
 
 MIN_REPS = 10_000
 MAX_REPS = 10_000_000  # a suite holds about 92 B per rep: a 0.9 GB peak here
@@ -146,22 +146,6 @@ def _grad_errors(counts: np.ndarray, T: int, grad, at: np.ndarray):
         yield err
 
 
-def _column_sum(blocks) -> np.ndarray:
-    """The column sums of the stacked row blocks, bit for bit numpy's ``sum(axis=0)``.
-
-    numpy adds the rows of an axis-0 reduction one after another (pairwise
-    summation runs only along the fast axis), so adding the running sum into
-    the first row of the next block continues the same sum. The blocks are
-    consumed in place.
-    """
-    total = None
-    for block in blocks:
-        if total is not None:
-            block[0] += total
-        total = np.add.reduce(block, axis=0)
-    return total
-
-
 def _mean_sigma(per_rep: np.ndarray) -> float:
     return float(per_rep.std(ddof=1)) / math.sqrt(per_rep.shape[0])
 
@@ -175,10 +159,10 @@ def _bias_sigma(counts: np.ndarray, T: int, grad, at: np.ndarray) -> tuple[float
     mean, square in place, sum, divide by reps - 1, square root).
     """
     reps = counts.shape[0]
-    bias = _column_sum(_grad_errors(counts, T, grad, at)) / reps
+    bias = column_sum(_grad_errors(counts, T, grad, at)) / reps
     squares = (np.square(np.subtract(err, bias, out=err), out=err)
                for err in _grad_errors(counts, T, grad, at))
-    std = np.sqrt(_column_sum(squares) / (reps - 1))
+    std = np.sqrt(column_sum(squares) / (reps - 1))
     return float(np.abs(bias).max()), float(std.max()) / math.sqrt(reps)
 
 

@@ -12,6 +12,8 @@ Nothing in ``dpsimplex`` reads this module. It holds what only the tests need:
 * a check that only released points reach the data: every point row an
   objective's data-reading methods get is a mean of k vertex one-hots,
 * a finite-difference self-check of a per-sample objective,
+* the fully adaptive composition check on a list of per-mechanism spends,
+  over the filter :func:`~dpsimplex.privacy.audit_releases` applies,
 * boosting's candidate scores one pair and one table entry at a time, the loop
   :func:`~dpsimplex.solvers.score_candidate_pairs` replaces,
 * the maximal-loss problem family, whose gradients come from
@@ -26,13 +28,29 @@ from typing import Callable
 
 import numpy as np
 
-from dpsimplex import sco
+from dpsimplex import privacy, sco
 from dpsimplex.errors import OracleError
 from dpsimplex.oracles import PerSampleObjective, batch_gradient
 from dpsimplex.privacy import SsmdPlan, advanced_composition_eps
 from dpsimplex.problems import GapReport, MatrixGame, exact_gap_bilinear
 from dpsimplex.rng import RngStream
 from dpsimplex.simplex import SimplexPoint, running_average
+
+
+# --------------------------------------------------------------------------
+# adaptive composition
+
+
+def adaptive_budget_ok(eps_list, eps: float, delta_prime: float) -> bool:
+    """Fully adaptive composition stopping check for pure-DP mechanisms.
+
+    True iff ``sqrt(2 ln(1/delta') sum eps_m^2) + sum(eps_m^2)/2 <= eps``.
+    An empty spend list always passes.
+    """
+    arr = np.asarray(eps_list, dtype=np.float64)
+    if arr.size and arr.min() < 0:
+        raise ValueError("per-mechanism epsilons must be nonnegative")
+    return privacy._filter_ok(float(np.sum(arr * arr)), eps, delta_prime)
 
 
 # --------------------------------------------------------------------------

@@ -17,8 +17,8 @@ from dpsimplex.privacy import SsmdPlan, max_step_vertex_smd
 from dpsimplex.problems import SeparableQuadratic
 from dpsimplex.rng import RngStream
 from dpsimplex.solvers import score_candidate_pairs, select_pair
-from reference import (anytime_average_regret_decomposition, dp_smoke_first_vertex,
-                       nash_value_bruteforce, solve_recorded)
+from reference import (adaptive_budget_ok, anytime_average_regret_decomposition,
+                       dp_smoke_first_vertex, nash_value_bruteforce, solve_recorded)
 
 
 def report(criterion: str, passed: bool, detail: str) -> None:
@@ -214,7 +214,7 @@ def test_criterion_6_privacy_precondition_audit():
         sol, trace = dps.solve_smd_bias_reduced(obj, data, plan, RngStream(14).child(checked))
         eps_vertex = 9 * plan.tau * plan.alpha * obj.L0
         releases = 4 * trace.total_weight + 2 * trace.stop_step
-        if not dps.adaptive_budget_ok(np.full(releases, eps_vertex), eps, delta):
+        if not adaptive_budget_ok(np.full(releases, eps_vertex), eps, delta):
             failures.append(("smd_bias_reduced", checked))
         if sol.samples_used > n:
             failures.append(("smd_bias_reduced-samples", checked))

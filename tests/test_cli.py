@@ -1011,21 +1011,47 @@ def test_atomic_write_keeps_the_old_output_on_error(tmp_path):
     assert os.listdir(tmp_path) == ["out.csv"] and target.read_text() == "old\n"
 
 
-def test_synth_failing_partway_through_its_csv_keeps_the_old_output(tmp_path, monkeypatch):
+def _synth_unwritable_at(tmp_path, monkeypatch, row):
+    """Run synth with a report whose synthetic ``row`` cannot be written as a category."""
     cfg = synth_config(tmp_path, [0, 1, 1, 0])
     out = tmp_path / "o.csv"
     out.write_text("old\n")
     generate = cli.synth_data_generate
 
-    def unwritable_third_row(*args):
+    def unwritable_row(*args):
         report = generate(*args)
-        return dataclasses.replace(report, synthetic=np.array([0, 1, None], dtype=object))
+        return dataclasses.replace(report, synthetic=np.array([0] * row + [None], dtype=object))
 
-    monkeypatch.setattr(cli, "synth_data_generate", unwritable_third_row)
+    monkeypatch.setattr(cli, "synth_data_generate", unwritable_row)
     with pytest.raises(TypeError):
         main(["synth", "--config", str(cfg), "--out", str(out)])
     assert sorted(os.listdir(tmp_path)) == ["cats.csv", "o.csv", "synth.json"]
     assert out.read_text() == "old\n"
+
+
+def test_synth_failing_partway_through_its_csv_keeps_the_old_output(tmp_path, monkeypatch):
+    _synth_unwritable_at(tmp_path, monkeypatch, 2)
+
+
+def test_synth_failing_past_its_first_csv_chunk_keeps_the_old_output(tmp_path, monkeypatch):
+    # the first chunk has been written to the temporary sibling when the second one fails
+    _synth_unwritable_at(tmp_path, monkeypatch, cli.SYNTH_CHUNK_ROWS + 1)
+
+
+def test_synth_csv_is_written_within_2_mb(tmp_path, monkeypatch):
+    cfg = synth_config(tmp_path, [0, 1, 1, 0])
+    generate, synthetic = cli.synth_data_generate, np.arange(200_000) % 2
+    monkeypatch.setattr(cli, "synth_data_generate", lambda *args: dataclasses.replace(
+        generate(*args), synthetic=synthetic))
+    out = tmp_path / "o.csv"
+    tracemalloc.start()
+    try:
+        code = main(["synth", "--config", str(cfg), "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK and out.read_text() == "0\n1\n" * 100_000
+    assert peak < 2_000_000  # one chunk's strings; the 200,000 row strings at once took 15 MB
 
 
 # ---- fuzzing the config boundary ---------------------------------------------------

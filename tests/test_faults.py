@@ -1,6 +1,7 @@
 """Faults in the descent loop, its step functions, their gradients (the frozen-row table among
 them), the points that reach the data, the vertex sampler, the privacy planner, verify's
-block statistics and the chunked sign draw, each caught by a named check.
+block statistics, synth's blocked query answers and the chunked sign draw, each caught by a
+named check.
 
 Each case applies one fault by monkeypatch, with no source edit, and runs an
 existing test of the suite that must then fail. None of the checks is a byte
@@ -199,6 +200,12 @@ def block_walk_drops_final_partial_block(monkeypatch):
         counts[:len(counts) - len(counts) % verify.BLOCK_ROWS], T))
 
 
+def answer_sum_drops_carried_total(monkeypatch):
+    """synth's blocked query answers sum each row block on its own and keep the last block's sum."""
+    monkeypatch.setattr(problems, "column_sum",
+                        lambda blocks: [np.add.reduce(block, axis=0) for block in blocks][-1])
+
+
 def sign_draw_drops_final_partial_chunk(monkeypatch):
     """The chunked ±1 draw stops before a final chunk shorter than ``SIGN_CHUNK``."""
     chunks = problems._sign_chunks
@@ -353,6 +360,11 @@ FAULTS = {
         block_walk_drops_final_partial_block,
         lambda request: test_verify.test_blocked_statistics_equal_the_whole_array_formulas(
             "grad_bias_first_order", 2 * verify.BLOCK_ROWS + 3),
+    ),
+    "synth_answer_sum_drops_carried_total": (
+        answer_sum_drops_carried_total,
+        lambda request: test_problems.test_blocked_query_answers_equal_the_full_gather_mean(
+            2 * problems.ANSWER_BLOCK + 3, 16),
     ),
     "kernel_gradient_at_dense_iterates": (
         kernel_gradient_at_dense_iterates,

@@ -14,7 +14,6 @@ from dpsimplex.privacy import (
     PrivacyParams,
     ScoPlan,
     SsmdPlan,
-    adaptive_budget_ok,
     advanced_composition_eps,
     audit_releases,
     exp_mech_sample,
@@ -26,6 +25,7 @@ from dpsimplex.privacy import (
     plan_vertex_smd,
 )
 from dpsimplex.rng import RngStream
+from reference import adaptive_budget_ok
 
 DELTA_E = math.exp(-1.0)  # ln(1/delta) = 1 keeps hand arithmetic simple
 
@@ -393,3 +393,26 @@ def test_plan_with_a_count_past_float_range_raises_budget_error(plan, count):
     # an integer is positive by its sign: np.isfinite(2**64) and math.isfinite(10**400) raise
     with pytest.raises(BudgetError):
         _HUGE_COUNT_PLANS[plan](count).validate()
+
+
+_STEP_CAPS = {
+    "vertex_smd": (max_step_vertex_smd,
+                   dict(batch_size=1, eps=1.0, delta=1e-5, L0=1.0, T=10, K=1)),
+    "anytime_sco": (max_step_anytime_sco,
+                    dict(batch_size=1, eps=1.0, delta=1e-5, L0=1.0, T=10, K=1, q=2)),
+}
+_STEP_CAP_COUNTS = [(cap, name) for cap, (_, args) in _STEP_CAPS.items()
+                    for name, value in args.items() if isinstance(value, int)]
+
+
+@pytest.mark.parametrize("cap,name", _STEP_CAP_COUNTS, ids=lambda v: v)
+def test_step_cap_at_a_count_of_2_64_is_a_positive_step(cap, name):
+    fn, args = _STEP_CAPS[cap]
+    assert 0.0 < fn(**{**args, name: 2**64}) < math.inf
+
+
+@pytest.mark.parametrize("cap,name", _STEP_CAP_COUNTS, ids=lambda v: v)
+def test_step_cap_at_a_count_past_float_range_raises_budget_error(cap, name):
+    fn, args = _STEP_CAPS[cap]
+    with pytest.raises(BudgetError, match="past the float range"):
+        fn(**{**args, name: 10**400})

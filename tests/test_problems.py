@@ -9,6 +9,7 @@ from dpsimplex.errors import OracleError
 from dpsimplex.privacy import PrivacyParams
 from dpsimplex.problems import (
     _GATHER_MIN_ENTRIES,
+    ANSWER_BLOCK,
     SIGN_CHUNK,
     BilinearObjective,
     GapReport,
@@ -17,6 +18,7 @@ from dpsimplex.problems import (
     SynthDataObjective,
     SynthDataProblem,
     _mean_signs,
+    _query_answers,
     exact_gap_bilinear,
     random_signs,
     synth_data_generate,
@@ -435,6 +437,39 @@ def test_synth_constant_query_has_zero_error():
                                true_dist=np.array([1 / 3, 1 / 3, 1 / 3]))
     rep = synth_data_generate(problem, PrivacyParams(1.0, 1e-5), RngStream(14))
     assert rep.query_errors[0] == pytest.approx(0.0, abs=1e-12)
+
+
+def _answers_are_the_gather_mean(n, domain, seed):
+    gen = np.random.default_rng(seed)
+    Q = gen.uniform(-1, 1, size=(10, domain))
+    synthetic = gen.integers(0, domain, size=n)
+    return _query_answers(Q, synthetic).tobytes() == Q[:, synthetic].mean(axis=1).tobytes()
+
+
+@pytest.mark.parametrize("domain", [1, 16])
+@pytest.mark.parametrize("n", [1, ANSWER_BLOCK - 1, ANSWER_BLOCK, ANSWER_BLOCK + 1,
+                               2 * ANSWER_BLOCK + 3])
+def test_blocked_query_answers_equal_the_full_gather_mean(n, domain):
+    assert _answers_are_the_gather_mean(n, domain, seed=n)
+
+
+@given(n=st.integers(1, 5 * ANSWER_BLOCK), domain=st.sampled_from([1, 16]),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_blocked_query_answers_equal_the_full_gather_mean_at_any_n(n, domain, seed):
+    assert _answers_are_the_gather_mean(n, domain, seed)
+
+
+def test_synth_generation_holds_no_full_gather():
+    gen = np.random.default_rng(5)
+    weights = 0.75 ** np.arange(16) / (0.75 ** np.arange(16)).sum()
+    n = 200_000
+    problem = SynthDataProblem(queries=gen.uniform(-1, 1, size=(10, 16)),
+                               data=gen.choice(16, size=n, p=weights), true_dist=weights)
+    peak, report = _peak_bytes(
+        lambda: synth_data_generate(problem, PrivacyParams(1.0, 1e-5), RngStream(3)))
+    assert report.synthetic.size == n
+    assert peak < 8_000_000  # the rows and their draws, 3.2 MB; the (10, n) gather took 17.7 MB
 
 
 def test_synth_problem_validates_indices():
