@@ -83,7 +83,6 @@ from .problems import (
     SynthDataProblem,
     exact_gap_bilinear,
     max_abs,
-    random_signs,
     synth_data_generate,
 )
 from .rng import RngStream
@@ -110,6 +109,9 @@ MAX_NONPRIVATE_STEPS = 10**6  # nonprivate_smd's T, which no sample budget caps 
 # trials of one n stepped as one batch: a batch holds this many dataset rows and
 # (trials, d) iterates at once, whatever the grid
 BATCH_TRIALS = 8
+# samples a batch draws before any plan reads n, min(trials, BATCH_TRIALS) * n: 1 GiB of
+# int8 signs, 2 GiB while its rows are stacked (shipped and benchmark grids: under 10^6)
+MAX_BATCH_SAMPLES = 2**30
 
 CSV_COLUMNS = [
     "trial", "n", "algorithm", "mode", "metric", "metric_value",
@@ -271,9 +273,8 @@ def _budget(cfg: dict) -> tuple[PrivacyParams, int]:
 
 
 def _build_game(problem: dict, master_seed: int, base_dir: str) -> MatrixGame:
-    """The configured game: its payoff, and as perturbation int8 signs drawn from the
-    ``payoff-noise`` stream with ``noise_scale`` as the game's scale. The signs take
-    1 byte an entry; no float64 ``noise * signs`` matrix is built."""
+    """The configured game: its payoff, perturbed (:meth:`MatrixGame.perturbed`) by
+    signs drawn from the ``payoff-noise`` stream with ``noise_scale`` as their scale."""
     if "payoff" in problem:
         A = np.asarray(problem["payoff"], dtype=np.float64)
     elif "payoff_file" in problem:
@@ -287,8 +288,7 @@ def _build_game(problem: dict, master_seed: int, base_dir: str) -> MatrixGame:
     if A.ndim != 2 or not A.size:
         raise ConfigError("payoff must be a non-empty matrix")
     noise = _number(float, problem.get("noise_scale", 0.5 * (max_abs(A) or 1.0)), "noise_scale")
-    S = random_signs(A.shape, np.int8, RngStream(master_seed).child("payoff-noise"))
-    return MatrixGame(A, S, noise)
+    return MatrixGame.perturbed(A, noise, RngStream(master_seed).child("payoff-noise"))
 
 
 def _build_quadratic(problem: dict, master_seed: int, base_dir: str) -> SeparableQuadratic:
@@ -389,7 +389,7 @@ def _nonprivate_schedule(game: MatrixGame, ov: dict) -> dict:
     T = ov.get("T", 10_000)
     if not 1 <= T <= MAX_NONPRIVATE_STEPS:
         raise ConfigError(f"nonprivate_smd needs T in [1, {MAX_NONPRIVATE_STEPS}], got {T}")
-    tau = ov["tau"] if "tau" in ov else math.sqrt(game.ell / T) / game.objective().L0
+    tau = ov["tau"] if "tau" in ov else math.sqrt(game.ell / T) / game.L0
     if not (math.isfinite(tau) and tau > 0):
         raise ConfigError(f"nonprivate_smd needs a positive finite tau, got {tau}")
     return {"T": T, "tau": tau}
@@ -416,6 +416,10 @@ def _parse_run(cfg: dict, base_dir: str) -> tuple[_Run, list[int], int]:
         raise ConfigError("need at least one trial and one n value, each n in [1, 2^63)")
     if len(n_grid) * trials > MAX_GRID_CELLS:
         raise ConfigError(f"{len(n_grid)} n values x {trials} trials: over {MAX_GRID_CELLS} cells")
+    batch = min(trials, BATCH_TRIALS)
+    if algorithm != "nonprivate_smd" and batch * max(n_grid) > MAX_BATCH_SAMPLES:
+        raise ConfigError(f"n = {max(n_grid)} x {batch} trials in a batch: over "
+                          f"{MAX_BATCH_SAMPLES} samples held at once")
     privacy, master_seed = _budget(cfg)
     overrides = _overrides(algorithm, _section(cfg, "overrides"))
     boosting = _boosting(_section(cfg, "boosting")) if algorithm == "boosted" else None
@@ -488,27 +492,25 @@ def _trial_inputs(problem, n: int, streams: list[RngStream]) -> tuple[Dataset, l
 
 def _run_smd_vertex(run: _Run, n: int, streams: list[RngStream]):
     game, p = run.problem, run.privacy
-    obj = game.objective()
-    plan = _plan(run, n, obj.L0, lambda: plan_vertex_smd(
-        n, p.epsilon, p.delta, obj.L0, obj.L1, obj.L2, game.ell, run.mode))
+    plan = _plan(run, n, game.L0, lambda: plan_vertex_smd(
+        n, p.epsilon, p.delta, game.L0, game.L1, game.L2, game.ell, run.mode))
     data, rngs = _trial_inputs(game, n, streams)
-    return [(sol, _plan_json(plan)) for sol in solve_smd_vertex_batch(obj, data, plan, rngs)]
+    return [(sol, _plan_json(plan)) for sol in solve_smd_vertex_batch(game, data, plan, rngs)]
 
 
 def _run_bias_reduced(run: _Run, n: int, stream: RngStream):
     game, p = run.problem, run.privacy
-    obj = game.objective()
-    plan = _plan(run, n, obj.L0, lambda: plan_bias_reduced(
-        n, p.epsilon, p.delta, obj.L0, obj.L1, obj.L2, game.ell))
+    plan = _plan(run, n, game.L0, lambda: plan_bias_reduced(
+        n, p.epsilon, p.delta, game.L0, game.L1, game.L2, game.ell))
     data = game.sample_dataset(n, stream.child("data"))
-    sol, _trace = solve_smd_bias_reduced(obj, data, plan, stream.child("solve"))
+    sol, _trace = solve_smd_bias_reduced(game, data, plan, stream.child("solve"))
     return sol, _plan_json(plan)
 
 
 def _run_boosted(run: _Run, n: int, stream: RngStream):
     game, (I, J) = run.problem, run.boosting
     data = game.sample_dataset(n, stream.child("data"))
-    sol = solve_boosted(game.objective(), data, I, J, run.privacy, stream.child("solve"))
+    sol = solve_boosted(game, data, I, J, run.privacy, stream.child("solve"))
     return sol, json.dumps({"I": I, "J": J}, sort_keys=True)
 
 

@@ -125,7 +125,12 @@ def max_stop_weight_bias_reduced(
     """
     _require_positive(eps=eps, tau=tau, alpha=alpha, L0=L0)
     PrivacyParams(eps, delta)
-    return eps**2 / (48.0 * math.log(1.0 / delta) * (9.0 * tau * alpha * L0) ** 2)
+    try:
+        return eps**2 / (48.0 * math.log(1.0 / delta) * (9.0 * tau * alpha * L0) ** 2)
+    except (ZeroDivisionError, OverflowError):  # the square underflowed to 0 or overflowed
+        raise BudgetError(f"(9 tau alpha L0)^2 is past the float range at tau={tau:g}, "
+                          f"alpha={alpha:g}, L0={L0:g}: no stopping weight can be "
+                          f"checked against it") from None
 
 
 def exp_mech_sample(scores, sensitivity: float, eps: float, rng: RngStream) -> int:

@@ -2,7 +2,9 @@
 
 Houses the stochastic matrix-game, synthetic-data and separable-quadratic
 problem families the CLI runs, private synthetic-data generation, and the
-exact bilinear duality gap the CLI evaluates with. The reference oracles the
+exact bilinear duality gap the CLI evaluates with. A matrix game is its own
+bilinear objective: one object, checked where it is built, whose perturbation
+is int8 signs with the noise as their scale. The reference oracles the
 tests compare against (a generic gap estimator, a game-value oracle, a privacy
 smoke test, the maximal-loss family) are test code (``tests/reference.py``).
 """
@@ -93,6 +95,10 @@ class BilinearObjective(PerSampleObjective):
     {-1, +1}, (z c) s is the double z (c s), so every product is formed as
     ``(z * scale) * E`` and gives the bits of the float c S; with c = 1 it is z E.
 
+    The constructor is the one place a game is checked: two matrices of one
+    shape, finite extremes, and an ``L0`` whose square the planners can use.
+    It reads the extremes without an |A| or |E| temporary.
+
     With one block frozen at a partner, a row's gradient is (A + z̄cE) times that
     partner: it depends on the partner and the batch mean z̄ alone, not on the
     free iterate. ``frozen_grad_rows`` therefore serves a table keyed by
@@ -106,7 +112,11 @@ class BilinearObjective(PerSampleObjective):
         if self.A.shape != self.E.shape or self.A.ndim != 2:
             raise ValueError("payoff and perturbation must be matrices of equal shape")
         self.d_x, self.d_y = self.A.shape
-        self.L0 = max_abs(self.A) + abs(self.scale) * max_abs(self.E)
+        extremes = max_abs(self.A), abs(self.scale) * max_abs(self.E)
+        if not all(map(math.isfinite, extremes)):
+            raise ValueError("game matrices must be finite")
+        self.L0 = extremes[0] + extremes[1]
+        _check_squares(L0=self.L0)
         self.L1 = 0.0
         self.L2 = 0.0
         self.B = self.L0
@@ -228,60 +238,40 @@ def _mean_signs(batches: np.ndarray) -> np.ndarray:
     return np.add.reduce(batches, axis=1) / batches.shape[1]
 
 
-@dataclass(frozen=True)
-class MatrixGame:
-    """A zero-sum game with sign-perturbed per-sample payoffs.
+class MatrixGame(BilinearObjective):
+    """A zero-sum game with sign-perturbed per-sample payoffs: its own objective.
 
     The x player minimizes and the y player maximizes ``x^T A y`` where
     ``A = E[A_z]``; per-sample payoffs are ``A + z * scale * perturbation`` with
-    z uniform on {-1, +1}, which gives controllable gradient noise. An integer
-    perturbation is held as given (the CLI passes int8 signs and the noise
-    scale: 1 MB at 1000 x 1000), any other as float64; ``random`` and
-    ``benchmark`` build a float64 one with scale 1.
+    z uniform on {-1, +1}, which gives controllable gradient noise. Every game
+    the package builds (:meth:`perturbed`, and so ``random``, ``benchmark``
+    and the CLI's) holds int8 signs and the noise as its scale: 1 MB at
+    1000 x 1000.
     """
 
-    payoff: np.ndarray
-    perturbation: np.ndarray
-    scale: float = 1.0
-
-    def __post_init__(self):
-        A = np.asarray(self.payoff, dtype=np.float64)
-        E = _perturbation_array(self.perturbation)
-        if A.ndim != 2 or A.shape != E.shape:
-            raise ValueError("payoff and perturbation must be matrices of equal shape")
-        scale = float(self.scale)
-        extremes = [max_abs(A), abs(scale) * max_abs(E)]
-        if not all(map(math.isfinite, extremes)):
-            raise ValueError("game matrices must be finite")
-        _check_squares(L0=extremes[0] + extremes[1])
-        object.__setattr__(self, "payoff", A)
-        object.__setattr__(self, "perturbation", E)
-        object.__setattr__(self, "scale", scale)
-
-    @property
-    def d_x(self) -> int:
-        return self.payoff.shape[0]
-
-    @property
-    def d_y(self) -> int:
-        return self.payoff.shape[1]
+    payoff = property(lambda self: self.A)
+    perturbation = property(lambda self: self.E)
 
     @property
     def ell(self) -> float:
         return math.log(self.d_x) + math.log(self.d_y)
 
-    def objective(self) -> BilinearObjective:
-        return BilinearObjective(self.payoff, self.perturbation, self.scale)
+    def objective(self) -> "MatrixGame":
+        return self
 
     def sample_dataset(self, n: int, rng: RngStream) -> Dataset:
         """n signs z uniform on {-1, +1}, drawn from ``rng`` and held as int8."""
         return Dataset(random_signs(n, np.int8, rng))
 
     @classmethod
+    def perturbed(cls, payoff: np.ndarray, noise_scale: float, rng: RngStream) -> "MatrixGame":
+        """The game of ``payoff`` whose perturbation is int8 signs drawn from ``rng``,
+        scaled by ``noise_scale``."""
+        return cls(payoff, random_signs(np.shape(payoff), np.int8, rng), noise_scale)
+
+    @classmethod
     def random(cls, d_x: int, d_y: int, rng: RngStream, noise_scale: float = 0.5) -> "MatrixGame":
-        A = rng.gen.uniform(-1.0, 1.0, size=(d_x, d_y))
-        E = noise_scale * random_signs((d_x, d_y), np.float64, rng)
-        return cls(A, E)
+        return cls.perturbed(rng.gen.uniform(-1.0, 1.0, size=(d_x, d_y)), noise_scale, rng)
 
     @classmethod
     def benchmark(
@@ -303,8 +293,7 @@ class MatrixGame:
         A = A - centering * (
             A.mean(axis=1, keepdims=True) + A.mean(axis=0, keepdims=True) - A.mean()
         )
-        E = noise_scale * random_signs((d_x, d_y), np.float64, rng)
-        return cls(A, E)
+        return cls.perturbed(A, noise_scale, rng)
 
 
 # --------------------------------------------------------------------------

@@ -11,6 +11,7 @@ Nothing in ``dpsimplex`` reads this module. It holds what only the tests need:
   surrogates that give the solver exact gradients,
 * a check that only released points reach the data: every point row an
   objective's data-reading methods get is a mean of k vertex one-hots,
+* a check that the step each solver's loop takes is the step its plan allows,
 * a finite-difference self-check of a per-sample objective,
 * the fully adaptive composition check on a list of per-mechanism spends,
   over the filter :func:`~dpsimplex.privacy.audit_releases` applies,
@@ -23,12 +24,13 @@ Nothing in ``dpsimplex`` reads this module. It holds what only the tests need:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from dpsimplex import privacy, sco
+from dpsimplex import privacy, sco, solvers
 from dpsimplex.errors import OracleError
 from dpsimplex.oracles import PerSampleObjective, batch_gradient
 from dpsimplex.privacy import SsmdPlan, advanced_composition_eps
@@ -534,3 +536,73 @@ def assert_released_points(points: list[np.ndarray], ks) -> None:
         sparse = np.count_nonzero(P, axis=1)[:, None] <= ks
         ok = (integral & sparse).any(axis=1)
         assert ok.all(), f"row {P[~ok][0]} is no mean of k one-hots for k in {ks.tolist()}"
+
+
+# --------------------------------------------------------------------------
+# the step the loop takes is the step the plan allows
+
+
+def record_steps(monkeypatch) -> list[tuple]:
+    """Record the steps of every solver loop: one ``(plan, steps)`` per run, in run order.
+
+    Wraps the step function each solver hands to ``mirror_descent`` (the names
+    ``dpsimplex.solvers`` and ``dpsimplex.sco`` read). ``steps`` gets one
+    ``(points, directions)`` per step: the iterates the step got and the directions it
+    returned, as (R, d) arrays, one per block. A run's plan is the plan its solver
+    validated last before the loop began; every private solver validates its plan on
+    entry, so the plan comes from the solver, not from the step size the loop is handed.
+    """
+    plans: list = []
+    runs: list[tuple] = []
+    for cls in (privacy.SsmdPlan, privacy.BrPlan, privacy.ScoPlan):
+        def validate(plan, check=cls.validate):
+            plans.append(plan)
+            return check(plan)
+
+        monkeypatch.setattr(cls, "validate", validate)
+    for module in (solvers, sco):
+        def recording_loop(dims, rows, tau, schedule, step, loop=module.mirror_descent):
+            steps: list = []
+            runs.append((plans[-1], steps))
+
+            def recorded_step(item, *points):
+                directions = step(item, *points)
+                steps.append(([np.array(p, ndmin=2) for p in points],
+                              [np.array(d, ndmin=2) for d in directions]))
+                return directions
+
+            return loop(dims, rows, tau, schedule, recorded_step)
+
+        monkeypatch.setattr(module, "mirror_descent", recording_loop)
+    return runs
+
+
+def assert_planned_steps(runs: list[tuple]) -> None:
+    """Require each recorded step to move every block's log-weights by ``plan.tau`` times the
+    direction the step returned.
+
+    An iterate is ``to_point(logw)``, a softmax, so with ``logw_{t+1} = logw_t + tau d_t``
+    the residual ``log x_{t+1} - log x_t - tau d_t`` is one constant per row, the change of
+    its log-normalizer. A loop that steps with m tau leaves ``(m - 1) tau d_t`` in the
+    residual, which is not constant along a row unless d_t is. Each row's residual must
+    therefore spread by no more than rounding, which grows with the magnitudes involved:
+    ``2^-40`` of them (about 2^12 units in the last place). Entries whose iterate
+    underflowed, to 0 or to a subnormal whose log has lost its precision, are skipped.
+    """
+    tiny = sys.float_info.min
+    checked = 0
+    for plan, steps in runs:
+        for (points, directions), (next_points, _) in zip(steps, steps[1:]):
+            for x, d, x_next in zip(points, directions, next_points):
+                ok = (x >= tiny) & (x_next >= tiny)
+                log_x, log_next = np.log(np.where(ok, x, 1.0)), np.log(np.where(ok, x_next, 1.0))
+                residual = log_next - log_x - plan.tau * d
+                spread = (np.where(ok, residual, -np.inf).max(axis=1)
+                          - np.where(ok, residual, np.inf).min(axis=1))
+                size = np.abs(log_x) + np.abs(log_next) + np.abs(plan.tau * d) + 1.0
+                bound = 2.0**-40 * np.where(ok, size, 0.0).max(axis=1)
+                assert (spread <= bound).all(), (
+                    f"a step moved the log-weights by other than tau = {plan.tau} times its "
+                    f"direction: residual spread {spread.max()} past {bound.max()}")
+                checked += int(ok.sum())
+    assert checked, "no pair of consecutive steps was recorded"

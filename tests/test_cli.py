@@ -551,6 +551,43 @@ def test_bias_reduced_truncation_past_its_weight_is_refused(tmp_path, capsys, M,
     _assert_refused(tmp_path, capsys, doc, code, message)
 
 
+def _bias_reduced_tau_doc(tmp_path, tau):
+    return _game_doc(tmp_path, algorithm="smd_bias_reduced", n_grid=[20000],
+                     overrides={"U": 8.0, "M": 1, "alpha": 0.5, "tau": tau})
+
+
+def test_bias_reduced_tau_whose_cost_squares_to_0_exits_3(tmp_path, capsys):
+    # (9 tau alpha L0)^2 underflowed to 0 and the stopping-weight cap divided by it (exit 1)
+    _assert_refused(tmp_path, capsys, _bias_reduced_tau_doc(tmp_path, 5e-324), EXIT_BUDGET,
+                    "(9 tau alpha L0)^2 is past the float range at tau=4.94066e-324")
+
+
+def test_bias_reduced_tau_whose_cost_squares_past_the_float_range_exits_3(tmp_path, capsys):
+    # (9 tau alpha L0)^2 overflowed: ** raised OverflowError (exit 1)
+    _assert_refused(tmp_path, capsys, _bias_reduced_tau_doc(tmp_path, 1e154), EXIT_BUDGET,
+                    "(9 tau alpha L0)^2 is past the float range at tau=1e+154")
+
+
+def test_grid_whose_batch_cannot_be_held_exits_2_before_any_draw(tmp_path, capsys):
+    # n = 2^31 used to end in MemoryError from the sign draw (exit 1) where 2 GiB could
+    # not be held; the batch's samples are now bounded before anything is drawn
+    for n, trials in ((2**31, 1), (2**29, 3)):
+        doc = json.loads((REPO / "configs" / "quickstart.json").read_text())
+        doc.update(n_grid=[n], trials=trials)
+        tracemalloc.start()
+        try:
+            _assert_refused(tmp_path, capsys, doc, EXIT_CONFIG,
+                            f"x {min(trials, cli.BATCH_TRIALS)} trials in a batch: over")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
+    # nonprivate_smd reads no n: the same grid still runs
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, algorithm="nonprivate_smd", overrides={"T": 10}, n_grid=[2**31], trials=1)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == EXIT_OK
+
+
 def test_nonprivate_steps_past_the_cap_exit_2(tmp_path, capsys, monkeypatch):
     # no sample budget caps the baseline's T: T = 2^64 used to run without end
     def unreachable(*args):

@@ -1,7 +1,7 @@
-"""Faults in the descent loop, its step functions, their gradients (the frozen-row table among
-them), the points that reach the data, the vertex sampler, the privacy planner, verify's
-block statistics, synth's blocked query answers and the chunked sign draw, each caught by a
-named check.
+"""Faults in the descent loop and its step size, its step functions, their gradients (the
+frozen-row table among them), the points that reach the data, the vertex sampler, the privacy
+planner, verify's block statistics, synth's blocked query answers and the chunked sign draw,
+each caught by a named check.
 
 Each case applies one fault by monkeypatch, with no source edit, and runs an
 existing test of the suite that must then fail. None of the checks is a byte
@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
 
 import test_acceptance
 import test_oracles
@@ -26,6 +27,17 @@ from dpsimplex.oracles import Dataset, TruncGeom
 from dpsimplex.problems import BilinearObjective
 from test_oracles import game  # noqa: F401  (the fixture test_oracles' checks take)
 from test_sco import quad  # noqa: F401  (the fixture test_sco's checks take)
+
+
+def _without_shrinking(test, cases, test_settings):
+    """The property test ``test`` over ``cases`` under ``test_settings``, stopped at its first
+    failing example: no shrinking, and no example database read or written.
+
+    A faulted run needs only to fail; shrinking its counterexample took seconds.
+    """
+    fast = settings(test_settings, phases=(Phase.explicit, Phase.generate), database=None)
+    return fast(given(**cases)(test.hypothesis.inner_test))
+
 
 CHECK_FAILED = (AssertionError, pytest.fail.Exception)  # a failed assert or "DID NOT RAISE"
 AUDIT_FAILED = CHECK_FAILED + (BudgetError,)  # or the post-run release audit stops the run
@@ -136,6 +148,12 @@ def perturbation_scale_dropped(monkeypatch):
         return grad_x(self, y, z, j, M) if j is None else (self.A[:, j] + z * self.E[:, j]) @ y[j]
 
     monkeypatch.setattr(BilinearObjective, "_grad_x", unscaled)
+
+
+def loop_steps_four_tau(monkeypatch):
+    """The descent loop steps every block with 4 tau where the plan allows tau."""
+    step = simplex.mwu_step
+    monkeypatch.setattr(simplex, "mwu_step", lambda logw, g, tau=1.0: step(logw, g, 4.0 * tau))
 
 
 def bias_reduced_scale_without_c_m(monkeypatch):
@@ -338,8 +356,9 @@ FAULTS = {
     ),
     "perturbation_scale_dropped": (
         perturbation_scale_dropped,
-        lambda request:
-            test_problems.test_int8_signs_with_a_scale_give_the_float_perturbations_bits(),
+        lambda request: _without_shrinking(
+            test_problems.test_int8_signs_with_a_scale_give_the_float_perturbations_bits,
+            test_problems.SCALED_GAME_CASES, test_problems.SCALED_GAME_SETTINGS)(),
     ),
     "bias_reduced_scale_without_c_m": (
         bias_reduced_scale_without_c_m,
@@ -396,6 +415,14 @@ FAULTS = {
         lambda request: test_solvers.test_only_released_points_reach_the_data(
             request.getfixturevalue("monkeypatch"), "dp_sco"),
     ),
+    **{
+        f"loop_steps_four_tau-{run}": (
+            loop_steps_four_tau,
+            lambda request, run=run: test_solvers.test_each_step_is_the_step_its_plan_allows(
+                request.getfixturevalue("monkeypatch"), run),
+        )
+        for run in ("smd_vertex-quadratic", "smd_bias_reduced", "dp_sco", "boosted")
+    },
     **{
         f"mwu_step_finiteness_check_dropped-{solver}": (
             mwu_step_without_finiteness_check,

@@ -181,7 +181,7 @@ class DoubledBatchGradX(BilinearObjective):
 def test_gradient_rows_keep_a_subclass_override():
     # both the saddle rows and the SCO rows of a shared base reach the override
     game = MatrixGame.random(5, 4, RngStream(130))
-    doubled = DoubledBatchGradX(game.payoff, game.perturbation)
+    doubled = DoubledBatchGradX(game.payoff, game.perturbation, game.scale)
     gen = np.random.default_rng(131)
     X, Y = stacked_rows(gen, 3, 5, 0), stacked_rows(gen, 3, 4, 0)
     batches = np.array([gen.integers(0, 2, size=6) * 2 - 1.0 for _ in range(3)])
@@ -265,23 +265,37 @@ def sparse_rows(gen, rows, dim, support):
     return P
 
 
-@given(
+# the cases and settings of the test below, which a fault row reruns without shrinking
+SCALED_GAME_CASES = dict(
     d=st.sampled_from([5, 90, 120]),  # 90^2 < _GATHER_MIN_ENTRIES <= 120^2
     support=st.integers(1, 120),  # past a fifth (a half) of 120 the block is dense
     rows=st.integers(1, 4),
     B=st.integers(1, 12),
     scale=st.sampled_from([0.0, -0.0, 1.0, -1.0]) | st.floats(-4.0, 4.0),
+    build=st.sampled_from(["direct", "random", "benchmark"]),
     seed=st.integers(0, 2**32 - 1),
 )
-@settings(max_examples=150, deadline=None)
+SCALED_GAME_SETTINGS = settings(max_examples=150, deadline=None)
+
+
+@SCALED_GAME_SETTINGS
+@given(**SCALED_GAME_CASES)
 def test_int8_signs_with_a_scale_give_the_float_perturbations_bits(d, support, rows, B, scale,
-                                                                    seed):
-    # the CLI's game holds S as int8 and the noise c as its scale; it must give the
-    # bits the float64 c * S gave, on every path a gradient or value takes
+                                                                    build, seed):
+    # a game holds S as int8 and the noise c as its scale; it must give the bits the
+    # float64 c * S gave, on every path a gradient or value takes. random and benchmark
+    # draw A, then the signs their float64 c * S was made of
     gen = np.random.default_rng(seed)
-    A = gen.uniform(-1.0, 1.0, size=(d, d))
-    S = (gen.integers(0, 2, size=(d, d)) * 2 - 1).astype(np.int8)
-    signs = BilinearObjective(A, S, scale)
+    if build == "direct":
+        A = gen.uniform(-1.0, 1.0, size=(d, d))
+        S = (gen.integers(0, 2, size=(d, d)) * 2 - 1).astype(np.int8)
+        signs = BilinearObjective(A, S, scale)
+    else:
+        signs = getattr(MatrixGame, build)(d, d, RngStream(seed), scale)
+        rng = RngStream(seed)
+        rng.gen.uniform(-1.0, 1.0, size=(d, d))
+        A, S = signs.payoff, random_signs((d, d), np.float64, rng)
+        assert signs.scale == scale and np.array_equal(signs.perturbation, S)
     floats = BilinearObjective(A, scale * S.astype(np.float64))
     assert signs.E.dtype == np.int8 and signs.L0 == floats.L0
     X, Y = sparse_rows(gen, rows, d, support), sparse_rows(gen, rows, d, support)
@@ -306,10 +320,42 @@ def test_max_abs_of_int8_does_not_wrap_at_minus_128():
 
 
 def test_objective_of_a_large_game_allocates_no_matrix():
-    game = MatrixGame.random(1000, 1000, RngStream(9))
-    peak, obj = _peak_bytes(game.objective)
-    assert obj.L0 == float(np.abs(game.payoff).max() + np.abs(game.perturbation).max())
+    # the one check site reads the extremes in place: no |A|, |E| or float c S temporary
+    gen = RngStream(9).gen
+    payoff = gen.uniform(-1.0, 1.0, size=(1000, 1000))
+    signs = (gen.integers(0, 2, size=(1000, 1000)) * 2 - 1).astype(np.int8)
+    peak, game = _peak_bytes(lambda: MatrixGame(payoff, signs, 0.5))
+    assert game.objective() is game
+    assert game.L0 == float(np.abs(payoff).max() + 0.5)
     assert peak < 1_000_000  # |A| and |E| took 8 MB each
+
+
+@pytest.mark.parametrize("build", ["random", "benchmark"])
+def test_a_game_is_its_own_objective_and_holds_int8_signs(build):
+    game = getattr(MatrixGame, build)(1000, 1000, RngStream(10), noise_scale=0.25)
+    assert isinstance(game, BilinearObjective) and game.objective() is game
+    assert (game.perturbation.dtype, game.scale) == (np.int8, 0.25)
+    assert game.payoff is game.A and game.perturbation is game.E
+    assert game.perturbation.nbytes == 1_000_000  # the float64 0.25 * S took 8 MB
+
+
+@pytest.mark.parametrize("payoff, perturbation, scale, message", [
+    ([[np.inf, 0.0]], [[1, -1]], 1.0, "must be finite"),
+    ([[0.0, 1.0]], [[np.nan, 1.0]], 1.0, "must be finite"),
+    ([[0.0, 1.0]], np.array([[1, -1]], np.int8), np.inf, "must be finite"),
+    ([[2e154, 0.0]], [[1.0, 1.0]], 1.0, "L0 = 2e\\+154 is too large"),
+    ([[1.0, 0.0]], np.array([[1, -1]], np.int8), 1e155, "is too large"),
+    ([[1e-200, 0.0]], [[0.0, 0.0]], 1.0, "L0 = 1e-200 is too small"),
+    ([[1.0, 0.0]], [[1.0], [1.0]], 1.0, "matrices of equal shape"),
+], ids=["inf_payoff", "nan_perturbation", "inf_scale", "payoff_2e154", "scale_1e155",
+        "payoff_1e-200", "shapes"])
+def test_the_objective_refuses_a_game_the_planners_cannot_take(payoff, perturbation, scale,
+                                                                message):
+    # the objective's constructor is the one check site: a game built there or as a
+    # MatrixGame passes through it
+    for cls in (BilinearObjective, MatrixGame):
+        with pytest.raises(ValueError, match=message):
+            cls(np.array(payoff), np.array(perturbation), scale)
 
 
 # ---- exact bilinear gap -----------------------------------------------------

@@ -43,7 +43,13 @@ from dpsimplex.solvers import (
     solve_smd_vertex,
     solve_smd_vertex_batch,
 )
-from reference import assert_released_points, record_points, score_candidate_pairs_loop
+from reference import (
+    assert_planned_steps,
+    assert_released_points,
+    record_points,
+    record_steps,
+    score_candidate_pairs_loop,
+)
 
 
 def small_plan(n, T, K, L0, eps=1.0, delta=1e-5, mode="quadratic"):
@@ -181,10 +187,10 @@ def test_tape_takes_at_least_one_step_per_refill(monkeypatch):
 
 
 class DenseBilinear(BilinearObjective):
-    """Reference batch gradients through the full ``A + mean(z) E``."""
+    """Reference batch gradients through the full ``A + mean(z) c E``."""
 
     def batch_grad_xy_rows(self, X, Y, batches):
-        dense = [self.A + np.mean(zs) * self.E for zs in batches]
+        dense = [self.A + (np.mean(zs) * self.scale) * self.E for zs in batches]
         return (np.array([M @ y for M, y in zip(dense, Y)]),
                 np.array([M.T @ x for M, x in zip(dense, X)]))
 
@@ -196,7 +202,7 @@ def test_vertex_solver_sparse_gradients_match_dense_reference():
     assert plan.K == 1
     sparse, dense = (
         solve_smd_vertex(obj, game.sample_dataset(n, RngStream(44)), plan, RngStream(45))
-        for obj in (game.objective(), DenseBilinear(game.payoff, game.perturbation))
+        for obj in (game.objective(), DenseBilinear(game.payoff, game.perturbation, game.scale))
     )
     assert np.array_equal(sparse.x.coords, dense.x.coords)
     assert np.array_equal(sparse.y.coords, dense.y.coords)
@@ -514,6 +520,15 @@ def test_only_released_points_reach_the_data(monkeypatch, run):
     assert_released_points(seen, ks)
 
 
+@pytest.mark.parametrize("run", RELEASED_POINT_RUNS)
+def test_each_step_is_the_step_its_plan_allows(monkeypatch, run):
+    # the release audit charges plan.tau: the loop of every solver, boosting's inner ones
+    # too, must move the log-weights by plan.tau times the direction each step returns
+    runs = record_steps(monkeypatch)
+    test_only_released_points_reach_the_data(monkeypatch, run)
+    assert_planned_steps(runs)
+
+
 # ---- non-finite gradients --------------------------------------------------------
 
 
@@ -521,7 +536,7 @@ class BadGradientBilinear(BilinearObjective):
     """Bilinear game whose x-gradient holds ``bad`` in one entry from step 3 on."""
 
     def __init__(self, game, bad, calls_per_step):
-        super().__init__(game.payoff, game.perturbation)
+        super().__init__(game.payoff, game.perturbation, game.scale)
         self.bad = bad
         self.first_bad_call = 2 * calls_per_step + 1
         self.calls = 0
